@@ -7,9 +7,18 @@ cost is O(#letters), not O(#words).  Exact families (similarities via
 log-free products, reciprocal shifts via float continuants while they stay
 below 2^53) keep lo == hi; anything else falls back to a word-at-a-time walk
 with interval brackets.
+
+The words of a range (m, n) and their norms do not depend on t, so
+`level_norms` walks each (system, range) once and keeps the per-level norm
+arrays in a one-slot memo on the system; every evaluation at a t (bisection,
+the t grid, the measure trend, the lower-bound diagnostics) sums powers of
+those cached norms.  Level sums are correctly rounded: `exact_sum` equals
+`math.fsum`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -157,6 +166,17 @@ class MoebiusPointState(MoebiusState):
         return (0.5 * (left + right),), 0.5 * (right - left)
 
 
+def _frontier_over_budget(total, j, budget):
+    return BudgetError(
+        f"frontier would hold {total} words at time {j},"
+        f" over the budget of {budget}; try the matrix-exact strategy"
+    )
+
+
+def _walk_over_budget(budget):
+    return BudgetError(f"enumeration exceeded budget of {budget} word extensions")
+
+
 def sweep(system, m, n, state_impl, on_level, budget=DEFAULT_BUDGET):
     """Expand the pruned frontier from time m to n, reporting every level.
 
@@ -190,10 +210,7 @@ def sweep(system, m, n, state_impl, on_level, budget=DEFAULT_BUDGET):
                 f"frontier died at time {j}; pruning should prevent this"
             )
         if total > budget:
-            raise BudgetError(
-                f"frontier would hold {total} words at time {j + 1},"
-                f" over the budget of {budget}; try the matrix-exact strategy"
-            )
+            raise _frontier_over_budget(total, j + 1, budget)
         src = np.concatenate([np.repeat(pos, fl.size) for pos, fl in groups])
         new_letters = np.concatenate([np.tile(fl, pos.size) for pos, fl in groups])
         state = state_impl.extend(j + 1, state, src, new_letters)
@@ -219,12 +236,132 @@ def generic_norm_walk(system, m, n, on_word, budget=DEFAULT_BUDGET):
             lbl = sched.letters(j)[a].label
             counter[0] += 1
             if counter[0] > budget:
-                raise BudgetError(
-                    f"enumeration exceeded budget of {budget} word extensions"
-                )
+                raise _walk_over_budget(budget)
             word = Word(m, tuple(labels) + (lbl,))
             on_word(j, word, compose_norm(word, system, check=False))
             if j < n:
                 rec(j + 1, a, labels + [lbl])
 
     rec(m, -1, [])
+
+
+# ---------------------------------------------------------------------------
+# t-independent level norms
+# ---------------------------------------------------------------------------
+
+
+def exact_sum(x) -> float:
+    """Correctly rounded sum of a non-negative float64 array: equals math.fsum.
+
+    Each term is m * 2**(e - 53) with a 53-bit integer mantissa m.  Mantissas
+    are added in int64 per run of equal exponents, as 27- and 26-bit halves so
+    that runs shorter than 2**36 terms cannot overflow; the run sums meet in
+    one Python int and a single int/int division rounds once.  Any order is
+    exact; sorted input keeps the runs few.
+    """
+    if x.size == 0:
+        return 0.0
+    mant, expo = np.frexp(x)
+    ints = np.ldexp(mant, 53).astype(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], expo[1:] != expo[:-1])))
+    high = np.add.reduceat(ints >> 26, starts).tolist()
+    low = np.add.reduceat(ints & ((1 << 26) - 1), starts).tolist()
+    run_expo = expo[starts].tolist()
+    base = min(run_expo)
+    total = 0
+    for h, lo, e in zip(high, low, run_expo):
+        total += ((h << 26) + lo) << (e - base)
+    shift = base - 53
+    if shift >= 0:
+        return float(total << shift)
+    return total / (1 << -shift)
+
+
+class LevelNorms:
+    """Norm bounds of the admissible words of one range (m, n), level by level.
+
+    `levels[j - m]` is the (lo, hi) pair at time j.  From the vectorized
+    sweep these are sorted float arrays (lo is hi: the families are exact),
+    so the powers of one level fall into few binades; from the word-at-a-time
+    walk they are lists of bracket floats.  Nothing here depends on t.
+    """
+
+    def __init__(self, m, levels, vectorized):
+        self.m = m
+        self.levels = levels
+        self.vectorized = vectorized
+
+    def check_budget(self, budget):
+        """Raise the BudgetError a fresh walk of this range would raise."""
+        sizes = [len(lo) for lo, _ in self.levels]
+        if not self.vectorized:
+            if sum(sizes) > budget:
+                raise _walk_over_budget(budget)
+            return
+        for j, size in enumerate(sizes[1:], self.m + 1):
+            if size > budget:
+                raise _frontier_over_budget(size, j, budget)
+
+    def power_sums(self, t):
+        """{j: (Z_lo, Z_hi, words)}: sums of norm**t per level, correctly rounded.
+
+        The vectorized levels take numpy's power and `exact_sum`; the walked
+        ones keep Python's `**` and math.fsum, whose power can differ from
+        numpy's in the last bit.
+        """
+        out = {}
+        for j, (lo, hi) in enumerate(self.levels, self.m):
+            if self.vectorized:
+                z_lo = exact_sum(lo**t)
+                z_hi = z_lo if hi is lo else exact_sum(hi**t)
+            else:
+                z_lo = math.fsum([x**t for x in lo])
+                z_hi = math.fsum([x**t for x in hi])
+            out[j] = (z_lo, z_hi, len(lo))
+        return out
+
+
+def _walk_levels(system, m, n, budget):
+    fam = _family(system, m, n)
+    if fam == "similarity":
+        impl = SimilarityState(system)
+    elif fam == "moebius" and _moebius_float_safe(system, m, n):
+        impl = MoebiusState(system)
+    else:
+        impl = None
+    if impl is not None:
+        levels = []
+
+        def on_level(j, letters, state, words):
+            lo, hi = impl.norm_bounds(state)
+            lo_sorted = np.sort(lo)
+            levels.append((lo_sorted, lo_sorted if hi is lo else np.sort(hi)))
+
+        sweep(system, m, n, impl, on_level, budget)
+        return LevelNorms(m, tuple(levels), vectorized=True)
+    lows = [[] for _ in range(m, n + 1)]
+    highs = [[] for _ in range(m, n + 1)]
+
+    def on_word(j, word, bracket):
+        lows[j - m].append(bracket.lo)
+        highs[j - m].append(bracket.hi)
+
+    generic_norm_walk(system, m, n, on_word, budget)
+    return LevelNorms(m, tuple(zip(lows, highs)), vectorized=False)
+
+
+def level_norms(system, m, n, budget=DEFAULT_BUDGET) -> LevelNorms:
+    """The level norms of range (m, n), walked once per system.
+
+    A one-slot memo on the system keeps the last range walked; a hit raises
+    the same BudgetError under `budget` that a fresh walk would.
+    """
+    memo = system._level_memo
+    hit = memo.get((m, n))
+    if hit is None:
+        hit = _walk_levels(system, m, n, budget)
+        memo.clear()
+        memo[(m, n)] = hit
+    else:
+        hit.check_budget(budget)
+    return hit

@@ -197,6 +197,10 @@ class MoebiusInverse(ConformalMap):
     def image(self, dom: Space) -> Space:
         a = self(dom.bounds[1])  # decreasing map: endpoints swap
         b = self(dom.bounds[0])
+        if not a < b:
+            # a sub-ulp image rounds both endpoints to one float: widen by an
+            # ulp on each side instead of returning an empty interval
+            a, b = math.nextafter(a, -math.inf), math.nextafter(b, math.inf)
         return interval(a, b)
 
     def deriv_range_on(self, dom):

@@ -68,6 +68,11 @@ class SystemSpec:
     def norm_memo(self) -> dict:
         return {}
 
+    @cached_property
+    def _level_memo(self) -> dict:
+        """One slot: (m, n) -> that range's t-independent level norms."""
+        return {}
+
     # -- single-letter norm tables -------------------------------------------
     @cached_property
     def letter_brackets(self):

@@ -77,58 +77,40 @@ def _resolve_strategy(system, m, n, strategy):
     return strategy
 
 
-def _sweep_enumerate(system, m, n, t, budget, collect):
-    """Exact per-level sums via the vectorized frontier (or generic fallback)."""
-    fam = _frontier._family(system, m, n)
-    if fam == "similarity":
-        impl = _frontier.SimilarityState(system)
-    elif fam == "moebius" and _frontier._moebius_float_safe(system, m, n):
-        impl = _frontier.MoebiusState(system)
-    else:
-        impl = None
-    if impl is not None:
-
-        def on_level(j, letters, state, words):
-            lo, hi = impl.norm_bounds(state)
-            z_lo = math.fsum(lo**t)
-            z_hi = z_lo if lo is hi else math.fsum(hi**t)
-            collect(j, z_lo, z_hi, letters.size)
-
-        _frontier.sweep(system, m, n, impl, on_level, budget)
-        return
-    sums_lo = {j: [] for j in range(m, n + 1)}
-    sums_hi = {j: [] for j in range(m, n + 1)}
-
-    def on_word(j, word, bracket):
-        sums_lo[j].append(bracket.lo**t)
-        sums_hi[j].append(bracket.hi**t)
-
-    _frontier.generic_norm_walk(system, m, n, on_word, budget)
-    for j in range(m, n + 1):
-        collect(j, math.fsum(sums_lo[j]), math.fsum(sums_hi[j]), len(sums_lo[j]))
-
-
-def _sweep_transfer(system, m, n, t, weights, collect):
+def _transfer_sums(system, m, n, t, which):
     """Per-level sums of products of single-letter weights along admissible words.
 
-    `weights(j)` returns the per-letter weight array at time j (zero outside
-    the pruned alphabet).  Exact for similarity families, the upper part of
-    the bounded-distortion bracket otherwise.
+    `which` picks the lo (0) or hi (1) single-letter norm bracket as the
+    weight, zero outside the pruned alphabet.  Exact for similarity families,
+    the parts of the bounded-distortion bracket otherwise.
     """
     sched = system.schedule
-    u = np.where(sched.kept[m], weights(m) ** t, 0.0)
-    collect(m, float(u.sum()))
+    brackets = system.letter_brackets
+    u = np.where(sched.kept[m], brackets[m][which] ** t, 0.0)
+    out = {m: float(u.sum())}
     for j in range(m, n):
-        u = sched.incidence[j].transfer(u, weights(j + 1) ** t, sched.kept[j + 1])
-        collect(j + 1, float(u.sum()))
+        w = brackets[j + 1][which] ** t
+        u = sched.incidence[j].transfer(u, w, sched.kept[j + 1])
+        out[j + 1] = float(u.sum())
+    return out
 
 
-def _letter_weights(system, which):
-    def weights(j):
-        lo, hi = system.letter_brackets[j]
-        return lo if which == "lo" else hi
+def _levels(system, m, n, t, strategy, budget=_frontier.DEFAULT_BUDGET):
+    """({j: (z_lo, z_hi, words)} for every j in m..n, resolved strategy).
 
-    return weights
+    Brackets on Z_{m,j}(t); `words` is the level's word count for
+    enumerate-exact and None for the transfer strategies.
+    """
+    strat = _resolve_strategy(system, m, n, strategy)
+    if strat == "enumerate-exact":
+        return _frontier.level_norms(system, m, n, budget).power_sums(t), strat
+    hi = _transfer_sums(system, m, n, t, 1)
+    if strat == "matrix-exact":
+        return {j: (z, z, None) for j, z in hi.items()}, strat
+    # bdp-bracket: single-letter products with distortion correction
+    lo = _transfer_sums(system, m, n, t, 0)
+    k = system.distortion
+    return {j: (k ** (-2.0 * (j - m) * t) * lo[j], hi[j], None) for j in hi}, strat
 
 
 def partition(
@@ -145,40 +127,9 @@ def partition(
         raise ConfigurationError(
             f"need 1 <= m <= n <= horizon={system.horizon}, got ({m}, {n})"
         )
-    strat = _resolve_strategy(system, m, n, strategy)
-    out = {}
-
-    if strat == "enumerate-exact":
-
-        def collect(j, z_lo, z_hi, count):
-            out[j] = (z_lo, z_hi, count)
-
-        _sweep_enumerate(system, m, n, t, budget, collect)
-        z_lo, z_hi, count = out[n]
-        return PartitionValue(m, n, t, z_lo, z_hi, strat, count)
-
-    if strat == "matrix-exact":
-        _sweep_transfer(
-            system, m, n, t, _letter_weights(system, "hi"),
-            lambda j, z: out.__setitem__(j, z),
-        )
-        z = out[n]
-        return PartitionValue(m, n, t, z, z, strat, None)
-
-    # bdp-bracket: single-letter products with distortion correction
-    hi_out, lo_out = {}, {}
-    _sweep_transfer(
-        system, m, n, t, _letter_weights(system, "hi"),
-        lambda j, z: hi_out.__setitem__(j, z),
-    )
-    _sweep_transfer(
-        system, m, n, t, _letter_weights(system, "lo"),
-        lambda j, z: lo_out.__setitem__(j, z),
-    )
-    k = system.distortion
-    length = n - m + 1
-    corr = k ** (-2.0 * (length - 1) * t)
-    return PartitionValue(m, n, t, corr * lo_out[n], hi_out[n], strat, None)
+    levels, strat = _levels(system, m, n, t, strategy, budget)
+    z_lo, z_hi, words = levels[n]
+    return PartitionValue(m, n, t, z_lo, z_hi, strat, words)
 
 
 def partition_by_root(system, n: int, t: float, budget=_frontier.DEFAULT_BUDGET):
@@ -200,37 +151,6 @@ def partition_by_root(system, n: int, t: float, budget=_frontier.DEFAULT_BUDGET)
     return {
         v: (math.fsum(lo), math.fsum(hi)) for v, (lo, hi) in sorted(sums.items())
     }
-
-
-def _level_sweep(system, t, n_max, strategy, budget=_frontier.DEFAULT_BUDGET):
-    """Brackets on Z_n(t) for every n in 1..n_max in one pass."""
-    strat = _resolve_strategy(system, 1, n_max, strategy)
-    levels = {}
-    if strat == "enumerate-exact":
-
-        def collect(j, z_lo, z_hi, count):
-            levels[j] = (z_lo, z_hi)
-
-        _sweep_enumerate(system, 1, n_max, t, budget, collect)
-    elif strat == "matrix-exact":
-        _sweep_transfer(
-            system, 1, n_max, t, _letter_weights(system, "hi"),
-            lambda j, z: levels.__setitem__(j, (z, z)),
-        )
-    else:
-        hi_out, lo_out = {}, {}
-        _sweep_transfer(
-            system, 1, n_max, t, _letter_weights(system, "hi"),
-            lambda j, z: hi_out.__setitem__(j, z),
-        )
-        _sweep_transfer(
-            system, 1, n_max, t, _letter_weights(system, "lo"),
-            lambda j, z: lo_out.__setitem__(j, z),
-        )
-        k = system.distortion
-        for j in range(1, n_max + 1):
-            levels[j] = (k ** (-2.0 * (j - 1) * t) * lo_out[j], hi_out[j])
-    return levels, strat
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +207,7 @@ def pressure_estimate(
         raise ConfigurationError(
             f"window {window} must sit inside [1, horizon={system.horizon}]"
         )
-    levels, strat = _level_sweep(system, t, n_hi, strategy, budget)
+    levels, strat = _levels(system, 1, n_hi, t, strategy, budget)
     ns = tuple(range(n_lo, n_hi + 1))
     z_lo = tuple(levels[n][0] for n in ns)
     z_hi = tuple(levels[n][1] for n in ns)
@@ -543,7 +463,7 @@ def lower_bound_diagnostics(
     n_lo, n_hi = window
     if not (2 <= n_lo < n_hi <= system.horizon):
         raise ConfigurationError(f"window {window} outside [2, horizon]")
-    levels, _ = _level_sweep(system, t, n_hi, strategy)
+    levels, _ = _levels(system, 1, n_hi, t, strategy)
     stats = growth_stats(system.schedule)
     d = float(system.dim)
 
@@ -764,7 +684,7 @@ def hausdorff_measure_trend(
             "inapplicable", h, tuple(window), (), pre,
             f"hypotheses not met: {', '.join(missing)}",
         )
-    levels, _ = _level_sweep(system, h, n_hi, strategy)
+    levels, _ = _levels(system, 1, n_hi, h, strategy)
     ns = list(range(n_lo, n_hi + 1))
     zs = [0.5 * (levels[n][0] + levels[n][1]) for n in ns]
     tail = [i for i, n in enumerate(ns) if n >= _tail_start(window)]

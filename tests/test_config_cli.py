@@ -156,6 +156,21 @@ class TestCliExitCodes:
         )
         assert main(["check", path, "--out", str(tmp_path / "o")]) == 3
 
+    def test_sub_ulp_images_report(self, tmp_path):
+        # digit 173 makes some depth-7 images narrower than one float64 ulp
+        path = write_cfg(
+            tmp_path,
+            "cf173.json",
+            {
+                "schema_version": 1,
+                "system": {"kind": "cf", "digits": [1, 2, 173], "horizon": 7},
+                "params": {"t_grid": 5},
+            },
+        )
+        out = tmp_path / "o"
+        assert main(["report", path, "--out", str(out)]) in (0, 4)
+        assert (out / "points.csv").exists()
+
     def test_hypotheses_failed_is_4(self, tmp_path, capsys):
         assert main(["report", "perm2", "--out", str(tmp_path / "o4"),
                      "--n-max", "8", "--t-bracket", "0.0", "0.9",

@@ -1,0 +1,181 @@
+"""The t-independent level-norm cache: exact sums, equality with a fresh walk,
+walk counts per report and budget behaviour on cache hits."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from bowendim import (
+    BudgetError,
+    build_cf_system,
+    bundled,
+    cli,
+    partition,
+    pressure_estimate,
+)
+from bowendim import _frontier
+from bowendim._frontier import exact_sum
+
+
+def cf_wide(horizon=8):
+    # continuants pass 2^52 by time 8, so norms come from the word walk
+    return build_cf_system([[1, 2, 100]] * horizon)
+
+
+def reference_levels(system, m, n, t):
+    """{j: (Z_lo, Z_hi)}: a fresh sweep or word walk, math.fsum per level."""
+    fam = _frontier._family(system, m, n)
+    if fam == "similarity":
+        impl = _frontier.SimilarityState(system)
+    elif fam == "moebius" and _frontier._moebius_float_safe(system, m, n):
+        impl = _frontier.MoebiusState(system)
+    else:
+        impl = None
+    out = {}
+    if impl is not None:
+
+        def on_level(j, letters, state, words):
+            lo, hi = impl.norm_bounds(state)
+            out[j] = (math.fsum(lo**t), math.fsum(hi**t))
+
+        _frontier.sweep(system, m, n, impl, on_level)
+        return out
+    terms = {j: ([], []) for j in range(m, n + 1)}
+
+    def on_word(j, word, bracket):
+        terms[j][0].append(bracket.lo**t)
+        terms[j][1].append(bracket.hi**t)
+
+    _frontier.generic_norm_walk(system, m, n, on_word)
+    return {j: (math.fsum(lo), math.fsum(hi)) for j, (lo, hi) in terms.items()}
+
+
+SYSTEMS = {
+    "cf12": lambda: bundled.cf12(12),
+    "cf-wide": cf_wide,
+    "cantor3": lambda: bundled.cantor3(12),
+    "gdms2v": lambda: bundled.gdms2v(10),
+}
+TS = (0.0, 0.27, 0.5312805, 0.8, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_cached_values_equal_fresh_walk(name):
+    system = SYSTEMS[name]()
+    h = system.horizon
+    window = (2, h)
+    for t in TS:
+        ref = reference_levels(system, 1, h, t)
+        est = pressure_estimate(system, t, window, "enumerate-exact")
+        expect = [
+            (
+                j, t, ref[j][0], ref[j][1],
+                math.log(ref[j][0]) / j, math.log(ref[j][1]) / j,
+            )
+            for j in range(window[0], window[1] + 1)
+        ]
+        assert list(est.rows()) == expect
+        pv = partition(system, 1, h, t, "enumerate-exact")
+        assert (pv.lo, pv.hi) == ref[h]
+    # a second range evicts the first from the one-slot memo
+    for t in TS:
+        ref = reference_levels(system, 3, 6, t)
+        pv = partition(system, 3, 6, t, "enumerate-exact")
+        assert (pv.lo, pv.hi) == ref[6]
+
+
+def _binade_spread():
+    exps = st.integers(min_value=-1070, max_value=-470)
+    return st.lists(
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), exps),
+        max_size=64,
+    ).map(lambda xs: np.array(xs, dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        arrays(
+            np.float64, st.integers(0, 200),
+            elements=st.floats(0.0, 1e12, allow_subnormal=True),
+        ),
+        _binade_spread(),
+        st.integers(0, 50).map(lambda k: np.zeros(k)),
+        st.integers(0, 5000).map(lambda k: np.ones(k)),
+        st.lists(
+            st.floats(0.0, 2.0**-1022, allow_subnormal=True), max_size=40,
+        ).map(lambda xs: np.array(xs, dtype=float)),
+    )
+)
+def test_exact_sum_equals_fsum(x):
+    assert exact_sum(x) == math.fsum(x)
+
+
+def test_exact_sum_sorted_level():
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.random(32768) ** 40)
+    assert exact_sum(x) == math.fsum(x)
+    assert exact_sum(x[::-1]) == math.fsum(x)
+
+
+def _count_calls(monkeypatch, attr):
+    calls = []
+    real = getattr(_frontier, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_frontier, attr, counted)
+    return calls
+
+
+def test_one_norm_sweep_per_report(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, "sweep")
+    code = cli.main(
+        ["report", "cf12", "--out", str(tmp_path), "--n-max", "12",
+         "--depth", "8", "--max-points", "256"]
+    )
+    assert code == 0
+    # one norm sweep over (1, n_max), one sampling sweep to the depth
+    assert sorted(calls) == [(1, 8), (1, 12)]
+
+
+def test_one_generic_walk_per_report(tmp_path, monkeypatch):
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "system": {"kind": "cf", "digits": [1, 2, 100], "horizon": 8},
+        "params": {"t_grid": 5},
+    }))
+    calls = _count_calls(monkeypatch, "generic_norm_walk")
+    code = cli.main(["report", str(cfg), "--out", str(tmp_path / "out")])
+    assert code in (0, 4)
+    assert calls == [(1, 8)]
+
+
+def _budget_message(fn):
+    with pytest.raises(BudgetError) as exc:
+        fn()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "make, n, budget",
+    [(lambda: bundled.cf12(18), 18, 100), (cf_wide, 8, 500)],
+)
+def test_cache_hit_keeps_the_budget(make, n, budget):
+    fresh = _budget_message(
+        lambda: partition(make(), 1, n, 0.5, "enumerate-exact", budget=budget)
+    )
+    system = make()
+    partition(system, 1, n, 0.5, "enumerate-exact")  # fills at the default budget
+    hit = _budget_message(
+        lambda: partition(system, 1, n, 0.5, "enumerate-exact", budget=budget)
+    )
+    assert hit == fresh
