@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetError, UnsupportedError
 from .maps import MoebiusInverse, Similarity, compose_norm
-from .symbolic import Word
+from .symbolic import Word, walk_words
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -227,22 +227,11 @@ def generic_norm_walk(system, m, n, on_word, budget=DEFAULT_BUDGET):
     Used for tabulated/mixed families and for reciprocal-shift ranges whose
     continuants would overflow float64 (exact integer path).
     """
-    sched = system.schedule
-    counter = [0]
-
-    def rec(j, prev, labels):
-        cand = sched.kept_indices(m) if j == m else sched.followers(j - 1, prev)
-        for a in cand:
-            lbl = sched.letters(j)[a].label
-            counter[0] += 1
-            if counter[0] > budget:
-                raise _walk_over_budget(budget)
-            word = Word(m, tuple(labels) + (lbl,))
-            on_word(j, word, compose_norm(word, system, check=False))
-            if j < n:
-                rec(j + 1, a, labels + [lbl])
-
-    rec(m, -1, [])
+    for count, (j, _, labels) in enumerate(walk_words(system.schedule, m, n), 1):
+        if count > budget:
+            raise _walk_over_budget(budget)
+        word = Word(m, labels)
+        on_word(j, word, compose_norm(word, system, check=False))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 config parse/schema violation, 3 semantic rejection
 (contraction, image placement), 4 dimension computed but the supporting
 hypotheses failed (outputs still written, flagged advisory), 5 budget
-overrun (partial outputs marked).  Environment: BOWENDIM_THREADS for the
-samplers, BOWENDIM_OUTDIR for the default output directory.
+overrun (partial outputs marked).  Environment: BOWENDIM_OUTDIR for the
+default output directory.
 """
 
 from __future__ import annotations
@@ -455,7 +455,6 @@ def _with_meta(payload, cfg, args):
         "version": __version__,
         "source": cfg.source,
         "seed": _param(args, cfg, "seed", int),
-        "threads": int(os.environ.get("BOWENDIM_THREADS", "1")),
         "system": cfg.system_spec,
     }
     return payload

@@ -11,8 +11,6 @@ dimension estimate.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +19,7 @@ import numpy as np
 from . import _frontier
 from .errors import BudgetError, ConfigurationError, InputError
 from .maps import image_region
-from .symbolic import Word
+from .symbolic import Word, walk_words
 from .trend import TrendReport, trend_report
 
 
@@ -63,13 +61,6 @@ def project_point(word_prefix: Word, system) -> LimitPoint:
     return LimitPoint((cx, cy), r, word_prefix)
 
 
-def _threads():
-    try:
-        return max(1, int(os.environ.get("BOWENDIM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def sample_limit_set(
     system,
     depth: int,
@@ -81,8 +72,8 @@ def sample_limit_set(
     """Point cloud of depth-`depth` prefix projections.
 
     exhaustive: one point per admissible word (budget error past max_points);
-    random-admissible: `max_points` uniform random admissible extensions with
-    per-index seed streams, so any thread count reproduces the same cloud.
+    random-admissible: `max_points` uniform random admissible extensions, each
+    drawn from its own (seed, index) stream.
     `with_words=False` skips the per-point word labels (large clouds feeding
     the box-counting oracle don't need them).
     """
@@ -107,7 +98,6 @@ def _join_words(raw, count):
 
 def _sample_exhaustive(system, depth, max_points, with_words=True):
     fam = _frontier._family(system, 1, depth)
-    sched = system.schedule
     if fam == "similarity":
         impl = _frontier.SimilarityPointState(system)
     elif fam == "moebius" and _frontier._moebius_float_safe(system, 1, depth):
@@ -150,28 +140,19 @@ def _sample_exhaustive(system, depth, max_points, with_words=True):
 
     # generic fallback: region per word
     pts, radii, words = [], [], []
-    count = [0]
-
-    def rec(j, prev, labels):
-        cand = sched.kept_indices(1) if j == 1 else sched.followers(j - 1, prev)
-        for a in cand:
-            lbl = sched.letters(j)[a].label
-            if j == depth:
-                count[0] += 1
-                if count[0] > max_points:
-                    raise BudgetError(
-                        f"exhaustive sampling exceeds {max_points} points at"
-                        f" depth {depth}; lower the depth or raise the budget"
-                    )
-                w = Word(1, tuple(labels) + (lbl,))
-                lp = project_point(w, system)
-                pts.append(lp.point)
-                radii.append(lp.radius)
-                words.append(w.label())
-            else:
-                rec(j + 1, a, labels + [lbl])
-
-    rec(1, -1, [])
+    for j, _, labels in walk_words(system.schedule, 1, depth):
+        if j < depth:
+            continue
+        if len(pts) >= max_points:
+            raise BudgetError(
+                f"exhaustive sampling exceeds {max_points} points at"
+                f" depth {depth}; lower the depth or raise the budget"
+            )
+        w = Word(1, labels)
+        lp = project_point(w, system)
+        pts.append(lp.point)
+        radii.append(lp.radius)
+        words.append(w.label())
     return PointCloud(np.array(pts), np.array(radii), tuple(words), depth)
 
 
@@ -188,21 +169,14 @@ def _one_random_word(system, depth, seed, index):
 
 
 def _sample_random(system, depth, max_points, seed):
-    def build(i):
+    pts, radii, words = [], [], []
+    for i in range(max_points):
         w = _one_random_word(system, depth, seed, i)
         lp = project_point(w, system)
-        return lp.point, lp.radius, w.label()
-
-    n_threads = _threads()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(build, range(max_points)))
-    else:
-        results = [build(i) for i in range(max_points)]
-    pts = np.array([r[0] for r in results])
-    radii = np.array([r[1] for r in results])
-    words = tuple(r[2] for r in results)
-    return PointCloud(pts, radii, words, depth, seed)
+        pts.append(lp.point)
+        radii.append(lp.radius)
+        words.append(w.label())
+    return PointCloud(np.array(pts), np.array(radii), tuple(words), depth, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +296,14 @@ def level_cover(system, n: int, budget: int = 200_000) -> LevelCover:
         raise ConfigurationError(f"level {n} beyond horizon {system.horizon}")
     sched = system.schedule
     cells = []
-    count = [0]
-
-    def rec(j, prev, labels):
-        cand = sched.kept_indices(1) if j == 1 else sched.followers(j - 1, prev)
-        for a in cand:
-            lbl = sched.letters(j)[a].label
-            if j == n:
-                count[0] += 1
-                if count[0] > budget:
-                    raise BudgetError(
-                        f"level cover at depth {n} exceeds {budget} cells"
-                    )
-                w = Word(1, tuple(labels) + (lbl,))
-                region = image_region(w, system, check=False)
-                root = sched.letters(1)[
-                    sched.letter_index(1, w.letters[0])
-                ].src
-                cells.append((w.label(), root, region))
-            else:
-                rec(j + 1, a, labels + [lbl])
-
-    rec(1, -1, [])
+    for j, idx, labels in walk_words(sched, 1, n):
+        if j < n:
+            continue
+        if len(cells) >= budget:
+            raise BudgetError(f"level cover at depth {n} exceeds {budget} cells")
+        w = Word(1, labels)
+        region = image_region(w, system, check=False)
+        cells.append((w.label(), sched.letters(1)[idx[0]].src, region))
     return LevelCover(n, tuple(cells))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CertificationError, InputError, UnsupportedError
-from .symbolic import Word, is_admissible
+from .symbolic import Word, is_admissible, walk_words
 
 
 @dataclass(frozen=True)
@@ -499,24 +499,13 @@ def contraction_eta(system, m_max: int = 8, budget: int = 200_000) -> Contractio
 
 def _worst_window(system, j, m, budget, counter):
     """Max sup-norm bracket hi over admissible m-letter windows starting at j."""
-    sched = system.schedule
     worst = 0.0
-
-    def rec(t, prev, labels):
-        nonlocal worst
-        cand = sched.kept_indices(j) if t == j else sched.followers(t - 1, prev)
-        for a in cand:
-            lbl = sched.letters(t)[a].label
-            if t == j + m - 1:
-                counter[0] += 1
-                if counter[0] > budget:
-                    raise CertificationError(
-                        f"contraction search exceeded {budget} windows"
-                    )
-                word = Word(j, tuple(labels) + (lbl,))
-                worst = max(worst, compose_norm(word, system, check=False).hi)
-            else:
-                rec(t + 1, a, labels + [lbl])
-
-    rec(j, -1, [])
+    end = j + m - 1
+    for t, _, labels in walk_words(system.schedule, j, end):
+        if t < end:
+            continue
+        counter[0] += 1
+        if counter[0] > budget:
+            raise CertificationError(f"contraction search exceeded {budget} windows")
+        worst = max(worst, compose_norm(Word(j, labels), system, check=False).hi)
     return worst

@@ -433,6 +433,37 @@ def word_terminal_vertex(word: Word, schedule: GraphSchedule) -> str:
     return schedule.letters(word.end)[_word_indices(word, schedule)[-1]].dst
 
 
+def walk_words(
+    schedule: GraphSchedule, m: int, n: int, prev: Optional[int] = None
+) -> Iterator[tuple]:
+    """Depth-first, letter-order walk of the admissible prefixes from time m.
+
+    Yields (j, indices, labels) for every pruned admissible word m..j with
+    j <= n, each prefix before its extensions.  The first letters are the
+    kept letters at time m, or the followers of letter index `prev` at time
+    m-1.  An explicit stack keeps long words clear of the recursion limit.
+    """
+    names = [[e.label for e in schedule.letters(j)] for j in range(m, n + 1)]
+    if prev is None:
+        first = schedule.kept_indices(m)
+    else:
+        first = schedule.followers(m - 1, prev)
+    stack = [iter(first.tolist())]
+    indices, labels = [], []
+    while stack:
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+            continue
+        d = len(stack) - 1
+        del indices[d:], labels[d:]
+        indices.append(a)
+        labels.append(names[d][a])
+        yield m + d, tuple(indices), tuple(labels)
+        if m + d < n:
+            stack.append(iter(schedule.followers(m + d, a).tolist()))
+
+
 def enumerate_words(
     m: int, n: int, schedule: GraphSchedule, visitor: Optional[Callable] = None
 ) -> Iterator[Word]:
@@ -447,30 +478,12 @@ def enumerate_words(
         raise ConfigurationError(
             f"requested time {n} beyond horizon {schedule.horizon}"
         )
-
-    def walk():
-        labels = [schedule.letters(j) for j in range(m, n + 1)]
-        stack = []
-
-        def rec(j, prev_idx):
-            if j > n:
-                word = Word(m, tuple(stack))
-                yield word
-                return
-            if j == m:
-                cand = schedule.kept_indices(m)
-            else:
-                cand = schedule.followers(j - 1, prev_idx)
-            for a in cand:
-                stack.append(labels[j - m][a].label)
-                yield from rec(j + 1, a)
-                stack.pop()
-
-        yield from rec(m, -1)
-
+    words = (
+        Word(m, labels) for j, _, labels in walk_words(schedule, m, n) if j == n
+    )
     if visitor is None:
-        return walk()
-    for w in walk():
+        return words
+    for w in words:
         visitor(w)
     return iter(())
 
@@ -498,22 +511,12 @@ def follower_set(word: Word, depth: int, schedule: GraphSchedule):
             f"followers to time {n + depth} beyond horizon {schedule.horizon}"
         )
     last = _word_indices(word, schedule)[-1]
-    out = []
-    labels = [schedule.letters(j) for j in range(n + 1, n + depth + 1)]
-    stack = []
-
-    def rec(j, prev):
-        if j > n + depth:
-            out.append(Word(n + 1, tuple(stack)))
-            return
-        cand = schedule.followers(j - 1, prev)
-        for a in cand:
-            stack.append(labels[j - n - 1][a].label)
-            rec(j + 1, a)
-            stack.pop()
-
-    rec(n + 1, last)
-    return tuple(out)
+    end = n + depth
+    return tuple(
+        Word(n + 1, labels)
+        for j, _, labels in walk_words(schedule, n + 1, end, prev=last)
+        if j == end
+    )
 
 
 # ---------------------------------------------------------------------------

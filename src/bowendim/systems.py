@@ -46,6 +46,7 @@ from .symbolic import (
     find_primitivity,
     identity_incidence,
     ncifs_schedule,
+    walk_words,
 )
 from .system import SystemSpec, validate_system
 from .thermo import PSeriesTail
@@ -374,23 +375,12 @@ def _compose_letter(maps_seq):
 
 def _block_words(system, start, length):
     """Admissible words covering times start..start+length-1, with maps."""
-    sched = system.schedule
-    out = []
-
-    def rec(j, prev, labels, parts):
-        cand = (
-            sched.kept_indices(start) if j == start else sched.followers(j - 1, prev)
-        )
-        for a in cand:
-            lbl = sched.letters(j)[a].label
-            mp = system.maps[j][a]
-            if j == start + length - 1:
-                out.append((tuple(labels) + (lbl,), parts + [mp], a))
-            else:
-                rec(j + 1, a, labels + [lbl], parts + [mp])
-
-    rec(start, -1, [], [])
-    return out
+    end = start + length - 1
+    return [
+        (labels, [system.maps[start + k][a] for k, a in enumerate(idx)], idx[-1])
+        for j, idx, labels in walk_words(system.schedule, start, end)
+        if j == end
+    ]
 
 
 def reblock_one_primitive(system: SystemSpec, cert: PrimitivityCertificate) -> SystemSpec:

@@ -12,6 +12,7 @@ from bowendim import (
     Similarity,
     Word,
     box_counting_dim,
+    build_cf_system,
     build_gdms,
     build_similarity_system,
     interval,
@@ -20,7 +21,7 @@ from bowendim import (
     sample_limit_set,
     verify_osc,
 )
-from bowendim import bundled
+from bowendim import _frontier, bundled
 from bowendim.geometry import diameter_diagnostics
 
 from oracles import cf_value
@@ -84,6 +85,15 @@ class TestSampling:
         with pytest.raises(BudgetError):
             sample_limit_set(cantor, 10, 100)
 
+    def test_generic_exhaustive_budget_boundary(self):
+        # continuants of {1, 2, 100} pass 2^52 by depth 8, so the vectorized
+        # sweep steps aside and the word-at-a-time fallback samples
+        wide = build_cf_system([[1, 2, 100]] * 8)
+        assert not _frontier._moebius_float_safe(wide, 1, 8)
+        assert len(sample_limit_set(wide, 8, 3**8)) == 3**8
+        with pytest.raises(BudgetError, match=f"exceeds {3**8 - 1} points"):
+            sample_limit_set(wide, 8, 3**8 - 1)
+
     def test_random_reproducible_and_admissible(self, gdms):
         a = sample_limit_set(gdms, 8, 64, "random-admissible", seed=3)
         b = sample_limit_set(gdms, 8, 64, "random-admissible", seed=3)
@@ -93,6 +103,13 @@ class TestSampling:
 
         for w in a.words[:16]:
             assert is_admissible(Word(1, tuple(w.split("."))), gdms.schedule)
+
+    def test_cover_budget_boundary(self, cantor):
+        assert len(level_cover(cantor, 6, budget=64).cells) == 64
+        with pytest.raises(
+            BudgetError, match="level cover at depth 6 exceeds 63 cells"
+        ):
+            level_cover(cantor, 6, budget=63)
 
     def test_cover_soundness(self, cantor):
         cloud = sample_limit_set(cantor, 6, 100)

@@ -174,6 +174,14 @@ class TestContraction:
         assert c.block == 2
         assert c.eta_block == pytest.approx(0.25, abs=0)
 
+    def test_window_budget_boundary(self, cf8):
+        # block 2 is certified after all 4 windows at each of 7 start times
+        assert contraction_eta(cf8, budget=28).block == 2
+        with pytest.raises(
+            CertificationError, match="contraction search exceeded 27 windows"
+        ):
+            contraction_eta(cf8, budget=27)
+
     def test_mixed_ratios(self):
         sys_m = build_similarity_system(
             [[0.5, 0.9]] * 6, [[0.0, 0.05]] * 6

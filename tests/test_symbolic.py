@@ -20,7 +20,7 @@ from bowendim import (
     ncifs_schedule,
     subexp_diagnostic,
 )
-from bowendim.symbolic import DenseIncidence, GrowthStats
+from bowendim.symbolic import DenseIncidence, GrowthStats, walk_words
 from bowendim.systems import system_certify, system_primitivity
 
 from oracles import brute_words, matrix_power_count
@@ -221,6 +221,29 @@ class TestFollowers:
         sched, _ = cyclic3(5)
         with pytest.raises(InputError):
             follower_set(Word(1, ("c0", "c2")), 1, sched)
+
+
+class TestWalker:
+    def test_prefixes_precede_extensions(self):
+        sched = full_ncifs(2, 3)
+        got = [labels for _, _, labels in walk_words(sched, 1, 2)]
+        assert got == [
+            ("a0",), ("a0", "a0"), ("a0", "a1"),
+            ("a1",), ("a1", "a0"), ("a1", "a1"),
+        ]
+
+    def test_prev_restricts_first_letters(self):
+        sched, mat = cyclic3(5)
+        got = [idx for _, idx, _ in walk_words(sched, 3, 3, prev=1)]
+        assert got == [(b,) for b in np.flatnonzero(mat[1])]
+
+    def test_long_words_do_not_recurse(self):
+        # one letter per time for 1200 steps: deeper than the recursion limit
+        sched = ncifs_schedule([["a"]] * 1200)
+        words = list(enumerate_words(1, 1200, sched))
+        assert len(words) == 1 and len(words[0]) == 1200
+        out = follower_set(Word(1, ("a",)), 1150, sched)
+        assert len(out) == 1 and out[0].letters == ("a",) * 1150
 
 
 # ---------------------------------------------------------------------------
