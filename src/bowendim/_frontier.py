@@ -5,8 +5,10 @@ limit-set samplers (point states).  States are family-specific numpy array
 bundles; expansion groups the frontier by last letter so the per-step Python
 cost is O(#letters), not O(#words).  Exact families (similarities via
 log-free products, reciprocal shifts via float continuants while they stay
-below 2^53) keep lo == hi; anything else falls back to a word-at-a-time walk
-with interval brackets.
+below 2^53) keep lo == hi; anything else falls back to a word-at-a-time walk.
+On reciprocal-shift ranges with integral digits that walk extends each
+prefix's exact integer continuants from its parent's, one step per letter;
+every other range composes each prefix's bracket afresh.
 
 The words of a range (m, n) and their norms do not depend on t, so
 `level_norms` walks each (system, range) once and keeps the per-level norm
@@ -23,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, UnsupportedError
-from .maps import MoebiusInverse, Similarity, compose_norm
+from .maps import MoebiusInverse, Similarity, _continuant_bracket, compose_norm
 from .symbolic import Word, walk_words
 
 DEFAULT_BUDGET = 2_000_000
@@ -221,17 +223,45 @@ def sweep(system, m, n, state_impl, on_level, budget=DEFAULT_BUDGET):
         on_level(j + 1, letters, state, words)
 
 
+def _integral_digits(system, m, n):
+    """Per time m..n, {letter index: int digit} of the kept letters, when every
+    one is a reciprocal shift with an integral digit; else None."""
+    out = []
+    for j in range(m, n + 1):
+        digits = {}
+        for idx in system.schedule.kept_indices(j).tolist():
+            p = system.maps[j][idx]
+            if not (isinstance(p, MoebiusInverse) and p.integral):
+                return None
+            digits[idx] = int(p.digit)
+        out.append(digits)
+    return out
+
+
 def generic_norm_walk(system, m, n, on_word, budget=DEFAULT_BUDGET):
-    """Word-at-a-time fallback: on_word(j, word, bracket) per admissible word.
+    """Word-at-a-time fallback: on_word(j, word, bracket) per admissible prefix.
 
     Used for tabulated/mixed families and for reciprocal-shift ranges whose
-    continuants would overflow float64 (exact integer path).
+    continuants would overflow float64.  When every letter on the range is a
+    reciprocal shift with an integral digit, the walk keeps the exact integer
+    continuants (q_prev, q_cur) of each prefix on a stack and extends the
+    parent's pair by one step per letter; every other range composes each
+    prefix's bracket afresh through `compose_norm`.
     """
-    for count, (j, _, labels) in enumerate(walk_words(system.schedule, m, n), 1):
+    digits = _integral_digits(system, m, n)
+    pairs = [(0, 1)]  # continuants of the empty word, then one pair per depth
+    for count, (j, idx, labels) in enumerate(walk_words(system.schedule, m, n), 1):
         if count > budget:
             raise _walk_over_budget(budget)
         word = Word(m, labels)
-        on_word(j, word, compose_norm(word, system, check=False))
+        if digits is None:
+            bracket = compose_norm(word, system, check=False)
+        else:
+            del pairs[j - m + 1:]
+            qp, qc = pairs[-1]
+            pairs.append((qc, digits[j - m][idx[-1]] * qc + qp))
+            bracket = _continuant_bracket(pairs[-1][1])
+        on_word(j, word, bracket)
 
 
 # ---------------------------------------------------------------------------

@@ -49,16 +49,21 @@ class PointCloud:
             yield tuple(self.coords[i]) + (float(self.radii[i]), self.words[i])
 
 
+def _center_radius(region):
+    """(center, radius) of an interval or disk region."""
+    if region.kind == "interval":
+        lo, hi = region.bounds
+        return (0.5 * (lo + hi),), 0.5 * (hi - lo)
+    cx, cy, r = region.bounds
+    return (cx, cy), r
+
+
 def project_point(word_prefix: Word, system) -> LimitPoint:
     """Midpoint of the prefix's nested image with certified enclosure radius."""
     if len(word_prefix) < 1:
         raise InputError("need a nonempty prefix")
-    region = image_region(word_prefix, system)
-    if region.kind == "interval":
-        lo, hi = region.bounds
-        return LimitPoint((0.5 * (lo + hi),), 0.5 * (hi - lo), word_prefix)
-    cx, cy, r = region.bounds
-    return LimitPoint((cx, cy), r, word_prefix)
+    point, radius = _center_radius(image_region(word_prefix, system))
+    return LimitPoint(point, radius, word_prefix)
 
 
 def sample_limit_set(
@@ -149,9 +154,9 @@ def _sample_exhaustive(system, depth, max_points, with_words=True):
                 f" depth {depth}; lower the depth or raise the budget"
             )
         w = Word(1, labels)
-        lp = project_point(w, system)
-        pts.append(lp.point)
-        radii.append(lp.radius)
+        point, radius = _center_radius(image_region(w, system, check=False))
+        pts.append(point)
+        radii.append(radius)
         words.append(w.label())
     return PointCloud(np.array(pts), np.array(radii), tuple(words), depth)
 
@@ -172,9 +177,10 @@ def _sample_random(system, depth, max_points, seed):
     pts, radii, words = [], [], []
     for i in range(max_points):
         w = _one_random_word(system, depth, seed, i)
-        lp = project_point(w, system)
-        pts.append(lp.point)
-        radii.append(lp.radius)
+        # built from followers, so admissible without a re-check
+        point, radius = _center_radius(image_region(w, system, check=False))
+        pts.append(point)
+        radii.append(radius)
         words.append(w.label())
     return PointCloud(np.array(pts), np.array(radii), tuple(words), depth, seed)
 
@@ -209,31 +215,28 @@ def _flat_codes(idx):
 
 
 def _boxes_at_scale(coords, radii, eps, budget=20_000_000):
-    """Distinct grid boxes (anchored at 0) met by the enclosures."""
-    d = coords.shape[1]
+    """Distinct grid boxes (anchored at 0) met by the enclosures.
+
+    Point i meets the cells lo_idx[i] .. hi_idx[i] on every axis; all of them
+    are listed in one pass by splitting a running per-point index into
+    mixed-radix digits, one axis at a time.
+    """
     lo_idx = np.floor((coords - radii[:, None]) / eps).astype(np.int64)
     hi_idx = np.floor((coords + radii[:, None]) / eps).astype(np.int64)
-    span = hi_idx - lo_idx
-    if span.max(initial=0) <= 1:
-        # enclosures meet at most 2 boxes per axis: corner enumeration suffices
-        corners = []
-        for mask in range(2**d):
-            pick = np.array([(mask >> k) & 1 for k in range(d)], dtype=bool)
-            corners.append(np.where(pick[None, :], hi_idx, lo_idx))
-        allc = np.concatenate(corners, axis=0)
-    else:
-        cells = (span + 1).prod(axis=1)
-        if cells.sum() > budget:
-            raise BudgetError(
-                f"box enumeration at scale {eps} needs {cells.sum()} cells"
-            )
-        rows = []
-        for i in range(coords.shape[0]):
-            axes = [np.arange(lo_idx[i, k], hi_idx[i, k] + 1) for k in range(d)]
-            grid = np.meshgrid(*axes, indexing="ij")
-            rows.append(np.stack([g.ravel() for g in grid], axis=1))
-        allc = np.concatenate(rows, axis=0)
-    return int(np.unique(_flat_codes(allc)).size)
+    extent = hi_idx - lo_idx + 1
+    cells = extent.prod(axis=1)
+    total = int(cells.sum())
+    if total > budget:
+        raise BudgetError(f"box enumeration at scale {eps} needs {total} cells")
+    local = np.arange(total, dtype=np.int64)
+    local -= np.repeat(np.cumsum(cells) - cells, cells)
+    boxes = np.empty((total, coords.shape[1]), dtype=np.int64)
+    for k in range(coords.shape[1]):
+        radix = np.repeat(extent[:, k], cells)
+        np.remainder(local, radix, out=boxes[:, k])
+        boxes[:, k] += np.repeat(lo_idx[:, k], cells)
+        local //= radix
+    return int(np.unique(_flat_codes(boxes)).size)
 
 
 def box_counting_dim(points, radii, scale_window=(2.0**-14, 2.0**-4)) -> BoxCountFit:

@@ -362,6 +362,12 @@ def continuants(digits):
     return qp, qc
 
 
+def _continuant_bracket(qc) -> NormBracket:
+    """Sup norm 1/q_cur^2 of a reciprocal-shift composition, in float64."""
+    sup = 1.0 / float(qc) ** 2
+    return NormBracket(sup, sup, "continuant")
+
+
 def _flatten_maps(maps_seq):
     flat = []
     for p in maps_seq:
@@ -382,8 +388,7 @@ def _compose_bracket(maps_seq, dom: Space) -> NormBracket:
         return NormBracket(v, v, "exact")
     if all(isinstance(p, MoebiusInverse) for p in maps_seq):
         qp, qc = continuants([p.digit for p in maps_seq])
-        sup = 1.0 / float(qc) ** 2
-        return NormBracket(sup, sup, "continuant")
+        return _continuant_bracket(qc)
     # generic chain: accumulate pointwise bounds right to left; the product of
     # infima lower-bounds the sup as well
     lo = hi = 1.0

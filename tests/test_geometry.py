@@ -1,9 +1,12 @@
 """Limit-set sampling, box counting, covers, OSC, diameter diagnostics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bowendim import (
     BudgetError,
@@ -22,7 +25,7 @@ from bowendim import (
     verify_osc,
 )
 from bowendim import _frontier, bundled
-from bowendim.geometry import diameter_diagnostics
+from bowendim.geometry import _boxes_at_scale, diameter_diagnostics
 
 from oracles import cf_value
 
@@ -49,6 +52,11 @@ class TestProjectPoint:
     def test_cf_periodic_12_is_sqrt3_minus_1(self, cf18):
         lp = project_point(Word(1, tuple("12" * 9)), cf18)
         assert lp.point[0] == pytest.approx(math.sqrt(3) - 1, abs=1e-7)
+
+    def test_non_admissible_word_rejected(self, gdms):
+        # uu1 ends at vertex u, but wu starts at w
+        with pytest.raises(InputError, match="not admissible"):
+            project_point(Word(1, ("uu1", "wu")), gdms)
 
     def test_nesting_of_prefixes(self, cf18):
         from bowendim import image_region
@@ -151,6 +159,55 @@ class TestBoxCounting:
         cloud = sample_limit_set(elliptic, 2, 4096, with_words=False)
         fit = box_counting_dim(cloud.coords, cloud.radii, (2.0**-6, 2.0**-2))
         assert 0.5 < fit.slope <= 2.0
+
+
+def brute_force_boxes(coords, radii, eps):
+    """Set of every grid box met by any enclosure, one point at a time."""
+    boxes = set()
+    for c, r in zip(coords, radii):
+        ranges = [
+            range(math.floor((x - r) / eps), math.floor((x + r) / eps) + 1)
+            for x in c
+        ]
+        boxes.update(itertools.product(*ranges))
+    return len(boxes)
+
+
+@st.composite
+def clouds(draw):
+    """1-D or 2-D clouds at eps = 1/8 whose enclosures span 0-6 boxes per axis."""
+    d = draw(st.integers(1, 2))
+    size = draw(st.integers(0, 40))
+    coord = st.floats(-4.0, 4.0, allow_nan=False)
+    coords = np.array(
+        draw(st.lists(st.tuples(*[coord] * d), min_size=size, max_size=size)),
+        dtype=float,
+    ).reshape(size, d)
+    radii = np.array(
+        draw(st.lists(st.floats(0.0, 3.0 / 8), min_size=size, max_size=size)),
+        dtype=float,
+    )
+    return coords, radii
+
+
+class TestBoxEnumeration:
+    @settings(max_examples=200, deadline=None)
+    @given(clouds())
+    def test_matches_brute_force(self, cloud):
+        coords, radii = cloud
+        assert _boxes_at_scale(coords, radii, 0.125) == brute_force_boxes(
+            coords, radii, 0.125
+        )
+
+    def test_budget_boundary(self):
+        # each enclosure meets 4 x 4 boxes: 32 cells over two points
+        coords = np.array([[0.5, 0.5], [2.5, 2.5]])
+        radii = np.array([0.3, 0.3])
+        assert _boxes_at_scale(coords, radii, 0.25, budget=32) == 32
+        with pytest.raises(
+            BudgetError, match="^box enumeration at scale 0.25 needs 32 cells$"
+        ):
+            _boxes_at_scale(coords, radii, 0.25, budget=31)
 
 
 class TestOsc:

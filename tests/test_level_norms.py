@@ -3,6 +3,7 @@ walk counts per report and budget behaviour on cache hits."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from bowendim import (
     partition,
     pressure_estimate,
 )
-from bowendim import _frontier
+from bowendim import _frontier, maps
 from bowendim._frontier import exact_sum
+from bowendim.maps import compose_norm
 
 
 def cf_wide(horizon=8):
@@ -179,3 +181,71 @@ def test_cache_hit_keeps_the_budget(make, n, budget):
         lambda: partition(system, 1, n, 0.5, "enumerate-exact", budget=budget)
     )
     assert hit == fresh
+
+
+# ---------------------------------------------------------------------------
+# the word walk against independent references
+# ---------------------------------------------------------------------------
+
+
+def _walked(system, m, n, budget=_frontier.DEFAULT_BUDGET):
+    out = []
+    _frontier.generic_norm_walk(
+        system, m, n, lambda j, w, b: out.append((j, w, b)), budget
+    )
+    return out
+
+
+@pytest.mark.parametrize("m, n", [(1, 8), (3, 8)])
+def test_walk_equals_compose_norm(m, n):
+    walked = _walked(cf_wide(), m, n)
+    assert len(walked) == sum(3**k for k in range(1, n - m + 2))
+    fresh = cf_wide()  # compose_norm memoizes per system: start empty
+    for j, word, bracket in walked:
+        assert word.start == m and word.end == j
+        ref = compose_norm(word, fresh)
+        assert (bracket.lo, bracket.hi) == (ref.lo, ref.hi)
+
+
+def test_walk_hi_is_the_exact_continuant_norm():
+    system = cf_wide()
+    for j, word, bracket in _walked(system, 1, 8):
+        digits = [
+            system.map_for(word.start + k, lbl).digit
+            for k, lbl in enumerate(word.letters)
+        ]
+        _, q = maps.continuants(digits)
+        assert isinstance(q, int)
+        # three roundings (float(q), the square, the division) of 1/q^2
+        assert abs(Fraction(bracket.hi) * q * q - 1) <= Fraction(3, 2**52)
+        assert bracket.lo == bracket.hi
+
+
+def test_walk_non_integral_digit_falls_back(monkeypatch):
+    make = lambda: build_cf_system([[1, 2.5, 100]] * 8)  # noqa: E731
+    system = make()
+    assert not _frontier._moebius_float_safe(system, 1, 8)
+    calls = []
+    real = _frontier.compose_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_frontier, "compose_norm", counted)
+    walked = _walked(system, 1, 8)
+    assert len(calls) == len(walked) == 9840
+    monkeypatch.undo()
+    fresh = make()
+    for j, word, bracket in walked:
+        ref = compose_norm(word, fresh)
+        assert (bracket.lo, bracket.hi) == (ref.lo, ref.hi)
+
+
+def test_walk_budget_boundary():
+    # 3 + 9 + ... + 3^8 = 9840 prefixes, each one counted against the budget
+    assert len(_walked(cf_wide(), 1, 8, budget=9840)) == 9840
+    with pytest.raises(
+        BudgetError, match="^enumeration exceeded budget of 9839 word extensions$"
+    ):
+        _walked(cf_wide(), 1, 8, budget=9839)
