@@ -56,6 +56,17 @@ def _moebius_float_safe(system, m, n) -> bool:
     return True
 
 
+def vector_state(system, m, n, points=False):
+    """The vectorized state for the range m..n (point states for the samplers),
+    or None when only the word-at-a-time walk applies."""
+    fam = _family(system, m, n)
+    if fam == "similarity":
+        return (SimilarityPointState if points else SimilarityState)(system)
+    if fam == "moebius" and _moebius_float_safe(system, m, n):
+        return (MoebiusPointState if points else MoebiusState)(system)
+    return None
+
+
 class SimilarityState:
     """norms[i] = exact |D phi_w| of frontier word i (product of |ratio|)."""
 
@@ -341,13 +352,7 @@ class LevelNorms:
 
 
 def _walk_levels(system, m, n, budget):
-    fam = _family(system, m, n)
-    if fam == "similarity":
-        impl = SimilarityState(system)
-    elif fam == "moebius" and _moebius_float_safe(system, m, n):
-        impl = MoebiusState(system)
-    else:
-        impl = None
+    impl = vector_state(system, m, n)
     if impl is not None:
         levels = []
 

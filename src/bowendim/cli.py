@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, geometry, thermo
-from .config import load_config
+from .config import _PARAMS, _check_param, load_config
 from .errors import (
     BracketingError,
     BudgetError,
@@ -533,6 +533,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, system = load_config(args.source)
+        for name in _PARAMS:
+            val = getattr(args, name, None)
+            if val is not None:
+                _check_param(name, val, "--" + name.replace("_", "-"))
     except SchemaError as exc:
         print(f"config error at {exc.path}: {exc.message}", file=sys.stderr)
         return EXIT_SCHEMA

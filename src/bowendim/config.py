@@ -27,28 +27,76 @@ from .systems import (
     build_similarity_system,
     elliptic_lower_bound,
 )
+from .thermo import STRATEGIES
 
 SCHEMA_VERSION = 1
 
-_PARAM_DEFAULTS = {
-    "t": 0.5,
-    "t_bracket": [0.0, None],  # None -> ambient dimension
-    "n_max": None,  # None -> horizon
-    "tol": 1e-4,
-    "window": None,
-    "depth": 10,
-    "max_points": 4096,
-    "seed": 0,
-    "strategy": "auto",
-    "budget": 2_000_000,
-    "scale_window": [2.0**-14, 2.0**-4],
-    "t_grid": 21,
-    "ell": 3,
-    "pinch_times": None,
-    "p_max": 4,
-    "mode": "blocks",
-    "sample_strategy": "exhaustive",
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _pair(v, item):
+    return isinstance(v, list) and len(v) == 2 and all(item(x) for x in v)
+
+
+def _at_least(lo):
+    return (lambda v: _integer(v) and v >= lo), f"integer >= {lo} required"
+
+
+def _one_of(choices):
+    return (lambda v: v in choices), f"one of {list(choices)} required"
+
+
+# name: (default, check, message); the checks are those that need no system
+_PARAMS = {
+    "t": (0.5, _number, "number required"),
+    "t_bracket": (  # None -> ambient dimension
+        [0.0, None],
+        lambda v: _pair(v, lambda x: x is None or _number(x))
+        and (None in v or v[0] < v[1]),
+        "[lo, hi] with lo < hi required (either may be null)",
+    ),
+    "n_max": (  # None -> horizon
+        None, lambda v: v is None or _integer(v) and v >= 2, "integer >= 2 required"
+    ),
+    "tol": (1e-4, lambda v: _number(v) and v > 0, "positive number required"),
+    "window": (
+        None,
+        lambda v: v is None or _pair(v, _integer) and 1 <= v[0] < v[1],
+        "[m, n] integers with 1 <= m < n required",
+    ),
+    "depth": (10, *_at_least(1)),
+    "max_points": (4096, *_at_least(1)),
+    "seed": (0, *_at_least(0)),
+    "strategy": ("auto", *_one_of(STRATEGIES)),
+    "budget": (2_000_000, *_at_least(1)),
+    "scale_window": (
+        [2.0**-14, 2.0**-4],
+        lambda v: _pair(v, _number) and 0 < v[0] < v[1],
+        "[lo, hi] numbers with 0 < lo < hi required",
+    ),
+    "t_grid": (21, *_at_least(2)),
+    "ell": (3, *_at_least(1)),
+    "pinch_times": (
+        None,
+        lambda v: v is None or isinstance(v, list) and v and all(map(_integer, v)),
+        "nonempty list of integers required",
+    ),
+    "p_max": (4, *_at_least(0)),
+    "mode": ("blocks", *_one_of(("blocks", "pinched", "uniform"))),
+    "sample_strategy": ("exhaustive", *_one_of(("exhaustive", "random-admissible"))),
 }
+
+
+def _check_param(name, value, path):
+    """Raise SchemaError at `path` unless `value` suits parameter `name`."""
+    _expect(name in _PARAMS, path, "unknown parameter")
+    _, ok, msg = _PARAMS[name]
+    _expect(ok(value), path, msg)
 
 
 @dataclass(frozen=True)
@@ -59,7 +107,7 @@ class RunConfig:
     source: str
 
     def param(self, name):
-        return self.params.get(name, _PARAM_DEFAULTS.get(name))
+        return self.params.get(name, _PARAMS[name][0])
 
 
 def _fail(path, msg):
@@ -71,16 +119,31 @@ def _expect(cond, path, msg):
         _fail(path, msg)
 
 
-def _rows(spec, horizon, path, kind="number"):
-    """Per-time rows from an explicit list, a cycle, or a generator form."""
+def _numbers(rows, path):
+    """`rows` unchanged once every row is a list of numbers."""
+    for n, row in enumerate(rows):
+        _expect(isinstance(row, list), f"{path}[{n}]", "list of numbers required")
+        for k, v in enumerate(row):
+            _expect(_number(v), f"{path}[{n}][{k}]", f"number required, got {v!r}")
+    return rows
+
+
+def _num(value, path):
+    _expect(_number(value), path, f"number required, got {value!r}")
+    return float(value)
+
+
+def _rows(spec, horizon, path):
+    """Per-time rows of numbers from an explicit list, a cycle, or a generator form."""
     if isinstance(spec, list):
         _expect(len(spec) == horizon, path, f"need {horizon} rows, got {len(spec)}")
-        return [list(r) for r in spec]
+        return [list(r) for r in _numbers(spec, path)]
     if isinstance(spec, dict) and "cycle" in spec:
         cyc = spec["cycle"]
         _expect(
             isinstance(cyc, list) and cyc, f"{path}.cycle", "nonempty list required"
         )
+        _numbers(cyc, f"{path}.cycle")
         return [list(cyc[(n - 1) % len(cyc)]) for n in range(1, horizon + 1)]
     if isinstance(spec, dict) and "powers" in spec:
         pw = spec["powers"]
@@ -108,7 +171,9 @@ def _rows(spec, horizon, path, kind="number"):
     _fail(path, "expected a list of rows, {'cycle': ...}, {'powers': ...} or {'packed': true}")
 
 
-def _matrices(spec, horizon, path):
+def _matrices(spec, counts, path):
+    """The builder's incidence form of a matrices spec, given the alphabet
+    size per time; the banded rule becomes one boolean array per step."""
     if spec in ("full", "identity"):
         return spec
     if isinstance(spec, dict) and "rule" in spec:
@@ -119,33 +184,21 @@ def _matrices(spec, horizon, path):
             f"{path}.offsets",
             "list of integer offsets required",
         )
-        return ("banded", tuple(offs))
+        # allowed when (index(b) - index(a)) mod #I^(n+1) is one of the offsets
+        return [
+            np.isin(np.mod(np.arange(nb)[None, :] - np.arange(na)[:, None], nb), offs)
+            for na, nb in zip(counts, counts[1:])
+        ]
     if isinstance(spec, list):
         if spec and isinstance(spec[0], list) and spec[0] and isinstance(spec[0][0], list):
             _expect(
-                len(spec) == horizon - 1,
+                len(spec) == len(counts) - 1,
                 path,
-                f"need {horizon - 1} per-step matrices, got {len(spec)}",
+                f"need {len(counts) - 1} per-step matrices, got {len(spec)}",
             )
             return [np.asarray(m, dtype=bool) for m in spec]
         return np.asarray(spec, dtype=bool)  # one matrix reused per step
     _fail(path, "expected 'full', 'identity', a 0/1 array, arrays per step, or a rule")
-
-
-def _expand_matrices(mat, counts, horizon):
-    """Translate the parsed matrix spec into the builder's per-step form."""
-    from .symbolic import banded_incidence
-
-    if isinstance(mat, str):
-        return mat  # "full" | "identity"
-    if isinstance(mat, tuple) and mat[0] == "banded":
-        return [
-            banded_incidence(counts[n - 1], counts[n], mat[1])._mat
-            for n in range(1, horizon)
-        ]
-    if isinstance(mat, np.ndarray):
-        return [mat] * (horizon - 1)
-    return mat
 
 
 def _build_similarity(spec, path):
@@ -167,11 +220,7 @@ def _build_similarity(spec, path):
             f"row length {len(oo)} != ratios row length {len(rr)}",
         )
     counts = [len(r) for r in ratios]
-    mat = _expand_matrices(
-        _matrices(spec.get("matrices", "full"), horizon, f"{path}.matrices"),
-        counts,
-        horizon,
-    )
+    mat = _matrices(spec.get("matrices", "full"), counts, f"{path}.matrices")
     return build_similarity_system(ratios, offsets, mat)
 
 
@@ -183,18 +232,16 @@ def _build_cf(spec, path):
         prefix = digits.get("prefix", [])
         then = digits.get("then")
         _expect(isinstance(then, list), f"{path}.digits.then", "constant tail list required")
-        rows = [list(r) for r in prefix] + [list(then)] * (horizon - len(prefix))
+        _expect(isinstance(prefix, list), f"{path}.digits.prefix", "list of rows required")
+        rows = prefix + [then] * (horizon - len(prefix))
     elif isinstance(digits, list) and digits and not isinstance(digits[0], list):
-        rows = [list(digits)] * horizon
+        rows = [digits] * horizon
     else:
         rows = _rows(digits, horizon, f"{path}.digits")
         _expect(rows != "packed", f"{path}.digits", "digit rows required")
+    rows = [list(r) for r in _numbers(rows, f"{path}.digits")]
     counts = [len(r) for r in rows]
-    mat = _expand_matrices(
-        _matrices(spec.get("matrices", "full"), horizon, f"{path}.matrices"),
-        counts,
-        horizon,
-    )
+    mat = _matrices(spec.get("matrices", "full"), counts, f"{path}.matrices")
     return build_cf_system(rows, mat)
 
 
@@ -217,7 +264,7 @@ def _build_gdms_cfg(spec, path):
     spaces = {}
     for v, pair in spaces_spec.items():
         _expect(
-            isinstance(pair, list) and len(pair) == 2 and pair[0] < pair[1],
+            _pair(pair, _number) and pair[0] < pair[1],
             f"{path}.spaces.{v}",
             "[lo, hi] with lo < hi required",
         )
@@ -238,20 +285,20 @@ def _build_gdms_cfg(spec, path):
         parsed = []
         for k, e in enumerate(row):
             epath = f"{path}.edges[{n - 1}][{k}]"
+            _expect(isinstance(e, dict), epath, "edge object required")
             for fld in ("label", "src", "dst", "ratio", "offset"):
                 _expect(fld in e, epath, f"missing field {fld!r}")
+            ratio = _num(e["ratio"], f"{epath}.ratio")
+            offset = _num(e["offset"], f"{epath}.offset")
             parsed.append(
                 EdgeSpec(
                     str(e["label"]), str(e["src"]), str(e["dst"]),
-                    Similarity(float(e["ratio"]), (float(e["offset"]),)),
+                    Similarity(ratio, (offset,)),
                 )
             )
         edge_schedule.append(parsed)
-    mats = spec.get("matrices", "full")
-    if mats != "full":
-        mats = _matrices(mats, horizon, f"{path}.matrices")
-        counts = [len(r) for r in edge_schedule]
-        mats = _expand_matrices(mats, counts, horizon)
+    counts = [len(r) for r in edge_schedule]
+    mats = _matrices(spec.get("matrices", "full"), counts, f"{path}.matrices")
     return build_gdms(vertex_schedule, edge_schedule, spaces, mats)
 
 
@@ -265,14 +312,17 @@ def _build_ascending(spec, path):
     base = {}
     for lbl, v in base_spec.items():
         if family == "cf":
-            base[lbl] = MoebiusInverse(float(v))
+            base[lbl] = MoebiusInverse(_num(v, f"{path}.base.{lbl}"))
         else:
             _expect(
                 isinstance(v, dict) and "ratio" in v and "offset" in v,
                 f"{path}.base.{lbl}",
                 "need ratio and offset",
             )
-            base[lbl] = Similarity(float(v["ratio"]), (float(v["offset"]),))
+            base[lbl] = Similarity(
+                _num(v["ratio"], f"{path}.base.{lbl}.ratio"),
+                (_num(v["offset"], f"{path}.base.{lbl}.offset"),),
+            )
     inc = spec.get("include")
     if isinstance(inc, dict) and "prefix" in inc:
         prefix = [list(r) for r in inc.get("prefix", [])]
@@ -299,18 +349,18 @@ def _build_elliptic(spec, path):
     q = spec.get("q")
     _expect(isinstance(q, int) and q >= 1, f"{path}.q", "integer q >= 1 required")
     lat = spec.get("lattice", {})
-    r_min = float(lat.get("r_min", 3.0))
-    r_max = float(lat.get("r_max", 10.0))
+    r_min = _num(lat.get("r_min", 3.0), f"{path}.lattice.r_min")
+    r_max = _num(lat.get("r_max", 10.0), f"{path}.lattice.r_max")
     _expect(0 < r_min < r_max, f"{path}.lattice", "need 0 < r_min < r_max")
     from .systems import gaussian_lattice_poles
 
     report = elliptic_lower_bound(
         q,
         pole_norm_samples=gaussian_lattice_poles(r_min, r_max),
-        comparability_K=float(spec.get("comparability", 1.0)),
-        Q_const=float(spec.get("norm_const", 1.0)),
-        t_grid=(float(spec.get("t_star", 1.2)),),
-        horizon=int(spec.get("horizon", 6)),
+        comparability_K=_num(spec.get("comparability", 1.0), f"{path}.comparability"),
+        Q_const=_num(spec.get("norm_const", 1.0), f"{path}.norm_const"),
+        t_grid=(_num(spec.get("t_star", 1.2), f"{path}.t_star"),),
+        horizon=int(_num(spec.get("horizon", 6), f"{path}.horizon")),
         build=True,
     )
     _expect(report.system is not None, path, "model instantiation found no feasible pole set")
@@ -375,28 +425,20 @@ def load_config(source):
     params = raw.get("params", {})
     _expect(isinstance(params, dict), "params", "params must be an object")
     for key, val in params.items():
-        _expect(key in _PARAM_DEFAULTS, f"params.{key}", "unknown parameter")
-        if key in ("tol",):
-            _expect(
-                isinstance(val, (int, float)) and val > 0,
-                f"params.{key}",
-                "positive number required",
-            )
+        _check_param(key, val, f"params.{key}")
     out_dir = raw.get("output_dir", "out")
     system = build_from_spec(raw["system"])
     window = params.get("window")
     if window is not None:
         _expect(
-            isinstance(window, list)
-            and len(window) == 2
-            and 1 <= window[0] < window[1] <= system.horizon,
+            window[1] <= system.horizon,
             "params.window",
             f"window must sit inside [1, horizon={system.horizon}]",
         )
     n_max = params.get("n_max")
     if n_max is not None:
         _expect(
-            isinstance(n_max, int) and 2 <= n_max <= system.horizon,
+            n_max <= system.horizon,
             "params.n_max",
             f"n_max must sit in [2, horizon={system.horizon}]",
         )

@@ -102,13 +102,7 @@ def _join_words(raw, count):
 
 
 def _sample_exhaustive(system, depth, max_points, with_words=True):
-    fam = _frontier._family(system, 1, depth)
-    if fam == "similarity":
-        impl = _frontier.SimilarityPointState(system)
-    elif fam == "moebius" and _frontier._moebius_float_safe(system, 1, depth):
-        impl = _frontier.MoebiusPointState(system)
-    else:
-        impl = None
+    impl = _frontier.vector_state(system, 1, depth, points=True)
     if impl is not None:
         holder = {}
 
@@ -121,27 +115,21 @@ def _sample_exhaustive(system, depth, max_points, with_words=True):
         on_level.needs_words = with_words
         _frontier.sweep(system, 1, depth, impl, on_level, budget=max_points)
         letters = holder["letters"]
-        doms = [system.domain_space_idx(depth, int(i)) for i in letters]
-        if len({d.bounds for d in doms}) == 1:
-            centers, radii = impl.region(holder["state"], doms[0])
-        else:
-            # per-word domain spaces; group by domain
-            coords_parts = [None] * letters.size
-            radii_arr = np.zeros(letters.size)
-            state = holder["state"]
-            for bounds in {d.bounds for d in doms}:
-                mask = np.array([d.bounds == bounds for d in doms])
-                sub = tuple(arr[mask] for arr in state)
-                c, r = impl.region(sub, doms[int(np.flatnonzero(mask)[0])])
-                for k, i in enumerate(np.flatnonzero(mask)):
-                    coords_parts[i] = tuple(col[k] for col in c)
-                    radii_arr[i] = r[k]
-            coords = np.array(coords_parts)
-            words = _join_words(holder["words"], letters.size)
-            return PointCloud(coords, radii_arr, words, depth)
-        coords = np.stack([np.asarray(c, dtype=float) for c in centers], axis=1)
+        # one region per distinct domain space of the words' last letters
+        groups = {}
+        for a in np.unique(letters).tolist():
+            dom = system.domain_space_idx(depth, a)
+            groups.setdefault(dom.bounds, (dom, []))[1].append(a)
+        coords = np.empty((letters.size, system.dim))
+        radii = np.empty(letters.size)
+        for dom, group in groups.values():
+            # a lone domain takes the whole state without copying it
+            mask = slice(None) if len(groups) == 1 else np.isin(letters, group)
+            centers, r = impl.region(tuple(arr[mask] for arr in holder["state"]), dom)
+            coords[mask] = np.stack(centers, axis=1)
+            radii[mask] = r
         words = _join_words(holder["words"], letters.size)
-        return PointCloud(coords, np.asarray(radii, dtype=float), words, depth)
+        return PointCloud(coords, radii, words, depth)
 
     # generic fallback: region per word
     pts, radii, words = [], [], []

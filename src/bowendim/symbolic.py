@@ -234,21 +234,6 @@ class DenseIncidence(Incidence):
         return mat
 
 
-def identity_incidence(cur_labels, nxt_labels):
-    """Same-label successor only (permutation-style schedules)."""
-    mat = np.array([[a == b for b in nxt_labels] for a in cur_labels], dtype=bool)
-    return DenseIncidence(mat)
-
-
-def banded_incidence(n_cur, n_nxt, offsets):
-    """Allowed when (index(b) - index(a)) mod n_nxt is in offsets."""
-    ja = np.arange(n_cur)[:, None]
-    jb = np.arange(n_nxt)[None, :]
-    diff = np.mod(jb - ja, n_nxt)
-    mat = np.isin(diff, list(offsets))
-    return DenseIncidence(mat)
-
-
 # ---------------------------------------------------------------------------
 # schedule
 # ---------------------------------------------------------------------------
@@ -423,14 +408,6 @@ def is_admissible(word: Word, schedule: GraphSchedule) -> bool:
     return all(
         schedule.kept[word.start + k][idxs[k]] for k in range(len(idxs))
     )
-
-
-def word_initial_vertex(word: Word, schedule: GraphSchedule) -> str:
-    return schedule.letters(word.start)[_word_indices(word, schedule)[0]].src
-
-
-def word_terminal_vertex(word: Word, schedule: GraphSchedule) -> str:
-    return schedule.letters(word.end)[_word_indices(word, schedule)[-1]].dst
 
 
 def walk_words(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -140,12 +140,6 @@ class SystemSpec:
             if a.shape != b.shape or not np.array_equal(a, b):
                 return False
         return True
-
-    def with_flags(self, *names) -> "SystemSpec":
-        return replace(self, flags=self.flags | frozenset(names))
-
-    def with_notes(self, *msgs) -> "SystemSpec":
-        return replace(self, notes=self.notes + tuple(msgs))
 
 
 def validate_images(system: SystemSpec) -> None:

@@ -1,12 +1,16 @@
 """Builders for the bundled system families and subsystem constructions.
 
-Covers plain similarity schedules (single- or multi-vertex), continued
-fraction digit schedules, ascending families with their autonomous closures,
-the two re-blocking constructions (uniform blocks from a primitivity
-certificate, and blocks cut at single-vertex pinch times), the block
-subsystem selected by partition-maximizing endpoint pairs, and the planar
-model family whose letter norms follow the inverse-branch decay law near
-poles of a doubly periodic map.
+Every builder makes the letters, maps and spaces of its system and hands
+them to `_assemble`, which expands the incidence spec ("full", "identity",
+one 0/1 array, or a list of those per step), builds the schedule and
+validates the system; the one-vertex (iterated-function) builders go
+through `_one_vertex`.  Covers plain similarity schedules, continued
+fraction digit schedules, general multigraph schedules, ascending families
+with their autonomous closures, the two re-blocking constructions (uniform
+blocks from a primitivity certificate, and blocks cut at single-vertex
+pinch times), the block subsystem selected by partition-maximizing endpoint
+pairs, and the planar model family whose letter norms follow the
+inverse-branch decay law near poles of a doubly periodic map.
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ from .symbolic import (
     Word,
     certify_primitivity,
     find_primitivity,
-    identity_incidence,
-    ncifs_schedule,
     walk_words,
 )
 from .system import SystemSpec, validate_system
@@ -70,18 +72,67 @@ def system_certify(system, p: int) -> Optional[PrimitivityCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# similarity and continued-fraction builders
+# the assembler every builder goes through
 # ---------------------------------------------------------------------------
 
 
-def _incidence_from_spec(spec, cur_labels, nxt_labels):
-    if isinstance(spec, str):
-        if spec == "full":
-            return FullIncidence()
-        if spec == "identity":
-            return identity_incidence(cur_labels, nxt_labels)
-        raise BuildError(f"unknown incidence rule {spec!r}")
-    return DenseIncidence(np.asarray(spec, dtype=bool))
+def _incidences(matrices, alphabets):
+    """Step incidences between consecutive alphabets (times 1..H).
+
+    `matrices` is "full", "identity" (same-label successor only), one 0/1
+    array reused at every step, or a list of those, one per step.
+    """
+    steps = len(alphabets) - 1
+    per_step = (
+        list(matrices) if isinstance(matrices, (list, tuple)) else [matrices] * steps
+    )
+    if len(per_step) != steps:
+        raise BuildError(f"need {steps} incidence steps, got {len(per_step)}")
+    out = []
+    for cur, nxt, spec in zip(alphabets, alphabets[1:], per_step):
+        if isinstance(spec, str):
+            if spec == "full":
+                out.append(FullIncidence())
+                continue
+            if spec != "identity":
+                raise BuildError(f"unknown incidence rule {spec!r}")
+            spec = [[a.label == b.label for b in nxt] for a in cur]
+        out.append(DenseIncidence(np.asarray(spec, dtype=bool)))
+    return out
+
+
+def _assemble(vertex_sets, alphabets, maps, spaces, matrices="full", **fields):
+    """The validated system of a vertex schedule (times 0..H), letter and map
+    rows (times 1..H), space rows (times 0..H) and an incidence spec;
+    `fields` are the remaining SystemSpec fields."""
+    schedule = GraphSchedule(
+        vertex_sets, [()] + list(alphabets), _incidences(matrices, alphabets)
+    )
+    system = SystemSpec(
+        schedule=schedule,
+        spaces=tuple(tuple(row) for row in spaces),
+        maps=((),) + tuple(tuple(row) for row in maps),
+        **fields,
+    )
+    return validate_system(system)
+
+
+def _one_vertex(labels, maps, space, matrices="full", **fields):
+    """The one-vertex case: every letter a loop at "v" on the same space."""
+    horizon = len(labels)
+    return _assemble(
+        [("v",)] * (horizon + 1),
+        [[Letter(lbl, "v", "v") for lbl in row] for row in labels],
+        maps,
+        [(space,)] * (horizon + 1),
+        matrices,
+        **fields,
+    )
+
+
+# ---------------------------------------------------------------------------
+# similarity, continued-fraction and multigraph builders
+# ---------------------------------------------------------------------------
 
 
 def build_similarity_system(
@@ -97,50 +148,20 @@ def build_similarity_system(
     `matrices` is "full", "identity", a per-step list of those/0-1 arrays, or
     a single explicit array reused at every step.
     """
-    horizon = len(ratios_schedule)
-    if len(offsets) != horizon:
+    if len(offsets) != len(ratios_schedule):
         raise BuildError("ratios and offsets schedules differ in length")
     space = space or (interval(0.0, 1.0) if dim == 1 else disk(0.0, 0.0, 1.0))
-    labels = [
-        [f"m{k}" for k in range(len(ratios_schedule[n]))] for n in range(horizon)
-    ]
-    sched_labels = labels
-    schedule = ncifs_schedule(sched_labels)
-    if not (isinstance(matrices, str) and matrices == "full"):
-        per_step = (
-            list(matrices)
-            if isinstance(matrices, (list, tuple))
-            else [matrices] * (horizon - 1)
-        )
-        if len(per_step) != horizon - 1:
-            raise BuildError(
-                f"need {horizon - 1} incidence steps, got {len(per_step)}"
-            )
-        inc = [
-            _incidence_from_spec(per_step[n - 1], labels[n - 1], labels[n])
-            for n in range(1, horizon)
-        ]
-        schedule = GraphSchedule(
-            schedule.vertex_sets, schedule.alphabets, inc
-        )
-    maps = [()]
-    for n in range(horizon):
+    maps = []
+    for ratios, offs in zip(ratios_schedule, offsets):
         row = []
-        for r, o in zip(ratios_schedule[n], offsets[n]):
-            off = o if isinstance(o, tuple) else (float(o),) * 1
+        for r, o in zip(ratios, offs):
             if dim == 2 and not isinstance(o, tuple):
                 raise BuildError("dim=2 needs (x, y) offsets")
-            row.append(Similarity(float(r), off if dim == 1 else tuple(o), dim=dim))
-        maps.append(tuple(row))
-    spaces = tuple((space,) for _ in range(horizon + 1))
-    system = SystemSpec(
-        schedule=schedule,
-        spaces=spaces,
-        maps=tuple(maps),
-        dim=dim,
-        provenance=provenance,
-    )
-    return validate_system(system)
+            off = o if isinstance(o, tuple) else (float(o),)
+            row.append(Similarity(float(r), off, dim=dim))
+        maps.append(row)
+    labels = [[f"m{k}" for k in range(len(row))] for row in ratios_schedule]
+    return _one_vertex(labels, maps, space, matrices, dim=dim, provenance=provenance)
 
 
 def build_cf_system(
@@ -150,37 +171,17 @@ def build_cf_system(
     tail_rule=None,
 ) -> SystemSpec:
     """Reciprocal-shift maps x -> 1/(b + x) on [0, 1], one digit set per time."""
-    horizon = len(digit_schedule)
     for n, digits in enumerate(digit_schedule, start=1):
         if any(b < 1 for b in digits):
             raise BuildError(f"digit < 1 at time {n}; branches would expand")
-    labels = [[str(b) for b in digits] for digits in digit_schedule]
-    schedule = ncifs_schedule(labels)
-    if not (isinstance(matrix_rule, str) and matrix_rule == "full"):
-        per_step = (
-            list(matrix_rule)
-            if isinstance(matrix_rule, (list, tuple))
-            else [matrix_rule] * (horizon - 1)
-        )
-        inc = [
-            _incidence_from_spec(per_step[n - 1], labels[n - 1], labels[n])
-            for n in range(1, horizon)
-        ]
-        schedule = GraphSchedule(schedule.vertex_sets, schedule.alphabets, inc)
-    maps = [()] + [
-        tuple(MoebiusInverse(float(b)) for b in digits)
-        for digits in digit_schedule
-    ]
-    spaces = tuple((interval(0.0, 1.0),) for _ in range(horizon + 1))
-    system = SystemSpec(
-        schedule=schedule,
-        spaces=spaces,
-        maps=tuple(maps),
-        dim=1,
+    return _one_vertex(
+        [[str(b) for b in digits] for digits in digit_schedule],
+        [[MoebiusInverse(float(b)) for b in digits] for digits in digit_schedule],
+        interval(0.0, 1.0),
+        matrix_rule,
         tail_rule=tail_rule,
         provenance=provenance,
     )
-    return validate_system(system)
 
 
 @dataclass(frozen=True)
@@ -208,31 +209,6 @@ def build_gdms(
     horizon = len(edge_schedule)
     if len(vertex_schedule) != horizon + 1:
         raise BuildError("vertex schedule must cover times 0..horizon")
-    alphabets = [()]
-    for edges in edge_schedule:
-        alphabets.append(tuple(Letter(e.label, e.src, e.dst) for e in edges))
-    if isinstance(matrices, str) and matrices == "full":
-        inc = [FullIncidence() for _ in range(horizon - 1)]
-    else:
-        per_step = (
-            list(matrices)
-            if isinstance(matrices, (list, tuple))
-            else [matrices] * (horizon - 1)
-        )
-        inc = []
-        for n in range(1, horizon):
-            spec = per_step[n - 1]
-            if isinstance(spec, str):
-                inc.append(
-                    _incidence_from_spec(
-                        spec,
-                        [e.label for e in edge_schedule[n - 1]],
-                        [e.label for e in edge_schedule[n]],
-                    )
-                )
-            else:
-                inc.append(DenseIncidence(np.asarray(spec, dtype=bool)))
-    schedule = GraphSchedule(vertex_schedule, alphabets, inc)
     space_rows = []
     for n in range(horizon + 1):
         row = []
@@ -241,16 +217,16 @@ def build_gdms(
             if s is None:
                 raise BuildError(f"no space declared for vertex {v!r} at time {n}")
             row.append(s)
-        space_rows.append(tuple(row))
-    maps = [()] + [tuple(e.map for e in edges) for edges in edge_schedule]
-    system = SystemSpec(
-        schedule=schedule,
-        spaces=tuple(space_rows),
-        maps=tuple(maps),
+        space_rows.append(row)
+    return _assemble(
+        vertex_schedule,
+        [[Letter(e.label, e.src, e.dst) for e in edges] for edges in edge_schedule],
+        [[e.map for e in edges] for edges in edge_schedule],
+        space_rows,
+        matrices,
         dim=dim,
         provenance=provenance,
     )
-    return validate_system(system)
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +274,15 @@ class AscendingSpec:
 
 def build_ascending(spec: AscendingSpec) -> SystemSpec:
     spec.validate()
-    space = spec.space or interval(0.0, 1.0)
-    horizon = len(spec.include)
-    labels = [list(lbls) for lbls in spec.include]
-    schedule = ncifs_schedule(labels)
-    maps = [()] + [
-        tuple(spec.base_maps[lbl] for lbl in lbls) for lbls in labels
-    ]
-    spaces = tuple((space,) for _ in range(horizon + 1))
-    system = SystemSpec(
-        schedule=schedule,
-        spaces=spaces,
-        maps=tuple(maps),
+    return _one_vertex(
+        spec.include,
+        [[spec.base_maps[lbl] for lbl in labels] for labels in spec.include],
+        spec.space or interval(0.0, 1.0),
         dim=spec.dim,
         tail_rule=spec.tail_rule,
         flags=frozenset({"ascending"}),
         provenance="ascending family",
     )
-    return validate_system(system)
 
 
 def autonomous_closure(spec: AscendingSpec, horizon: Optional[int] = None) -> SystemSpec:
@@ -331,14 +298,10 @@ def autonomous_closure(spec: AscendingSpec, horizon: Optional[int] = None) -> Sy
         )
     union = list(spec.include[-1])
     h = horizon or len(spec.include)
-    space = spec.space or interval(0.0, 1.0)
-    labels = [union for _ in range(h)]
-    schedule = ncifs_schedule(labels)
-    maps = [()] + [tuple(spec.base_maps[lbl] for lbl in union)] * h
-    system = SystemSpec(
-        schedule=schedule,
-        spaces=tuple((space,) for _ in range(h + 1)),
-        maps=tuple(maps),
+    return _one_vertex(
+        [union] * h,
+        [[spec.base_maps[lbl] for lbl in union]] * h,
+        spec.space or interval(0.0, 1.0),
         dim=spec.dim,
         tail_rule=spec.tail_rule,
         flags=frozenset({"closure"}),
@@ -350,7 +313,6 @@ def autonomous_closure(spec: AscendingSpec, horizon: Optional[int] = None) -> Sy
             else ()
         ),
     )
-    return validate_system(system)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +336,31 @@ def _compose_letter(maps_seq):
 
 
 def _block_words(system, start, length):
-    """Admissible words covering times start..start+length-1, with maps."""
+    """Admissible words covering times start..start+length-1: (labels, maps,
+    letter indices)."""
     end = start + length - 1
     return [
-        (labels, [system.maps[start + k][a] for k, a in enumerate(idx)], idx[-1])
+        (labels, [system.maps[start + k][a] for k, a in enumerate(idx)], idx)
         for j, idx, labels in walk_words(system.schedule, start, end)
         if j == end
     ]
+
+
+def _block_alphabet(system, start, length):
+    """The block words of times start..start+length-1, their letters (source of
+    the first letter to target of the last) and their composed maps."""
+    sched = system.schedule
+    end = start + length - 1
+    words = _block_words(system, start, length)
+    letters = [
+        Letter(
+            ".".join(labels),
+            sched.letters(start)[idx[0]].src,
+            sched.letters(end)[idx[-1]].dst,
+        )
+        for labels, _, idx in words
+    ]
+    return words, letters, [_compose_letter(parts) for _, parts, _ in words]
 
 
 def reblock_one_primitive(system: SystemSpec, cert: PrimitivityCertificate) -> SystemSpec:
@@ -400,48 +380,23 @@ def reblock_one_primitive(system: SystemSpec, cert: PrimitivityCertificate) -> S
             f"horizon {sched.horizon} holds fewer than two blocks of length {p}"
         )
     dropped = sched.horizon - blocks * p
-    vertex_sets = [sched.vertex_sets[n * p] for n in range(0, blocks + 1)]
-    alphabets = [()]
-    maps = [()]
-    block_letters = []
-    for n in range(1, blocks + 1):
-        words = _block_words(system, (n - 1) * p + 1, p)
-        letters = []
-        row = []
-        for labels, parts, last_idx in words:
-            word = Word((n - 1) * p + 1, labels)
-            first_idx = sched.letter_index(word.start, labels[0])
-            letters.append(
-                Letter(
-                    ".".join(labels),
-                    sched.letters(word.start)[first_idx].src,
-                    sched.letters(word.end)[last_idx].dst,
-                )
-            )
-            row.append(_compose_letter(parts))
-        alphabets.append(tuple(letters))
-        maps.append(tuple(row))
-        block_letters.append(words)
+    rows = [_block_alphabet(system, (n - 1) * p + 1, p) for n in range(1, blocks + 1)]
     incidence = []
     for n in range(1, blocks):
-        cur = block_letters[n - 1]
-        nxt = block_letters[n]
+        cur, nxt = rows[n - 1][0], rows[n][0]
         step = sched.incidence[n * p]
         keep_all = np.ones(len(sched.letters(n * p + 1)), dtype=bool)
+        firsts = np.array([idx[0] for _, _, idx in nxt])
         mat = np.zeros((len(cur), len(nxt)), dtype=bool)
-        for i, (_, _, last_idx) in enumerate(cur):
-            allowed = step.followers(last_idx, keep_all)
-            firsts = np.array(
-                [sched.letter_index(n * p + 1, w[0][0]) for w in nxt]
-            )
-            mat[i] = np.isin(firsts, allowed)
-        incidence.append(DenseIncidence(mat))
-    schedule = GraphSchedule(vertex_sets, alphabets, incidence)
-    spaces = tuple(system.spaces[n * p] for n in range(0, blocks + 1))
-    out = SystemSpec(
-        schedule=schedule,
-        spaces=spaces,
-        maps=tuple(maps),
+        for i, (_, _, idx) in enumerate(cur):
+            mat[i] = np.isin(firsts, step.followers(idx[-1], keep_all))
+        incidence.append(mat)
+    out = _assemble(
+        [sched.vertex_sets[n * p] for n in range(blocks + 1)],
+        [letters for _, letters, _ in rows],
+        [maps for _, _, maps in rows],
+        [system.spaces[n * p] for n in range(blocks + 1)],
+        incidence,
         dim=system.dim,
         declared_distortion=system.declared_distortion,
         tail_rule=system.tail_rule,
@@ -450,7 +405,6 @@ def reblock_one_primitive(system: SystemSpec, cert: PrimitivityCertificate) -> S
         notes=system.notes
         + ((f"dropped {dropped} trailing times short of a full block",) if dropped else ()),
     )
-    out = validate_system(out)
     if certify_primitivity(out.schedule, 1) is None and out.schedule.horizon >= 3:
         raise CertificationError(
             "re-blocked system failed the connector check at length one"
@@ -502,41 +456,20 @@ def reblock_pinched(
                 f" (l_n^2 - l_(n-1)^2)/n is {slope:.3g} > {growth_slope_cap};"
                 " the subexponential re-blocking hypothesis fails"
             )
-    vertex_sets = [sched.vertex_sets[0]] + [sched.vertex_sets[j] for j in ells]
-    alphabets = [()]
-    maps = [()]
-    prev = 0
-    for ell in ells:
-        words = _block_words(system, prev + 1, ell - prev)
-        letters = []
-        row = []
-        for labels, parts, last_idx in words:
-            word = Word(prev + 1, labels)
-            first_idx = sched.letter_index(word.start, labels[0])
-            letters.append(
-                Letter(
-                    ".".join(labels),
-                    sched.letters(word.start)[first_idx].src,
-                    sched.letters(word.end)[last_idx].dst,
-                )
-            )
-            row.append(_compose_letter(parts))
-        alphabets.append(tuple(letters))
-        maps.append(tuple(row))
-        prev = ell
-    incidence = [FullIncidence() for _ in range(len(ells) - 1)]
-    schedule = GraphSchedule(vertex_sets, alphabets, incidence)
-    spaces = tuple([system.spaces[0]] + [system.spaces[j] for j in ells])
-    out = SystemSpec(
-        schedule=schedule,
-        spaces=spaces,
-        maps=tuple(maps),
+    rows = [
+        _block_alphabet(system, prev + 1, ell - prev)
+        for prev, ell in zip([0] + ells, ells)
+    ]
+    out = _assemble(
+        [sched.vertex_sets[0]] + [sched.vertex_sets[j] for j in ells],
+        [letters for _, letters, _ in rows],
+        [maps for _, _, maps in rows],
+        [system.spaces[0]] + [system.spaces[j] for j in ells],
         dim=system.dim,
         declared_distortion=system.declared_distortion,
         flags=system.flags | frozenset({"pinched"}),
         provenance=f"{system.provenance} [pinched at {ells}]",
     )
-    out = validate_system(out)
     if check_identity:
         upto = min(len(ells), 4)
         for n in range(1, upto + 1):
@@ -603,7 +536,7 @@ def extract_subsystem_g_bounded(
         start = (n - 1) * span + 1
         words = _block_words(system, start, ell)
         sums = {}
-        for labels, parts, last_idx in words:
+        for labels, _, _ in words:
             word = Word(start, labels)
             key = (labels[0], labels[-1])
             sums.setdefault(key, []).append(
@@ -617,11 +550,7 @@ def extract_subsystem_g_bounded(
                 best_key, best_val = key, val
         pairs.append(best_key)
         chosen_words.append(
-            [
-                (labels, parts, last_idx)
-                for labels, parts, last_idx in words
-                if (labels[0], labels[-1]) == best_key
-            ]
+            [w for w in words if (w[0][0], w[0][-1]) == best_key]
         )
 
     # connectors: block n ends with letter b*_n at time n*ell + (n-1)*p
@@ -653,72 +582,54 @@ def extract_subsystem_g_bounded(
             )
         connectors.append(lam)
 
-    # assemble the single-vertex block system
-    alphabets = [()]
-    maps = [()]
-    boundary_spaces = []
-    vertex_labels = []
+    # one vertex per block boundary: the terminal vertex at time n*(ell+p)
+    first_letter = chosen_words[0][0][0][0]
+    root_v = sched.letters(1)[sched.letter_index(1, first_letter)].src
+    vertex_sets = [(f"{root_v}@0",)]
+    spaces = [(system.space_for(0, root_v),)]
+    alphabets = []
+    maps = []
     for n in range(1, blocks + 1):
-        row_letters = []
-        row_maps = []
         lam = connectors[n - 1]
-        lam_parts = []
         lam_labels = ()
+        lam_parts = []
         if lam is not None:
             lam_labels = lam.letters
             lam_parts = [
                 system.map_for(lam.start + k, lbl)
                 for k, lbl in enumerate(lam.letters)
             ]
-        for labels, parts, last_idx in chosen_words[n - 1]:
-            full_labels = labels + tuple(lam_labels)
-            row_letters.append(full_labels)
-            row_maps.append(_compose_letter(list(parts) + lam_parts))
-        alphabets.append((row_letters, row_maps))
-        # domain of block n = space at time n*(ell+p) of the terminal vertex
         end_time = n * span
-        if lam is not None:
-            last_lbl = lam.letters[-1]
-            last_idx2 = sched.letter_index(end_time, last_lbl)
-        else:
-            last_idx2 = sched.letter_index(end_time, chosen_words[n - 1][0][0][-1])
-        v = sched.letters(end_time)[last_idx2].dst
-        boundary_spaces.append(system.space_for(end_time, v))
-        vertex_labels.append(v)
-
-    root_v = None
-    first_letter = chosen_words[0][0][0][0]
-    root_v = sched.letters(1)[sched.letter_index(1, first_letter)].src
-    vertex_sets = [(f"{root_v}@0",)] + [
-        (f"{vertex_labels[n - 1]}@{n}",) for n in range(1, blocks + 1)
-    ]
-    sub_alphabets = [()]
-    sub_maps = [()]
-    for n in range(1, blocks + 1):
-        row_letters, row_maps = alphabets[n]
-        sub_alphabets.append(
-            tuple(
-                Letter(".".join(lbls), vertex_sets[n - 1][0], vertex_sets[n][0])
-                for lbls in row_letters
-            )
+        last_lbl = lam_labels[-1] if lam is not None else chosen_words[n - 1][0][0][-1]
+        v = sched.letters(end_time)[sched.letter_index(end_time, last_lbl)].dst
+        vertex_sets.append((f"{v}@{n}",))
+        spaces.append((system.space_for(end_time, v),))
+        alphabets.append(
+            [
+                Letter(
+                    ".".join(labels + tuple(lam_labels)),
+                    vertex_sets[n - 1][0],
+                    vertex_sets[n][0],
+                )
+                for labels, _, _ in chosen_words[n - 1]
+            ]
         )
-        sub_maps.append(tuple(row_maps))
-    incidence = [FullIncidence() for _ in range(blocks - 1)]
-    schedule = GraphSchedule(vertex_sets, sub_alphabets, incidence)
-    spaces = tuple(
-        [(system.space_for(0, root_v),)]
-        + [(boundary_spaces[n - 1],) for n in range(1, blocks + 1)]
-    )
-    sub = SystemSpec(
-        schedule=schedule,
-        spaces=spaces,
-        maps=tuple(sub_maps),
+        maps.append(
+            [
+                _compose_letter(list(parts) + lam_parts)
+                for _, parts, _ in chosen_words[n - 1]
+            ]
+        )
+    sub = _assemble(
+        vertex_sets,
+        alphabets,
+        maps,
+        spaces,
         dim=system.dim,
         declared_distortion=system.declared_distortion,
         flags=frozenset({"block-subsystem"}),
         provenance=provenance or f"{system.provenance} [blocks ell={ell}, p={p}]",
     )
-    sub = validate_system(sub)
 
     k = system.distortion
     m_const = 0.0
@@ -876,24 +787,19 @@ def elliptic_lower_bound(
                 f"norm constant {Q_const} breaks contraction at |b|={chosen[0]}"
             )
         centers = _pack_disks(list(ratios))
-        labels = [f"b{k}" for k in range(n_t)]
-        sched = ncifs_schedule([labels] * horizon)
-        row = tuple(
+        row = [
             Similarity(float(r), (cx, cy), dim=2)
             for r, (cx, cy) in zip(ratios, centers)
-        )
-        maps = [()] + [row] * horizon
-        spaces = tuple((disk(0.0, 0.0, 1.0),) for _ in range(horizon + 1))
-        model = SystemSpec(
-            schedule=sched,
-            spaces=spaces,
-            maps=tuple(maps),
+        ]
+        model = _one_vertex(
+            [[f"b{k}" for k in range(n_t)]] * horizon,
+            [row] * horizon,
+            disk(0.0, 0.0, 1.0),
             dim=2,
             declared_distortion=comparability_K,
             tail_rule=PSeriesTail(expo, lattice_dim=2),
             provenance=f"pole-decay model q={q}, t={t}",
         )
-        model = validate_system(model)
         checks = []
         ok = True
         for n in range(1, n_check + 1):

@@ -191,6 +191,36 @@ class TestCliExitCodes:
             ["dimension", "cantor3", "--out", str(tmp_path / "o0"), "--n-max", "12"]
         ) == 0
 
+    CF6 = {"kind": "cf", "horizon": 6, "digits": [1, 2]}
+
+    @pytest.mark.parametrize(
+        "system, params, flags",
+        [
+            (CF6, {"max_points": "abc"}, []),
+            (CF6, {"t_grid": 1}, []),
+            (CF6, {}, ["--t-grid", "1"]),
+            (CF6, {"window": [1, "x"]}, []),
+            (CF6, {"scale_window": [0.1]}, []),
+            ({"kind": "cf", "horizon": 6, "digits": ["x", 2]}, {}, []),
+            (
+                {"kind": "similarity", "horizon": 4,
+                 "ratios": {"cycle": [[0.3, 0.3]]},
+                 "offsets": {"cycle": [[0.0, "a"]]}},
+                {},
+                [],
+            ),
+        ],
+        ids=["max_points-str", "t_grid-1", "t_grid-flag", "window-str",
+             "scale_window-short", "digit-str", "offset-str"],
+    )
+    def test_malformed_input_is_2(self, tmp_path, capsys, system, params, flags):
+        path = write_cfg(
+            tmp_path, "bad.json",
+            {"schema_version": 1, "system": system, "params": params},
+        )
+        assert main(["report", path, "--out", str(tmp_path / "o")] + flags) == 2
+        assert "config error at " in capsys.readouterr().err
+
 
 class TestCliArtifacts:
     def test_report_outputs(self, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from bowendim import (
     AscendingSpec,
     BuildError,
+    EdgeSpec,
     MoebiusInverse,
     Similarity,
     Word,
@@ -15,6 +16,7 @@ from bowendim import (
     bowen_dimension,
     build_ascending,
     build_cf_system,
+    build_gdms,
     build_similarity_system,
     compose_norm,
     contraction_eta,
@@ -22,6 +24,7 @@ from bowendim import (
     elliptic_lower_bound,
     extract_subsystem_g_bounded,
     gaussian_lattice_poles,
+    interval,
     partition,
     project_point,
     reblock_one_primitive,
@@ -71,6 +74,40 @@ class TestCfBuilder:
     def test_digit_below_one_rejected(self):
         with pytest.raises(BuildError):
             build_cf_system([[0.5, 2]] * 6)
+
+
+class TestIncidenceSteps:
+    """Every builder takes per-step incidence lists of exactly horizon - 1."""
+
+    BUILDERS = {
+        "similarity": lambda mats: build_similarity_system(
+            [[0.3, 0.3]] * 4, [[0.0, 0.5]] * 4, mats
+        ),
+        "cf": lambda mats: build_cf_system([[1, 2]] * 4, matrix_rule=mats),
+        "gdms": lambda mats: build_gdms(
+            [("v",)] * 5,
+            [[EdgeSpec("a", "v", "v", Similarity(0.3, (0.0,))),
+              EdgeSpec("b", "v", "v", Similarity(0.3, (0.5,)))]] * 4,
+            {"v": interval(0.0, 1.0)},
+            mats,
+        ),
+    }
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("steps", [2, 4])
+    def test_wrong_step_count_rejected(self, builder, steps):
+        mat = np.array([[1, 1], [1, 0]], dtype=bool)
+        with pytest.raises(BuildError, match=f"need 3 incidence steps, got {steps}"):
+            self.BUILDERS[builder]([mat] * steps)
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_step_forms_agree(self, builder):
+        mat = np.array([[1, 1], [1, 0]], dtype=bool)
+        counts = [
+            [count_words(1, n, self.BUILDERS[builder](mats).schedule) for n in (3, 4)]
+            for mats in (mat, [mat] * 3, [mat, "full", "identity"])
+        ]
+        assert counts == [[5, 8], [5, 8], [6, 6]]
 
 
 class TestAscending:
