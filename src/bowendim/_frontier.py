@@ -32,10 +32,7 @@ DEFAULT_BUDGET = 2_000_000
 
 
 def _family(system, m, n):
-    kinds = set()
-    for j in range(m, n + 1):
-        for idx in system.schedule.kept_indices(j):
-            kinds.add(type(system.maps[j][idx]))
+    kinds = frozenset().union(*system._map_types[m : n + 1])
     if kinds <= {Similarity}:
         return "similarity"
     if kinds <= {MoebiusInverse}:
@@ -70,6 +67,9 @@ def vector_state(system, m, n, points=False):
 class SimilarityState:
     """norms[i] = exact |D phi_w| of frontier word i (product of |ratio|)."""
 
+    # what a BudgetError from a sweep with this state suggests instead
+    budget_hint = "try the matrix-exact strategy"
+
     def __init__(self, system):
         self.system = system
 
@@ -93,6 +93,8 @@ class SimilarityState:
 
 class MoebiusState:
     """(q_prev, q_cur) continuants; sup norm = q_cur^-2 exactly."""
+
+    budget_hint = "try the bdp-bracket strategy"
 
     def __init__(self, system):
         self.system = system
@@ -119,6 +121,8 @@ class MoebiusState:
 
 class SimilarityPointState(SimilarityState):
     """Affine composition (scale, offset / offset2d) for point sampling."""
+
+    budget_hint = "lower the depth or raise the budget"
 
     def init(self, j, letters):
         scale = np.array([p.ratio for p in self.system.maps[j]], dtype=float)[letters]
@@ -160,6 +164,8 @@ class SimilarityPointState(SimilarityState):
 class MoebiusPointState(MoebiusState):
     """Full continuant quadruple: phi_w(x) = (pp*x + pc) / (qp*x + qc)."""
 
+    budget_hint = SimilarityPointState.budget_hint
+
     def init(self, j, letters):
         d = self._digits(j)[letters]
         return (np.zeros_like(d), np.ones_like(d), np.ones_like(d), d)
@@ -179,10 +185,10 @@ class MoebiusPointState(MoebiusState):
         return (0.5 * (left + right),), 0.5 * (right - left)
 
 
-def _frontier_over_budget(total, j, budget):
+def _frontier_over_budget(total, j, budget, hint):
     return BudgetError(
         f"frontier would hold {total} words at time {j},"
-        f" over the budget of {budget}; try the matrix-exact strategy"
+        f" over the budget of {budget}; {hint}"
     )
 
 
@@ -223,7 +229,7 @@ def sweep(system, m, n, state_impl, on_level, budget=DEFAULT_BUDGET):
                 f"frontier died at time {j}; pruning should prevent this"
             )
         if total > budget:
-            raise _frontier_over_budget(total, j + 1, budget)
+            raise _frontier_over_budget(total, j + 1, budget, state_impl.budget_hint)
         src = np.concatenate([np.repeat(pos, fl.size) for pos, fl in groups])
         new_letters = np.concatenate([np.tile(fl, pos.size) for pos, fl in groups])
         state = state_impl.extend(j + 1, state, src, new_letters)
@@ -314,12 +320,14 @@ class LevelNorms:
     sweep these are sorted float arrays (lo is hi: the families are exact),
     so the powers of one level fall into few binades; from the word-at-a-time
     walk they are lists of bracket floats.  Nothing here depends on t.
+    Swept levels carry their state's `budget_hint`; walked ones have None.
     """
 
-    def __init__(self, m, levels, vectorized):
+    def __init__(self, m, levels, budget_hint=None):
         self.m = m
         self.levels = levels
-        self.vectorized = vectorized
+        self.vectorized = budget_hint is not None
+        self.budget_hint = budget_hint
 
     def check_budget(self, budget):
         """Raise the BudgetError a fresh walk of this range would raise."""
@@ -330,7 +338,7 @@ class LevelNorms:
             return
         for j, size in enumerate(sizes[1:], self.m + 1):
             if size > budget:
-                raise _frontier_over_budget(size, j, budget)
+                raise _frontier_over_budget(size, j, budget, self.budget_hint)
 
     def power_sums(self, t):
         """{j: (Z_lo, Z_hi, words)}: sums of norm**t per level, correctly rounded.
@@ -362,7 +370,7 @@ def _walk_levels(system, m, n, budget):
             levels.append((lo_sorted, lo_sorted if hi is lo else np.sort(hi)))
 
         sweep(system, m, n, impl, on_level, budget)
-        return LevelNorms(m, tuple(levels), vectorized=True)
+        return LevelNorms(m, tuple(levels), impl.budget_hint)
     lows = [[] for _ in range(m, n + 1)]
     highs = [[] for _ in range(m, n + 1)]
 
@@ -371,7 +379,7 @@ def _walk_levels(system, m, n, budget):
         highs[j - m].append(bracket.hi)
 
     generic_norm_walk(system, m, n, on_word, budget)
-    return LevelNorms(m, tuple(zip(lows, highs)), vectorized=False)
+    return LevelNorms(m, tuple(zip(lows, highs)))
 
 
 def level_norms(system, m, n, budget=DEFAULT_BUDGET) -> LevelNorms:

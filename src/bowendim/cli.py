@@ -10,6 +10,7 @@ default output directory.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -455,9 +456,34 @@ def _with_meta(payload, cfg, args):
         "version": __version__,
         "source": cfg.source,
         "seed": _param(args, cfg, "seed", int),
-        "system": cfg.system_spec,
+        "system_sha256": _spec_sha256(cfg.system_spec),
     }
     return payload
+
+
+def _spec_sha256(spec):
+    """SHA-256 of json.dumps(spec, sort_keys=True), hashed piece by piece so
+    that a large matrix is never held as one string."""
+    digest = hashlib.sha256()
+
+    def feed(obj):
+        if isinstance(obj, dict):
+            pieces = [(json.dumps(k) + ": ", v) for k, v in sorted(obj.items())]
+            opening, closing = "{", "}"
+        elif isinstance(obj, list) and obj and isinstance(obj[0], (list, dict)):
+            pieces = [("", v) for v in obj]
+            opening, closing = "[", "]"
+        else:
+            digest.update(json.dumps(obj, sort_keys=True).encode())
+            return
+        digest.update(opening.encode())
+        for i, (key, value) in enumerate(pieces):
+            digest.update(((", " if i else "") + key).encode())
+            feed(value)
+        digest.update(closing.encode())
+
+    feed(spec)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

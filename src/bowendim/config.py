@@ -128,6 +128,19 @@ def _numbers(rows, path):
     return rows
 
 
+def _lists(rows, path):
+    """`rows` unchanged once every row is a list."""
+    for n, row in enumerate(rows):
+        _expect(isinstance(row, list), f"{path}[{n}]", "list required")
+    return rows
+
+
+def _cycle(cyc, path):
+    """A nonempty list of rows, repeated over the times by the caller."""
+    _expect(isinstance(cyc, list) and cyc, path, "nonempty list required")
+    return _lists(cyc, path)
+
+
 def _num(value, path):
     _expect(_number(value), path, f"number required, got {value!r}")
     return float(value)
@@ -139,11 +152,7 @@ def _rows(spec, horizon, path):
         _expect(len(spec) == horizon, path, f"need {horizon} rows, got {len(spec)}")
         return [list(r) for r in _numbers(spec, path)]
     if isinstance(spec, dict) and "cycle" in spec:
-        cyc = spec["cycle"]
-        _expect(
-            isinstance(cyc, list) and cyc, f"{path}.cycle", "nonempty list required"
-        )
-        _numbers(cyc, f"{path}.cycle")
+        cyc = _numbers(_cycle(spec["cycle"], f"{path}.cycle"), f"{path}.cycle")
         return [list(cyc[(n - 1) % len(cyc)]) for n in range(1, horizon + 1)]
     if isinstance(spec, dict) and "powers" in spec:
         pw = spec["powers"]
@@ -196,9 +205,35 @@ def _matrices(spec, counts, path):
                 path,
                 f"need {len(counts) - 1} per-step matrices, got {len(spec)}",
             )
-            return [np.asarray(m, dtype=bool) for m in spec]
-        return np.asarray(spec, dtype=bool)  # one matrix reused per step
+            return [_zero_one(m, f"{path}[{k}]") for k, m in enumerate(spec)]
+        return _zero_one(spec, path)  # one matrix reused per step
     _fail(path, "expected 'full', 'identity', a 0/1 array, arrays per step, or a rule")
+
+
+def _zero_one(rows, path):
+    """A rectangular list of 0/1 (or boolean) rows as a boolean array."""
+    try:
+        arr = np.asarray(rows)
+        regular = arr.ndim == 2 and arr.dtype.kind in "biuf"
+    except ValueError:  # ragged rows
+        regular = False
+    if not regular:  # find the first offending field
+        _expect(isinstance(rows, list) and rows, path, "nonempty list of rows required")
+        for i, row in enumerate(rows):
+            _expect(isinstance(row, list), f"{path}[{i}]", "row of 0/1 entries required")
+            _expect(
+                len(row) == len(rows[0]),
+                f"{path}[{i}]",
+                f"row of {len(rows[0])} entries required, got {len(row)}",
+            )
+            for j, v in enumerate(row):
+                _expect(_number(v) or isinstance(v, bool), f"{path}[{i}][{j}]",
+                        f"0 or 1 required, got {v!r}")
+    bad = np.argwhere((arr != 0) & (arr != 1))
+    if bad.size:
+        i, j = bad[0].tolist()
+        _fail(f"{path}[{i}][{j}]", f"0 or 1 required, got {rows[i][j]!r}")
+    return arr.astype(bool)
 
 
 def _build_similarity(spec, path):
@@ -250,7 +285,7 @@ def _build_gdms_cfg(spec, path):
     _expect(isinstance(horizon, int) and horizon >= 2, f"{path}.horizon", "integer horizon >= 2 required")
     verts = spec.get("vertices")
     if isinstance(verts, dict) and "cycle" in verts:
-        cyc = verts["cycle"]
+        cyc = _cycle(verts["cycle"], f"{path}.vertices.cycle")
         vertex_schedule = [list(cyc[n % len(cyc)]) for n in range(horizon + 1)]
     else:
         _expect(
@@ -258,7 +293,7 @@ def _build_gdms_cfg(spec, path):
             f"{path}.vertices",
             f"need {horizon + 1} vertex rows or a cycle",
         )
-        vertex_schedule = [list(v) for v in verts]
+        vertex_schedule = [list(v) for v in _lists(verts, f"{path}.vertices")]
     spaces_spec = spec.get("spaces")
     _expect(isinstance(spaces_spec, dict), f"{path}.spaces", "vertex -> [lo, hi] table required")
     spaces = {}
@@ -271,7 +306,7 @@ def _build_gdms_cfg(spec, path):
         spaces[v] = interval(*pair)
     edges_spec = spec.get("edges")
     if isinstance(edges_spec, dict) and "cycle" in edges_spec:
-        cyc = edges_spec["cycle"]
+        cyc = _cycle(edges_spec["cycle"], f"{path}.edges.cycle")
         edge_rows = [cyc[(n - 1) % len(cyc)] for n in range(1, horizon + 1)]
     else:
         _expect(
@@ -279,7 +314,7 @@ def _build_gdms_cfg(spec, path):
             f"{path}.edges",
             f"need {horizon} edge rows or a cycle",
         )
-        edge_rows = edges_spec
+        edge_rows = _lists(edges_spec, f"{path}.edges")
     edge_schedule = []
     for n, row in enumerate(edge_rows, start=1):
         parsed = []
@@ -325,7 +360,9 @@ def _build_ascending(spec, path):
             )
     inc = spec.get("include")
     if isinstance(inc, dict) and "prefix" in inc:
-        prefix = [list(r) for r in inc.get("prefix", [])]
+        prefix = inc.get("prefix", [])
+        _expect(isinstance(prefix, list), f"{path}.include.prefix", "list of rows required")
+        prefix = [list(r) for r in _lists(prefix, f"{path}.include.prefix")]
         then = inc.get("then")
         _expect(isinstance(then, list), f"{path}.include.then", "constant tail required")
         include = prefix + [list(then)] * (horizon - len(prefix))
@@ -335,7 +372,7 @@ def _build_ascending(spec, path):
             f"{path}.include",
             f"need {horizon} include rows or prefix/then",
         )
-        include = [list(r) for r in inc]
+        include = [list(r) for r in _lists(inc, f"{path}.include")]
     return build_ascending(
         AscendingSpec(
             base_maps=base,

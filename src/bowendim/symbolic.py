@@ -180,6 +180,19 @@ class FullIncidence(Incidence):
         return mat
 
 
+def _by_degree(mat):
+    """[(idx, nbrs)]: the rows of a 0/1 matrix grouped by their number of
+    ones; nbrs[i] lists the columns of row idx[i]'s ones in ascending order."""
+    deg = mat.sum(axis=1)
+    _, cols = np.nonzero(mat)
+    starts = np.cumsum(deg) - deg
+    groups = []
+    for k in np.unique(deg).tolist():
+        idx = np.flatnonzero(deg == k)
+        groups.append((idx, cols[starts[idx, None] + np.arange(k)]))
+    return groups
+
+
 class DenseIncidence(Incidence):
     """Explicit 0/1 matrix (also the compiled form of identity/banded rules)."""
 
@@ -209,17 +222,32 @@ class DenseIncidence(Incidence):
     def reach_next(self, cur_mask):
         return self._mat[cur_mask].any(axis=0) if cur_mask.any() else np.zeros(self.n_nxt, bool)
 
+    @cached_property
+    def _columns(self):
+        return _by_degree(self._mat.T)
+
+    @cached_property
+    def _rows(self):
+        return _by_degree(self._mat)
+
     def transfer(self, u, w_nxt, keep_nxt):
+        # u[rows].sum(axis=1) adds each column's entries in ascending row
+        # order, exactly as a 1-D sum over u[mat[:, b]] does
         out = np.empty(self.n_nxt, dtype=float)
-        for b in range(self.n_nxt):
-            out[b] = u[self._mat[:, b]].sum() if keep_nxt[b] else 0.0
+        for cols, rows in self._columns:
+            out[cols] = u[rows].sum(axis=1)
+        out[~keep_nxt] = 0.0
         return out * np.where(keep_nxt, w_nxt, 0.0)
 
     def count_transfer(self, counts_nxt):
-        out = []
-        for a in range(self.n_cur):
-            out.append(sum(counts_nxt[b] for b in np.flatnonzero(self._mat[a])))
-        return out
+        # int64 while no count or row sum can pass 2**63 - 1, else exact ints
+        widest = max((r.shape[1] for _, r in self._rows), default=0)
+        small = int(max(counts_nxt, default=0)) * max(widest, 1) < 2**63
+        counts = np.array(counts_nxt, dtype=np.int64 if small else object)
+        out = np.zeros(self.n_cur, dtype=counts.dtype)
+        for rows, cols in self._rows:
+            out[rows] = counts[cols].sum(axis=1)
+        return out.tolist()
 
     def is_complete(self, keep_cur, keep_nxt):
         sub = self._mat[keep_cur][:, keep_nxt]
@@ -635,13 +663,19 @@ class PrimitivityCertificate:
 
 
 def _products_positive(schedule, p):
-    """All p-matrix products A^(n)...A^(n+p-1) entrywise positive on kept letters."""
+    """All p-matrix products A^(n)...A^(n+p-1) entrywise positive on kept letters.
+
+    The products are boolean: each step multiplies 0/1 matrices in float32
+    and keeps only `> 0`.  A sum of non-negative terms is positive exactly
+    when one term is, whatever the rounding, so the test is exact.
+    """
     for n in range(1, schedule.horizon - p + 1):
-        prod = schedule.step_matrix(n).astype(np.int64)
+        prod = schedule.step_matrix(n)
         for j in range(n + 1, n + p):
-            prod = prod @ schedule.step_matrix(j).astype(np.int64)
+            step = schedule.step_matrix(j).astype(np.float32)
+            prod = (prod.astype(np.float32) @ step) > 0
         prod = prod[schedule.kept[n]][:, schedule.kept[n + p]]
-        if prod.size == 0 or not (prod > 0).all():
+        if prod.size == 0 or not prod.all():
             return False
     return True
 

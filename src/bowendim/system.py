@@ -65,6 +65,15 @@ class SystemSpec:
         return self.space_for(n - 1, self.schedule.letters(n)[idx].src)
 
     @cached_property
+    def _map_types(self) -> tuple:
+        """Per time n, the frozenset of map types of the kept letters."""
+        return tuple(
+            frozenset(type(self.maps[n][idx]) for idx in self.schedule.kept_indices(n))
+            if n else frozenset()
+            for n in range(self.horizon + 1)
+        )
+
+    @cached_property
     def norm_memo(self) -> dict:
         return {}
 

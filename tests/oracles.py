@@ -3,7 +3,8 @@
 These deliberately avoid the library's own fast paths: derivative norms come
 from dense-grid chain-rule evaluation, admissibility from a brute-force path
 search over the raw (unpruned) schedule, and word counts from explicit
-incidence matrix powers.
+incidence matrix powers.  The dense-incidence references are the original
+per-column and per-row loops and int64 matrix products.
 """
 
 import numpy as np
@@ -99,6 +100,34 @@ def matrix_power_count(mats, start_counts):
         m = np.asarray(m, dtype=np.int64)
         vec = list(np.asarray(vec, dtype=object) @ m)
     return int(sum(vec))
+
+
+def loop_transfer(mat, u, w_nxt, keep_nxt):
+    """u'_b = w_b * sum_{a -> b} u_a, one numpy sum per kept column."""
+    out = np.empty(mat.shape[1], dtype=float)
+    for b in range(mat.shape[1]):
+        out[b] = u[mat[:, b]].sum() if keep_nxt[b] else 0.0
+    return out * np.where(keep_nxt, w_nxt, 0.0)
+
+
+def loop_count_transfer(mat, counts_nxt):
+    """c_a = sum of counts_nxt[b] over the ones of row a, in Python ints."""
+    return [
+        sum(counts_nxt[b] for b in np.flatnonzero(mat[a]))
+        for a in range(mat.shape[0])
+    ]
+
+
+def int64_products_positive(schedule, p):
+    """Every p-step product of kept step matrices positive, in int64."""
+    for n in range(1, schedule.horizon - p + 1):
+        prod = schedule.step_matrix(n).astype(np.int64)
+        for j in range(n + 1, n + p):
+            prod = prod @ schedule.step_matrix(j).astype(np.int64)
+        prod = prod[schedule.kept[n]][:, schedule.kept[n + p]]
+        if prod.size == 0 or not (prod > 0).all():
+            return False
+    return True
 
 
 def fit_slope(xs, ys):

@@ -192,6 +192,14 @@ class TestCliExitCodes:
         ) == 0
 
     CF6 = {"kind": "cf", "horizon": 6, "digits": [1, 2]}
+    GDMS1 = {
+        "kind": "gdms", "horizon": 4, "vertices": {"cycle": [["u"]]},
+        "spaces": {"u": [0.0, 1.0]},
+        "edges": {"cycle": [[
+            {"label": "a", "src": "u", "dst": "u", "ratio": 0.3, "offset": 0.0},
+            {"label": "b", "src": "u", "dst": "u", "ratio": 0.3, "offset": 0.6},
+        ]]},
+    }
 
     @pytest.mark.parametrize(
         "system, params, flags",
@@ -209,9 +217,16 @@ class TestCliExitCodes:
                 {},
                 [],
             ),
+            ({"kind": "cf", "horizon": 4, "digits": [1, 2],
+              "matrices": [[1, "x"], [1, 0]]}, {}, []),
+            (dict(GDMS1, vertices={"cycle": []}), {}, []),
+            (dict(GDMS1, edges={"cycle": []}), {}, []),
+            ({"kind": "ascending", "family": "cf", "base": {"1": 1, "2": 2},
+              "horizon": 4, "include": [1, 2, 3, 4]}, {}, []),
         ],
         ids=["max_points-str", "t_grid-1", "t_grid-flag", "window-str",
-             "scale_window-short", "digit-str", "offset-str"],
+             "scale_window-short", "digit-str", "offset-str", "matrix-str",
+             "vertices-empty-cycle", "edges-empty-cycle", "include-ints"],
     )
     def test_malformed_input_is_2(self, tmp_path, capsys, system, params, flags):
         path = write_cfg(

@@ -3,13 +3,16 @@
 The expected values of the wide-digit and random-cf12 cases were taken from
 the code before continuants were extended per prefix in the word walk and
 before the one-pass box enumerator; those of the incidence forms and the
-subsystems from the code before every builder went through one assembler.
+subsystems from the code before every builder went through one assembler;
+those of the irregular dense system from the code before dense transfers
+were summed per in-degree group and primitivity products went boolean.
 A change that alters any of them changes the program's output and must say
 why.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +181,86 @@ def test_incidence_form_report(tmp_path, form):
     assert json.loads((out / "summary.json").read_text())["bracket"] == bracket
     assert _sha256(out / "pressure.csv") == pressure_sha
     assert _sha256(out / "points.csv") == points_sha
+
+
+def _summary_sha256(out):
+    """SHA-256 of summary.json without `meta`, keys sorted."""
+    summary = json.loads((out / "summary.json").read_text())
+    summary.pop("meta")
+    return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+
+
+def _irregular(n=40):
+    """0/1 incidence whose column b is empty when b % 10 == 9 and otherwise
+    holds the rows a with (a + 3b) % step(b) == 0: in-degrees 0, 2-5, 8, 14."""
+    steps = (3, 5, 8, 11, 14)
+    return [
+        [int(b % 10 != 9 and (a + 3 * b) % steps[b % 5] == 0) for b in range(n)]
+        for a in range(n)
+    ]
+
+
+IRREGULAR = {
+    "kind": "similarity", "horizon": 6, "matrices": _irregular(),
+    "ratios": {"cycle": [
+        [(0.5 + 0.5 * (k * 7 % 11) / 11) / 40 for k in range(40)],
+        [(0.4 + 0.6 * (k * 5 % 13) / 13) / 40 for k in range(40)],
+    ]},
+}
+IRREGULAR_OUTPUTS = {
+    "report": (
+        4, "40ed03b42783decb0ecaaa32c2a3dea4700163757d29378e1563eb72acfef2ab",
+        "4147aed2551d0230214a7e75734e8beb7a275cbf7f0e38163d8a7e8742573fb2",
+        "0ff2b2b806d2db0caaae369979ebb373b50e7d21ab321b0b8f82020211eaa9ca",
+    ),
+    "check": (
+        4, "baa7e2ef3ea9396718c2edaa69b2d70fd0963f7714d4df358ea0b2af9aebe305",
+        None, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(IRREGULAR_OUTPUTS))
+def test_irregular_dense_outputs(tmp_path, command):
+    # matrix-exact sums over columns with up to 14 ones (numpy's pairwise
+    # regime), pruned unreachable letters, and primitivity found at p = 4
+    code, summary_sha, pressure_sha, points_sha = IRREGULAR_OUTPUTS[command]
+    cfg = _write(tmp_path, "irregular", IRREGULAR,
+                 {"t_grid": 7, "depth": 3, "max_points": 8192})
+    out = tmp_path / "out"
+    assert cli.main([command, cfg, "--out", str(out)]) == code
+    assert _summary_sha256(out) == summary_sha
+    if pressure_sha is not None:
+        assert _sha256(out / "pressure.csv") == pressure_sha
+        assert _sha256(out / "points.csv") == points_sha
+
+
+def test_dense_summary_stays_small(tmp_path):
+    # meta names the 300x300 matrix by its hash instead of echoing it
+    n = 300
+    mat = [[int((b - a) % n < 3) for b in range(n)] for a in range(n)]
+    system = {"kind": "similarity", "horizon": 6, "matrices": mat,
+              "ratios": {"cycle": [[0.5 / n] * n, [0.25 / n] * n]}}
+    cfg = _write(tmp_path, "dense", system, {})
+    out = tmp_path / "out"
+    assert cli.main(["check", cfg, "--out", str(out)]) == 4
+    assert (out / "summary.json").stat().st_size < 16 * 1024
+    meta = json.loads((out / "summary.json").read_text())["meta"]
+    assert "system" not in meta
+    assert meta["system_sha256"] == hashlib.sha256(
+        json.dumps(system, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def test_spec_hash_equals_one_dump():
+    # cli hashes the spec piece by piece; the digest is that of one dump
+    configs = sorted((Path(cli.__file__).parent / "configs").glob("*.json"))
+    specs = [IRREGULAR] + [spec for spec, *_ in INCIDENCE_FORMS.values()] + [
+        json.loads(path.read_text())["system"] for path in configs
+    ] + [{}, {"kind": "bundled", "name": "cf12"}, {"a": [], "b": [[], [1]], "\u00e9": None}]
+    for spec in specs:
+        want = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()
+        assert cli._spec_sha256(spec) == want
 
 
 SUBSYSTEM_SUMMARIES = {

@@ -183,6 +183,24 @@ def test_cache_hit_keeps_the_budget(make, n, budget):
     assert hit == fresh
 
 
+def test_budget_hint_names_a_strategy_that_applies(tmp_path):
+    # digit systems cannot take matrix-exact; cf12 at horizon 22 holds
+    # 2,097,152 words at time 21, over the default budget
+    msg = _budget_message(lambda: partition(bundled.cf12(22), 1, 22, 0.5))
+    assert "2097152 words at time 21" in msg
+    assert "matrix-exact" not in msg and msg.endswith("try the bdp-bracket strategy")
+    msg = _budget_message(
+        lambda: partition(bundled.cantor3(8), 1, 8, 0.5, "enumerate-exact", budget=100)
+    )
+    assert msg.endswith("try the matrix-exact strategy")
+    # a sampling sweep has no strategy to switch to
+    out = tmp_path / "o"
+    assert cli.main(["sample", "cf12", "--out", str(out), "--depth", "12",
+                     "--max-points", "100"]) == 5
+    msg = json.loads((out / "summary.json").read_text())["error"]
+    assert "strategy" not in msg and msg.endswith("lower the depth or raise the budget")
+
+
 # ---------------------------------------------------------------------------
 # the word walk against independent references
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bowendim import (
     ConfigurationError,
@@ -20,10 +23,21 @@ from bowendim import (
     ncifs_schedule,
     subexp_diagnostic,
 )
-from bowendim.symbolic import DenseIncidence, GrowthStats, walk_words
+from bowendim.symbolic import (
+    DenseIncidence,
+    GrowthStats,
+    _products_positive,
+    walk_words,
+)
 from bowendim.systems import system_certify, system_primitivity
 
-from oracles import brute_words, matrix_power_count
+from oracles import (
+    brute_words,
+    int64_products_positive,
+    loop_count_transfer,
+    loop_transfer,
+    matrix_power_count,
+)
 
 
 def full_ncifs(n_letters, horizon):
@@ -403,3 +417,84 @@ class TestPrimitivity:
         for table in cert.connectors.values():
             for word in table.values():
                 assert cert.Q <= compose_norm(word, gdms).lo + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# dense incidence primitives against the original loops
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def irregular_incidence(draw, max_cur=40, max_nxt=12):
+    """A bound DenseIncidence whose columns have in-degree 0, 1-7 or >= 8
+    (numpy's pairwise-summation regime), and its 0/1 matrix."""
+    n_cur = draw(st.integers(1, max_cur))
+    n_nxt = draw(st.integers(1, max_nxt))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = np.zeros((n_cur, n_nxt), dtype=bool)
+    for b in range(n_nxt):
+        regime = draw(st.sampled_from(["none", "few", "many"]))
+        k = {"none": 0, "few": min(n_cur, 7), "many": n_cur}[regime]
+        if regime != "none":
+            k = draw(st.integers(1 if regime == "few" else min(8, n_cur), k))
+        mat[rng.choice(n_cur, size=k, replace=False), b] = True
+    inc = DenseIncidence(mat).bind(["v"] * n_cur, ["v"] * n_nxt)
+    return inc, mat
+
+
+class TestDensePrimitives:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), drawn=irregular_incidence())
+    def test_transfer_equals_column_loop(self, data, drawn):
+        inc, mat = drawn
+        n_cur, n_nxt = mat.shape
+        # mixed signs and magnitudes: any other summation order shows
+        values = st.floats(-1e12, 1e12, allow_subnormal=True)
+        u = data.draw(arrays(np.float64, n_cur, elements=values))
+        w = data.draw(arrays(np.float64, n_nxt, elements=st.floats(0.0, 1e3)))
+        keep = data.draw(arrays(np.bool_, n_nxt))
+        got = inc.transfer(u, w, keep)
+        want = loop_transfer(mat, u, w, keep)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), drawn=irregular_incidence(max_cur=12, max_nxt=40))
+    def test_count_transfer_is_exact(self, data, drawn):
+        inc, mat = drawn
+        # small counts take int64, counts near or past 2**63 exact ints
+        top = data.draw(st.sampled_from([2**20, 2**62, 2**63, 2**80]))
+        counts = data.draw(st.lists(st.integers(0, top), min_size=mat.shape[1],
+                                    max_size=mat.shape[1]))
+        got = inc.count_transfer(counts)
+        assert got == loop_count_transfer(mat, counts)
+        assert all(type(c) is int for c in got)
+
+    def test_count_transfer_at_the_int64_edge(self):
+        mat = np.ones((1, 2), dtype=bool)
+        inc = DenseIncidence(mat).bind(["v"], ["v", "v"])
+        assert inc.count_transfer([2**62 - 1] * 2) == [2**63 - 2]
+        assert inc.count_transfer([2**62] * 2) == [2**63]
+        # rows without ones still must not squeeze a huge count into int64
+        empty = DenseIncidence(np.zeros((1, 2), dtype=bool)).bind(["v"], ["v", "v"])
+        assert empty.count_transfer([2**80, 1]) == [0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_boolean_products_equal_int64(self, data):
+        horizon = data.draw(st.integers(5, 7))
+        sizes = [data.draw(st.integers(1, 6)) for _ in range(horizon)]
+        density = data.draw(st.sampled_from([0.3, 0.6, 0.9]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        labels = [[f"a{k}" for k in range(n)] for n in sizes]
+        base = ncifs_schedule(labels)
+        inc = [
+            DenseIncidence(rng.random((a, b)) < density)
+            for a, b in zip(sizes, sizes[1:])
+        ]
+        try:
+            sched = GraphSchedule(base.vertex_sets, base.alphabets, inc)
+            sched.kept
+        except IntegrityError:  # pruning emptied an alphabet
+            assume(False)
+        for p in range(1, 5):
+            assert _products_positive(sched, p) == int64_products_positive(sched, p)
