@@ -1,14 +1,16 @@
 """Vectorized breadth-first sweep over admissible words of a system.
 
 One frontier pass serves both the partition functions (norm states) and the
-limit-set samplers (point states).  States are family-specific numpy array
+limit-set samplers (point states, or no state where points are projected
+word by word): every word takes all its followers, or, for the random
+sampler, one drawn follower.  States are family-specific numpy array
 bundles; expansion groups the frontier by last letter so the per-step Python
 cost is O(#letters), not O(#words).  Exact families (similarities via
 log-free products, reciprocal shifts via float continuants while they stay
-below 2^53) keep lo == hi; anything else falls back to a word-at-a-time walk.
-On reciprocal-shift ranges with integral digits that walk extends each
-prefix's exact integer continuants from its parent's, one step per letter;
-every other range composes each prefix's bracket afresh.
+below 2^53) keep lo == hi; for norms anything else falls back to a
+word-at-a-time walk.  On reciprocal-shift ranges with integral digits that
+walk extends each prefix's exact integer continuants from its parent's, one
+step per letter; every other range composes each prefix's bracket afresh.
 
 The words of a range (m, n) and their norms do not depend on t, so
 `level_norms` walks each (system, range) once and keeps the per-level norm
@@ -122,8 +124,6 @@ class MoebiusState:
 class SimilarityPointState(SimilarityState):
     """Affine composition (scale, offset / offset2d) for point sampling."""
 
-    budget_hint = "lower the depth or raise the budget"
-
     def init(self, j, letters):
         scale = np.array([p.ratio for p in self.system.maps[j]], dtype=float)[letters]
         offs = self._offsets(j)
@@ -164,8 +164,6 @@ class SimilarityPointState(SimilarityState):
 class MoebiusPointState(MoebiusState):
     """Full continuant quadruple: phi_w(x) = (pp*x + pc) / (qp*x + qc)."""
 
-    budget_hint = SimilarityPointState.budget_hint
-
     def init(self, j, letters):
         d = self._digits(j)[letters]
         return (np.zeros_like(d), np.ones_like(d), np.ones_like(d), d)
@@ -196,48 +194,47 @@ def _walk_over_budget(budget):
     return BudgetError(f"enumeration exceeded budget of {budget} word extensions")
 
 
-def sweep(system, m, n, state_impl, on_level, budget=DEFAULT_BUDGET):
+def sweep(system, m, n, state_impl, on_level, budget=DEFAULT_BUDGET, draws=None):
     """Expand the pruned frontier from time m to n, reporting every level.
 
-    `on_level(j, letters, state, words)` runs once per time j in [m, n];
-    `words` carries per-word label tuples only when tracking is enabled via
-    on_level's `needs_words` attribute (used by the samplers).
+    `on_level(j, letters, state, src)` runs once per time j in [m, n]; `src`
+    holds each word's parent position in the level before (None at time m),
+    so a caller that wants the words traces their letters back through it.
+    Every word takes all its followers, unless `draws` is given: an
+    (N, n - m + 1) array of uniforms in [0, 1) whose row i walks one word,
+    taking choice floor(u * k) of its k candidates at each time.
     """
     sched = system.schedule
-    needs_words = getattr(on_level, "needs_words", False)
     letters = sched.kept_indices(m)
+    if draws is not None:
+        letters = letters[(draws[:, 0] * letters.size).astype(np.intp)]
     state = state_impl.init(m, letters)
-    words = None
-    if needs_words:
-        labels = [e.label for e in sched.letters(m)]
-        words = [(labels[a],) for a in letters]
-    on_level(m, letters, state, words)
+    on_level(m, letters, state, None)
     for j in range(m, n):
-        follower_lists = {
-            int(a): sched.followers(j, int(a)) for a in np.unique(letters)
-        }
         groups = []
-        total = 0
-        for a, fl in follower_lists.items():
-            pos = np.flatnonzero(letters == a)
-            if pos.size == 0 or fl.size == 0:
-                continue
-            groups.append((pos, fl))
-            total += pos.size * fl.size
+        for a in np.unique(letters).tolist():
+            fl = sched.followers(j, a)
+            if fl.size:
+                groups.append((np.flatnonzero(letters == a), fl))
         if not groups:
             raise UnsupportedError(
                 f"frontier died at time {j}; pruning should prevent this"
             )
-        if total > budget:
-            raise _frontier_over_budget(total, j + 1, budget, state_impl.budget_hint)
-        src = np.concatenate([np.repeat(pos, fl.size) for pos, fl in groups])
-        new_letters = np.concatenate([np.tile(fl, pos.size) for pos, fl in groups])
-        state = state_impl.extend(j + 1, state, src, new_letters)
-        letters = new_letters
-        if needs_words:
-            labels = [e.label for e in sched.letters(j + 1)]
-            words = [words[s] + (labels[b],) for s, b in zip(src, new_letters)]
-        on_level(j + 1, letters, state, words)
+        if draws is None:
+            total = sum(pos.size * fl.size for pos, fl in groups)
+            if total > budget:
+                hint = state_impl.budget_hint
+                raise _frontier_over_budget(total, j + 1, budget, hint)
+            src = np.concatenate([np.repeat(pos, fl.size) for pos, fl in groups])
+            letters = np.concatenate([np.tile(fl, pos.size) for pos, fl in groups])
+        else:
+            u = draws[:, j - m + 1]
+            src = np.arange(letters.size)
+            letters = np.empty_like(letters)
+            for pos, fl in groups:
+                letters[pos] = fl[(u[pos] * fl.size).astype(np.intp)]
+        state = state_impl.extend(j + 1, state, src, letters)
+        on_level(j + 1, letters, state, src)
 
 
 def _integral_digits(system, m, n):
@@ -364,7 +361,7 @@ def _walk_levels(system, m, n, budget):
     if impl is not None:
         levels = []
 
-        def on_level(j, letters, state, words):
+        def on_level(j, letters, state, src):
             lo, hi = impl.norm_bounds(state)
             lo_sorted = np.sort(lo)
             levels.append((lo_sorted, lo_sorted if hi is lo else np.sort(hi)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .errors import BuildError
 from .maps import MoebiusInverse, Similarity, interval
 from .systems import (
     AscendingSpec,
@@ -99,13 +100,6 @@ def gdms2v(horizon: int = 16):
     )
 
 
-def gdms2v_p1_certificate(system):
-    """Direct p = 1 certificate for the two-vertex schedule."""
-    from .systems import system_certify
-
-    return system_certify(system, 1)
-
-
 def perm2(horizon: int = 10):
     """Two letters with identity incidence: products stay permutations."""
     return build_similarity_system(
@@ -120,7 +114,8 @@ def pinch2(horizon: int = 12):
     """Two vertices at odd times, one at even times; complete incidence out of
     the even (pinch) times.  Dyadic ratios keep block partition sums exactly
     equal to the original ones."""
-    assert horizon % 2 == 0
+    if horizon % 2:
+        raise BuildError(f"pinch2 needs an even horizon, got {horizon}")
     verts = [("w",)] + [
         ("a", "b") if n % 2 == 1 else ("w",) for n in range(1, horizon + 1)
     ]
@@ -155,7 +150,7 @@ def elliptic_q2(t_star: float = 1.2, horizon: int = 6):
         2, t_grid=(t_star,), horizon=horizon, build=True
     )
     if report.system is None:
-        raise RuntimeError("model instantiation failed for the bundled lattice")
+        raise BuildError("model instantiation failed for the bundled lattice")
     return report.system
 
 

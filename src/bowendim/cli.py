@@ -247,16 +247,26 @@ def cmd_dimension(args, cfg, system, out, payload_extra=None):
     return res
 
 
-def cmd_sample(args, cfg, system, out):
-    cloud = geometry.sample_limit_set(
+def _cloud(args, cfg, system, depth=None, with_words=True):
+    """The limit-set sample of the sample, boxdim and report commands."""
+    return geometry.sample_limit_set(
         system,
-        _param(args, cfg, "depth", int),
+        depth or _param(args, cfg, "depth", int),
         _param(args, cfg, "max_points", int),
         strategy=_param(args, cfg, "sample_strategy"),
         seed=_param(args, cfg, "seed", int),
+        with_words=with_words,
     )
+
+
+def _write_points(out, system, cloud):
     header = ("x", "y", "radius", "word") if system.dim == 2 else ("x", "radius", "word")
     write_csv(out / "points.csv", header, cloud.rows())
+
+
+def cmd_sample(args, cfg, system, out):
+    cloud = _cloud(args, cfg, system)
+    _write_points(out, system, cloud)
     try:
         cover = geometry.level_cover(system, min(cloud.depth, 3), budget=4096)
         bounds = ("lo", "hi") if system.dim == 1 else ("cx", "cy", "r")
@@ -283,14 +293,7 @@ def cmd_sample(args, cfg, system, out):
 
 
 def cmd_boxdim(args, cfg, system, out):
-    cloud = geometry.sample_limit_set(
-        system,
-        _param(args, cfg, "depth", int),
-        _param(args, cfg, "max_points", int),
-        strategy=_param(args, cfg, "sample_strategy"),
-        seed=_param(args, cfg, "seed", int),
-        with_words=False,
-    )
+    cloud = _cloud(args, cfg, system, with_words=False)
     fit = geometry.box_counting_dim(
         cloud.coords, cloud.radii, tuple(_param(args, cfg, "scale_window"))
     )
@@ -398,15 +401,8 @@ def cmd_report(args, cfg, system, out):
 
         while depth > 1 and count_words(1, depth, system.schedule) > max_points:
             depth -= 1
-    cloud = geometry.sample_limit_set(
-        system,
-        depth,
-        max_points,
-        strategy=_param(args, cfg, "sample_strategy"),
-        seed=_param(args, cfg, "seed", int),
-    )
-    header = ("x", "y", "radius", "word") if system.dim == 2 else ("x", "radius", "word")
-    write_csv(out / "points.csv", header, cloud.rows())
+    cloud = _cloud(args, cfg, system, depth)
+    _write_points(out, system, cloud)
     try:
         fit = geometry.box_counting_dim(
             cloud.coords, cloud.radii, tuple(_param(args, cfg, "scale_window"))
@@ -519,28 +515,20 @@ def build_parser():
     sub.add_parser("check", parents=[common], help="hypothesis checks only")
     sub.add_parser("pressure", parents=[common], help="pressure curve at one t")
     sub.add_parser("dimension", parents=[common], help="bracket the dimension")
-    sp = sub.add_parser("sample", parents=[common], help="limit-set point cloud")
-    sp.add_argument(
-        "--sample-strategy", default=None,
-        choices=("exhaustive", "random-admissible"),
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument(
+        "--sample-strategy", default=None, choices=geometry.SAMPLE_STRATEGIES
     )
-    bp = sub.add_parser("boxdim", parents=[common], help="box-counting estimate")
-    bp.add_argument(
-        "--sample-strategy", default=None,
-        choices=("exhaustive", "random-admissible"),
-    )
-    bp.add_argument("--scale-window", type=float, nargs=2, default=None)
+    counted = argparse.ArgumentParser(add_help=False, parents=[sampled])
+    counted.add_argument("--scale-window", type=float, nargs=2, default=None)
+    sub.add_parser("sample", parents=[common, sampled], help="limit-set point cloud")
+    sub.add_parser("boxdim", parents=[common, counted], help="box-counting estimate")
     ss = sub.add_parser("subsystem", parents=[common], help="derived subsystems")
     ss.add_argument("--mode", default=None, choices=("blocks", "pinched", "uniform"))
     ss.add_argument("--ell", type=int, default=None)
     ss.add_argument("--p", type=int, default=None)
     ss.add_argument("--pinch-times", type=int, nargs="+", default=None)
-    rp = sub.add_parser("report", parents=[common], help="everything")
-    rp.add_argument(
-        "--sample-strategy", default=None,
-        choices=("exhaustive", "random-admissible"),
-    )
-    rp.add_argument("--scale-window", type=float, nargs=2, default=None)
+    rp = sub.add_parser("report", parents=[common, counted], help="everything")
     rp.add_argument("--t-grid", type=int, default=None)
     return ap
 
@@ -566,7 +554,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"config error at {exc.path}: {exc.message}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (BuildError, CertificationError, IntegrityError) as exc:
+    except (BuildError, CertificationError, IntegrityError, InputError) as exc:
         print(f"semantic error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     out = _out_dir(args, cfg)

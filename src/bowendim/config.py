@@ -9,7 +9,9 @@ field path for the CLI's parse exit code.
 
 from __future__ import annotations
 
+import inspect
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from .bundled import BUNDLED, bundled_system
 from .errors import SchemaError
+from .geometry import SAMPLE_STRATEGIES
 from .maps import MoebiusInverse, Similarity, interval
 from .systems import (
     AscendingSpec,
@@ -32,7 +35,11 @@ from .thermo import STRATEGIES
 SCHEMA_VERSION = 1
 
 def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float (not a bool)."""
+    return (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+    )
 
 
 def _integer(v):
@@ -88,7 +95,7 @@ _PARAMS = {
     ),
     "p_max": (4, *_at_least(0)),
     "mode": ("blocks", *_one_of(("blocks", "pinched", "uniform"))),
-    "sample_strategy": ("exhaustive", *_one_of(("exhaustive", "random-admissible"))),
+    "sample_strategy": ("exhaustive", *_one_of(SAMPLE_STRATEGIES)),
 }
 
 
@@ -139,6 +146,11 @@ def _cycle(cyc, path):
     """A nonempty list of rows, repeated over the times by the caller."""
     _expect(isinstance(cyc, list) and cyc, path, "nonempty list required")
     return _lists(cyc, path)
+
+
+def _horizon(value, path):
+    _expect(_integer(value) and value >= 2, path, "integer horizon >= 2 required")
+    return value
 
 
 def _num(value, path):
@@ -237,8 +249,7 @@ def _zero_one(rows, path):
 
 
 def _build_similarity(spec, path):
-    horizon = spec.get("horizon")
-    _expect(isinstance(horizon, int) and horizon >= 2, f"{path}.horizon", "integer horizon >= 2 required")
+    horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
     ratios = _rows(spec.get("ratios"), horizon, f"{path}.ratios")
     _expect(ratios != "packed", f"{path}.ratios", "ratios cannot be 'packed'")
     offsets_spec = spec.get("offsets", {"packed": True})
@@ -260,8 +271,7 @@ def _build_similarity(spec, path):
 
 
 def _build_cf(spec, path):
-    horizon = spec.get("horizon")
-    _expect(isinstance(horizon, int) and horizon >= 2, f"{path}.horizon", "integer horizon >= 2 required")
+    horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
     digits = spec.get("digits")
     if isinstance(digits, dict) and "prefix" in digits:
         prefix = digits.get("prefix", [])
@@ -281,19 +291,20 @@ def _build_cf(spec, path):
 
 
 def _build_gdms_cfg(spec, path):
-    horizon = spec.get("horizon")
-    _expect(isinstance(horizon, int) and horizon >= 2, f"{path}.horizon", "integer horizon >= 2 required")
+    horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
     verts = spec.get("vertices")
     if isinstance(verts, dict) and "cycle" in verts:
         cyc = _cycle(verts["cycle"], f"{path}.vertices.cycle")
-        vertex_schedule = [list(cyc[n % len(cyc)]) for n in range(horizon + 1)]
+        vertex_schedule = [cyc[n % len(cyc)] for n in range(horizon + 1)]
     else:
         _expect(
             isinstance(verts, list) and len(verts) == horizon + 1,
             f"{path}.vertices",
             f"need {horizon + 1} vertex rows or a cycle",
         )
-        vertex_schedule = [list(v) for v in _lists(verts, f"{path}.vertices")]
+        vertex_schedule = _lists(verts, f"{path}.vertices")
+    # vertex names are strings, as the edges' src and dst are
+    vertex_schedule = [[str(v) for v in row] for row in vertex_schedule]
     spaces_spec = spec.get("spaces")
     _expect(isinstance(spaces_spec, dict), f"{path}.spaces", "vertex -> [lo, hi] table required")
     spaces = {}
@@ -338,8 +349,7 @@ def _build_gdms_cfg(spec, path):
 
 
 def _build_ascending(spec, path):
-    horizon = spec.get("horizon")
-    _expect(isinstance(horizon, int) and horizon >= 2, f"{path}.horizon", "integer horizon >= 2 required")
+    horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
     family = spec.get("family")
     _expect(family in ("cf", "similarity"), f"{path}.family", "family must be cf or similarity")
     base_spec = spec.get("base")
@@ -362,21 +372,22 @@ def _build_ascending(spec, path):
     if isinstance(inc, dict) and "prefix" in inc:
         prefix = inc.get("prefix", [])
         _expect(isinstance(prefix, list), f"{path}.include.prefix", "list of rows required")
-        prefix = [list(r) for r in _lists(prefix, f"{path}.include.prefix")]
+        prefix = _lists(prefix, f"{path}.include.prefix")
         then = inc.get("then")
         _expect(isinstance(then, list), f"{path}.include.then", "constant tail required")
-        include = prefix + [list(then)] * (horizon - len(prefix))
+        include = prefix + [then] * (horizon - len(prefix))
     else:
         _expect(
             isinstance(inc, list) and len(inc) == horizon,
             f"{path}.include",
             f"need {horizon} include rows or prefix/then",
         )
-        include = [list(r) for r in _lists(inc, f"{path}.include")]
+        include = _lists(inc, f"{path}.include")
     return build_ascending(
         AscendingSpec(
             base_maps=base,
-            include=include,
+            # labels are strings, as the keys of the base family are
+            include=[[str(lbl) for lbl in row] for row in include],
             infinite_family=bool(spec.get("infinite_family", False)),
         )
     )
@@ -418,10 +429,21 @@ def build_from_spec(spec: dict, path: str = "system"):
     kind = spec.get("kind")
     if kind == "bundled":
         name = spec.get("name")
-        _expect(name in BUNDLED, f"{path}.name", f"unknown bundled name {name!r}")
-        return bundled_system(name, **spec.get("overrides", {}))
+        _expect(
+            isinstance(name, str) and name in BUNDLED,
+            f"{path}.name",
+            f"unknown bundled name {name!r}",
+        )
+        overrides = spec.get("overrides", {})
+        _expect(isinstance(overrides, dict), f"{path}.overrides", "object required")
+        takes = inspect.signature(BUNDLED[name]).parameters
+        for key, val in overrides.items():
+            opath = f"{path}.overrides.{key}"
+            _expect(key in takes, opath, f"{name} takes only {sorted(takes)}")
+            (_horizon if key == "horizon" else _num)(val, opath)
+        return bundled_system(name, **overrides)
     _expect(
-        kind in _BUILDERS,
+        isinstance(kind, str) and kind in _BUILDERS,
         f"{path}.kind",
         f"unknown kind {kind!r}; choose from {sorted(_BUILDERS) + ['bundled']}",
     )

@@ -2,7 +2,11 @@
 
 Points are sampled through finite word prefixes: the nested image of a
 prefix's domain space encloses the true limit point, so every sample carries
-a certified radius.  The box-counting slope is the package's independent
+a certified radius.  Both sampling strategies run one frontier sweep
+(`_frontier.sweep`), which keeps every follower of each word (exhaustive)
+or one drawn follower (random-admissible), and feed one projector: the
+family's vectorized point state where it has one, else each word's image
+region.  The box-counting slope is the package's independent
 oracle; a sampled point occupies every box its enclosure meets, making the
 count conservative for upper-consistency checks against the pressure-based
 dimension estimate.
@@ -19,7 +23,7 @@ import numpy as np
 from . import _frontier
 from .errors import BudgetError, ConfigurationError, InputError
 from .maps import image_region
-from .symbolic import Word, walk_words
+from .symbolic import Word, count_words, walk_words
 from .trend import TrendReport, trend_report
 
 
@@ -44,9 +48,8 @@ class PointCloud:
         return self.coords.shape[0]
 
     def rows(self):
-        """CSV rows (x[, y], radius, word)."""
-        for i in range(len(self)):
-            yield tuple(self.coords[i]) + (float(self.radii[i]), self.words[i])
+        """CSV rows (x[, y], radius, word) of plain Python floats."""
+        return zip(*self.coords.T.tolist(), self.radii.tolist(), self.words)
 
 
 def _center_radius(region):
@@ -66,6 +69,19 @@ def project_point(word_prefix: Word, system) -> LimitPoint:
     return LimitPoint(point, radius, word_prefix)
 
 
+SAMPLE_STRATEGIES = ("exhaustive", "random-admissible")
+
+
+class _NoState:
+    """Sweep state of the families projected word by word: none."""
+
+    def init(self, j, letters):
+        return ()
+
+    def extend(self, j, state, src, new_letters):
+        return ()
+
+
 def sample_limit_set(
     system,
     depth: int,
@@ -76,101 +92,86 @@ def sample_limit_set(
 ) -> PointCloud:
     """Point cloud of depth-`depth` prefix projections.
 
-    exhaustive: one point per admissible word (budget error past max_points);
-    random-admissible: `max_points` uniform random admissible extensions, each
-    drawn from its own (seed, index) stream.
+    One frontier sweep walks the words; the strategy only chooses each
+    level's letters.  exhaustive: every admissible word, in frontier order
+    (budget error past max_points).  random-admissible: `max_points` words,
+    word i taking follower floor(u * k) of its k at each time from row i of
+    one row-major `default_rng(seed).random((max_points, depth))` draw, so it
+    depends on (seed, i) alone.  Families with a vectorized point state
+    project the whole frontier at once; the others project word by word.
     `with_words=False` skips the per-point word labels (large clouds feeding
     the box-counting oracle don't need them).
     """
-    if depth < 1:
-        raise InputError("depth must be >= 1")
+    if depth < 1 or max_points < 1:
+        raise InputError("depth and max_points must be >= 1")
     if depth > system.horizon:
         raise ConfigurationError(
             f"depth {depth} beyond materialized horizon {system.horizon}"
         )
-    if strategy == "exhaustive":
-        return _sample_exhaustive(system, depth, max_points, with_words)
+    if strategy not in SAMPLE_STRATEGIES:
+        raise InputError(f"unknown sampling strategy {strategy!r}")
+    draws = None
     if strategy == "random-admissible":
-        return _sample_random(system, depth, max_points, seed)
-    raise InputError(f"unknown sampling strategy {strategy!r}")
-
-
-def _join_words(raw, count):
-    if raw is None:
-        return ("",) * count
-    return tuple(".".join(w) for w in raw)
-
-
-def _sample_exhaustive(system, depth, max_points, with_words=True):
+        draws = np.random.default_rng(seed).random((max_points, depth))
+    elif count_words(1, depth, system.schedule) > max_points:
+        raise BudgetError(
+            f"exhaustive sampling exceeds {max_points} points at"
+            f" depth {depth}; lower the depth or raise the budget"
+        )
     impl = _frontier.vector_state(system, 1, depth, points=True)
-    if impl is not None:
-        holder = {}
+    trace = with_words or impl is None
+    levels, last = [], []
 
-        def on_level(j, letters, state, words):
-            if j == depth:
-                holder["letters"] = letters
-                holder["state"] = state
-                holder["words"] = words
+    def on_level(j, letters, state, src):
+        if trace:
+            levels.append((letters, src))
+        last[:] = letters, state
 
-        on_level.needs_words = with_words
-        _frontier.sweep(system, 1, depth, impl, on_level, budget=max_points)
-        letters = holder["letters"]
-        # one region per distinct domain space of the words' last letters
-        groups = {}
-        for a in np.unique(letters).tolist():
-            dom = system.domain_space_idx(depth, a)
-            groups.setdefault(dom.bounds, (dom, []))[1].append(a)
-        coords = np.empty((letters.size, system.dim))
-        radii = np.empty(letters.size)
-        for dom, group in groups.values():
-            # a lone domain takes the whole state without copying it
-            mask = slice(None) if len(groups) == 1 else np.isin(letters, group)
-            centers, r = impl.region(tuple(arr[mask] for arr in holder["state"]), dom)
-            coords[mask] = np.stack(centers, axis=1)
-            radii[mask] = r
-        words = _join_words(holder["words"], letters.size)
-        return PointCloud(coords, radii, words, depth)
-
-    # generic fallback: region per word
-    pts, radii, words = [], [], []
-    for j, _, labels in walk_words(system.schedule, 1, depth):
-        if j < depth:
-            continue
-        if len(pts) >= max_points:
-            raise BudgetError(
-                f"exhaustive sampling exceeds {max_points} points at"
-                f" depth {depth}; lower the depth or raise the budget"
-            )
-        w = Word(1, labels)
-        point, radius = _center_radius(image_region(w, system, check=False))
-        pts.append(point)
-        radii.append(radius)
-        words.append(w.label())
-    return PointCloud(np.array(pts), np.array(radii), tuple(words), depth)
+    _frontier.sweep(
+        system, 1, depth, impl or _NoState(), on_level, max_points, draws
+    )
+    columns = _label_columns(system, levels) if trace else None
+    coords, radii = _project(system, depth, impl, *last, columns)
+    words = tuple(map(".".join, zip(*columns))) if with_words else ("",) * len(radii)
+    return PointCloud(coords, radii, words, depth, None if draws is None else seed)
 
 
-def _one_random_word(system, depth, seed, index):
-    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-    sched = system.schedule
-    labels = []
-    prev = None
-    for j in range(1, depth + 1):
-        cand = sched.kept_indices(1) if j == 1 else sched.followers(j - 1, prev)
-        prev = int(cand[rng.integers(cand.size)])
-        labels.append(sched.letters(j)[prev].label)
-    return Word(1, tuple(labels))
+def _label_columns(system, levels):
+    """Per time, the label of every final word's letter, traced back from the
+    last level through each level's parent positions."""
+    columns, pos = [], None
+    for j in range(len(levels), 0, -1):
+        letters, src = levels[j - 1]
+        labels = np.array([e.label for e in system.schedule.letters(j)], dtype=object)
+        columns.append(labels[letters if pos is None else letters[pos]].tolist())
+        if src is not None:
+            pos = src if pos is None else src[pos]
+    return columns[::-1]
 
 
-def _sample_random(system, depth, max_points, seed):
-    pts, radii, words = [], [], []
-    for i in range(max_points):
-        w = _one_random_word(system, depth, seed, i)
-        # built from followers, so admissible without a re-check
-        point, radius = _center_radius(image_region(w, system, check=False))
-        pts.append(point)
-        radii.append(radius)
-        words.append(w.label())
-    return PointCloud(np.array(pts), np.array(radii), tuple(words), depth, seed)
+def _project(system, depth, impl, letters, state, columns):
+    """(coords, radii) of the final words.  With a point state: one region
+    per distinct domain space of the words' last letters.  Without: each
+    word's image region, unchecked since the sweep only follows followers."""
+    if impl is None:
+        pairs = [
+            _center_radius(image_region(Word(1, labels), system, check=False))
+            for labels in zip(*columns)
+        ]
+        return np.array([p for p, _ in pairs]), np.array([r for _, r in pairs])
+    groups = {}
+    for a in np.unique(letters).tolist():
+        dom = system.domain_space_idx(depth, a)
+        groups.setdefault(dom.bounds, (dom, []))[1].append(a)
+    coords = np.empty((letters.size, system.dim))
+    radii = np.empty(letters.size)
+    for dom, group in groups.values():
+        # a lone domain takes the whole state without copying it
+        mask = slice(None) if len(groups) == 1 else np.isin(letters, group)
+        centers, r = impl.region(tuple(arr[mask] for arr in state), dom)
+        coords[mask] = np.stack(centers, axis=1)
+        radii[mask] = r
+    return coords, radii
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +210,16 @@ def _boxes_at_scale(coords, radii, eps, budget=20_000_000):
     are listed in one pass by splitting a running per-point index into
     mixed-radix digits, one axis at a time.
     """
-    lo_idx = np.floor((coords - radii[:, None]) / eps).astype(np.int64)
-    hi_idx = np.floor((coords + radii[:, None]) / eps).astype(np.int64)
-    extent = hi_idx - lo_idx + 1
+    lo = np.floor((coords - radii[:, None]) / eps)
+    extent = np.floor((coords + radii[:, None]) / eps) - lo + 1
+    # counted in floats first: far or non-finite enclosures overflow int64
+    total = extent.prod(axis=1).sum()
+    if not total <= budget:
+        raise BudgetError(f"box enumeration at scale {eps} needs {total:.0f} cells")
+    lo_idx = lo.astype(np.int64)
+    extent = extent.astype(np.int64)
     cells = extent.prod(axis=1)
     total = int(cells.sum())
-    if total > budget:
-        raise BudgetError(f"box enumeration at scale {eps} needs {total} cells")
     local = np.arange(total, dtype=np.int64)
     local -= np.repeat(np.cumsum(cells) - cells, cells)
     boxes = np.empty((total, coords.shape[1]), dtype=np.int64)

@@ -181,8 +181,9 @@ class MoebiusInverse(ConformalMap):
     digit: float
 
     def __post_init__(self):
-        if self.digit < 1:
-            raise InputError(f"digit must be >= 1, got {self.digit}")
+        # past 2^52 the branch maps [0, 1] into less than one float64 ulp
+        if not 1 <= self.digit <= 2.0**52:
+            raise InputError(f"digit must lie in [1, 2^52], got {self.digit}")
 
     @property
     def integral(self) -> bool:

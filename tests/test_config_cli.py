@@ -1,5 +1,6 @@
 """Config ingestion, CLI dispatch, exit codes, emitted artifacts."""
 
+import copy
 import json
 import math
 import os
@@ -7,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bowendim import SchemaError, count_words
+from bowendim import SchemaError, count_words, sample_limit_set
 from bowendim.cli import main
 from bowendim.config import load_config
 
@@ -223,10 +227,16 @@ class TestCliExitCodes:
             (dict(GDMS1, edges={"cycle": []}), {}, []),
             ({"kind": "ascending", "family": "cf", "base": {"1": 1, "2": 2},
               "horizon": 4, "include": [1, 2, 3, 4]}, {}, []),
+            ({"kind": "bundled", "name": "cf12", "overrides": {"horizon": "x"}},
+             {}, []),
+            ({"kind": "bundled", "name": "cf12", "overrides": {"bogus": 1}}, {}, []),
+            ({"kind": "bundled", "name": "cf12", "overrides": [1]}, {}, []),
+            ({"kind": "cf", "horizon": 4, "digits": [math.nan, 2]}, {}, []),
         ],
         ids=["max_points-str", "t_grid-1", "t_grid-flag", "window-str",
              "scale_window-short", "digit-str", "offset-str", "matrix-str",
-             "vertices-empty-cycle", "edges-empty-cycle", "include-ints"],
+             "vertices-empty-cycle", "edges-empty-cycle", "include-ints",
+             "override-str", "override-unknown", "overrides-list", "digit-nan"],
     )
     def test_malformed_input_is_2(self, tmp_path, capsys, system, params, flags):
         path = write_cfg(
@@ -235,6 +245,68 @@ class TestCliExitCodes:
         )
         assert main(["report", path, "--out", str(tmp_path / "o")] + flags) == 2
         assert "config error at " in capsys.readouterr().err
+
+
+    def test_digit_past_2_52_is_3(self, tmp_path, capsys):
+        # 1e308 overflowed the branch derivative with a traceback
+        path = write_cfg(tmp_path, "big.json", {
+            "schema_version": 1,
+            "system": {"kind": "cf", "horizon": 4, "digits": [1e308, 2]},
+        })
+        assert main(["check", path, "--out", str(tmp_path / "o")]) == 3
+        assert "digit must lie in [1, 2^52]" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_bad_leaf_never_raises(self, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+        config = copy.deepcopy(FUZZ_CONFIGS[name])
+        leaves = list(_leaves(config))
+        parent, key = data.draw(st.sampled_from(leaves))
+        parent[key] = data.draw(BAD_VALUES)
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = write_cfg(tmp, "fuzz.json", config)
+        code = main(["check", path, "--out", str(tmp / "o")])
+        assert code in (0, 2, 3, 4, 5)
+
+
+# one valid config per kind the fuzzer perturbs; each stays small
+FUZZ_CONFIGS = {
+    "cf": {"schema_version": 1, "params": {"p_max": 2, "t": 0.5},
+           "system": {"kind": "cf", "horizon": 4, "digits": [1, 2]}},
+    "similarity": {
+        "schema_version": 1, "params": {"p_max": 2},
+        "system": {"kind": "similarity", "horizon": 4,
+                   "ratios": {"cycle": [[0.3, 0.3]]},
+                   "offsets": {"cycle": [[0.0, 0.6]]},
+                   "matrices": [[1, 1], [1, 0]]},
+    },
+    "gdms": {"schema_version": 1, "params": {"p_max": 2},
+             "system": TestCliExitCodes.GDMS1},
+    "ascending": {
+        "schema_version": 1, "params": {"p_max": 2},
+        "system": {"kind": "ascending", "family": "cf", "horizon": 4,
+                   "base": {"1": 1, "2": 2},
+                   "include": {"prefix": [["1"]], "then": ["1", "2"]}},
+    },
+    "bundled": {"schema_version": 1, "params": {"p_max": 2},
+                "system": {"kind": "bundled", "name": "cf12",
+                           "overrides": {"horizon": 4}}},
+}
+BAD_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, "x", True, False, [], [1, "a"], {},
+     {"k": 1}]
+) | st.integers(-(2**70), -1)
+
+
+def _leaves(node):
+    """(container, key) of every scalar in a nested config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaves(value)
+        else:
+            yield node, key
 
 
 class TestCliArtifacts:
@@ -269,6 +341,20 @@ class TestCliArtifacts:
         assert code == 0
         header = (out / "points.csv").read_text().splitlines()[0]
         assert header == "x,y,radius,word"
+
+    @pytest.mark.parametrize("name, depth", [("cf12", 8), ("elliptic-q2", 2)])
+    def test_points_csv_plain_decimals(self, tmp_path, name, depth):
+        # numpy 2 once wrote these fields as np.float64(x)
+        out = tmp_path / "pts"
+        assert main(["sample", name, "--out", str(out), "--depth", str(depth),
+                     "--max-points", "4096"]) == 0
+        system = load_config(name)[1]
+        cloud = sample_limit_set(system, depth, 4096)
+        rows = [line.split(",") for line in
+                (out / "points.csv").read_text().splitlines()[1:]]
+        assert [r[-1] for r in rows] == list(cloud.words)
+        fields = [[float(v) for v in r[:-1]] for r in rows]
+        assert fields == np.column_stack([cloud.coords, cloud.radii]).tolist()
 
     def test_determinism_across_runs_and_threads(self, tmp_path):
         outs = []

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,14 +19,19 @@ from bowendim import (
     build_cf_system,
     build_gdms,
     build_similarity_system,
+    enumerate_words,
+    image_region,
     interval,
     level_cover,
     project_point,
+    reblock_one_primitive,
+    reblock_pinched,
     sample_limit_set,
+    system_primitivity,
     verify_osc,
 )
 from bowendim import _frontier, bundled
-from bowendim.geometry import _boxes_at_scale, diameter_diagnostics
+from bowendim.geometry import _boxes_at_scale, _center_radius, diameter_diagnostics
 
 from oracles import cf_value
 
@@ -95,22 +101,88 @@ class TestSampling:
 
     def test_generic_exhaustive_budget_boundary(self):
         # continuants of {1, 2, 100} pass 2^52 by depth 8, so the vectorized
-        # sweep steps aside and the word-at-a-time fallback samples
+        # point state steps aside and points are projected word by word;
+        # cf12 at depth 8 takes the vectorized one.  Both check one budget.
         wide = build_cf_system([[1, 2, 100]] * 8)
         assert not _frontier._moebius_float_safe(wide, 1, 8)
-        assert len(sample_limit_set(wide, 8, 3**8)) == 3**8
-        with pytest.raises(BudgetError, match=f"exceeds {3**8 - 1} points"):
-            sample_limit_set(wide, 8, 3**8 - 1)
+        assert _frontier.vector_state(bundled.cf12(8), 1, 8, points=True)
+        for system, words in ((wide, 3**8), (bundled.cf12(8), 2**8)):
+            assert len(sample_limit_set(system, 8, words)) == words
+            with pytest.raises(
+                BudgetError,
+                match=f"^exhaustive sampling exceeds {words - 1} points at depth 8;"
+                " lower the depth or raise the budget$",
+            ):
+                sample_limit_set(system, 8, words - 1)
+
+    @pytest.mark.parametrize("name", ["wide", "reblocked-cf12"])
+    def test_generic_points_are_image_regions(self, name):
+        # families without a point state: one point per admissible word, the
+        # center and radius of its image region
+        if name == "wide":
+            system, depth = build_cf_system([[1, 2, 100]] * 8), 8
+        else:
+            system, depth = reblock_pinched(bundled.cf12(12), [2, 4, 6, 8, 10, 12]), 4
+        assert _frontier.vector_state(system, 1, depth, points=True) is None
+        cloud = sample_limit_set(system, depth, 10**4)
+        got = {
+            w: (tuple(p), r)
+            for w, p, r in zip(cloud.words, cloud.coords.tolist(), cloud.radii.tolist())
+        }
+        want = {
+            w.label(): _center_radius(image_region(w, system, check=False))
+            for w in enumerate_words(1, depth, system.schedule)
+        }
+        assert len(cloud) == len(want) and got == want
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "random-admissible"])
+    @pytest.mark.parametrize("name", ["cf12", "gdms2v", "reblocked-gdms2v", "elliptic-q2"])
+    def test_vectorized_points_enclose_projections(self, name, strategy):
+        if name == "reblocked-gdms2v":
+            gdms = bundled.gdms2v()
+            system, depth = reblock_one_primitive(gdms, system_primitivity(gdms)), 3
+        else:
+            system = bundled.BUNDLED[name]()
+            depth = {"cf12": 10, "gdms2v": 6, "elliptic-q2": 2}[name]
+        assert _frontier.vector_state(system, 1, depth, points=True)
+        cloud = sample_limit_set(system, depth, 3000, strategy, seed=5)
+        words = {w.label(): w for w in enumerate_words(1, depth, system.schedule)}
+        for p, r, label in zip(cloud.coords, cloud.radii, cloud.words):
+            lp = project_point(words[label], system)
+            assert np.linalg.norm(p - lp.point) <= r + 1e-12
 
     def test_random_reproducible_and_admissible(self, gdms):
-        a = sample_limit_set(gdms, 8, 64, "random-admissible", seed=3)
-        b = sample_limit_set(gdms, 8, 64, "random-admissible", seed=3)
-        assert np.array_equal(a.coords, b.coords)
-        assert a.words == b.words
+        a = sample_limit_set(gdms, 8, 4000, "random-admissible", seed=3)
+        b = sample_limit_set(gdms, 8, 100, "random-admissible", seed=3)
+        c = sample_limit_set(gdms, 8, 100, "random-admissible", seed=3)
+        assert np.array_equal(b.coords, c.coords) and b.words == c.words
+        # row i depends on (seed, i) alone: a longer cloud extends a shorter one
+        assert np.array_equal(a.coords[:100], b.coords)
+        assert np.array_equal(a.radii[:100], b.radii)
+        assert a.words[:100] == b.words
         from bowendim import is_admissible
 
-        for w in a.words[:16]:
+        for w in a.words:
             assert is_admissible(Word(1, tuple(w.split("."))), gdms.schedule)
+
+    def test_random_followers_are_uniform(self, gdms):
+        # a word takes each of its k candidates with chance 1/k: the count of
+        # every choice lies within 5 sigma of uniform
+        cloud = sample_limit_set(gdms, 8, 4000, "random-admissible", seed=11)
+        sched = gdms.schedule
+        words = [[None] + w.split(".") for w in cloud.words]
+        for j in range(1, 9):
+            parents = Counter(w[j - 1] for w in words)
+            taken = Counter((w[j - 1], w[j]) for w in words)
+            for prev, n in parents.items():
+                if prev is None:
+                    cand = sched.kept_indices(1)
+                else:
+                    cand = sched.followers(j - 1, sched.letter_index(j - 1, prev))
+                k = cand.size
+                for b in cand.tolist():
+                    got = taken[(prev, sched.letters(j)[b].label)]
+                    assert abs(got - n / k) <= 5 * math.sqrt(n / k * (1 - 1 / k))
 
     def test_cover_budget_boundary(self, cantor):
         assert len(level_cover(cantor, 6, budget=64).cells) == 64
@@ -208,6 +280,10 @@ class TestBoxEnumeration:
             BudgetError, match="^box enumeration at scale 0.25 needs 32 cells$"
         ):
             _boxes_at_scale(coords, radii, 0.25, budget=31)
+        # an enclosure wider than int64 box indices reach is over any budget;
+        # its indices once overflowed int64 (here into a count of one box)
+        with pytest.raises(BudgetError, match="needs inf cells"):
+            _boxes_at_scale(np.array([[0.0]]), np.array([1e308]), 0.25)
 
 
 class TestOsc:

@@ -6,8 +6,13 @@ before the one-pass box enumerator; those of the incidence forms and the
 subsystems from the code before every builder went through one assembler;
 those of the irregular dense system from the code before dense transfers
 were summed per in-degree group and primitivity products went boolean.
-A change that alters any of them changes the program's output and must say
-why.
+The points.csv hashes were re-recorded when `PointCloud.rows()` began to
+yield plain Python floats: numpy 2 wrote the coordinates as `np.float64(x)`,
+and the new files equal the old ones with that wrapper removed.  The random
+cf12 fit and counts were re-recorded when the random sampler moved to one
+row-major `default_rng(seed).random((max_points, depth))` draw, which picks
+different words than the old per-point streams.  A change that alters any
+of them changes the program's output and must say why.
 """
 
 import hashlib
@@ -31,11 +36,11 @@ WIDE_PRESSURE_SHA256 = (
     "3176e53182fb6a4d612bd5cd6391cab41b654e313216bcf24d82b02f6212b833"
 )
 WIDE_POINTS_SHA256 = (
-    "6fee3a2fcb272787d66ea5aefe982563ef70bd63bebcee978dc1a35ed5ef509e"
+    "af3c72a0cbac8fab7bd17ac1504dfe68ab150f957b0b09c1d7bf415789172456"
 )
 WIDE_BOX_COUNTS = (9, 14, 20, 28, 41, 66, 94, 126, 192, 293, 467)
-RANDOM_CF12_BOX_COUNTS = (5, 8, 11, 18, 25, 36, 51, 69, 100, 138, 189)
-RANDOM_CF12_FIT = (0.5190428295460183, 0.009124716014352113)
+RANDOM_CF12_BOX_COUNTS = (5, 8, 11, 18, 25, 35, 50, 68, 96, 133, 187)
+RANDOM_CF12_FIT = (0.514160271753398, 0.009035722557750887)
 
 
 def _sha256(path):
@@ -66,8 +71,10 @@ def box_counts(monkeypatch):
 
 
 def test_wide_digits_report(tmp_path, box_counts):
-    # continuants of {1, 2, 100} pass 2^52 by time 8: the exact-integer walk
-    # and the word-at-a-time sampler write these files
+    # continuants of {1, 2, 100} pass 2^52 by time 8, so the exact-integer
+    # walk writes pressure.csv; the report shrinks its default depth to 7 to
+    # fit 4096 points, and 101^7 < 2^52, so the vectorized reciprocal-shift
+    # point state samples points.csv
     cfg = _write(
         tmp_path, "wide", {"kind": "cf", "digits": [1, 2, 100], "horizon": 8},
         {"t_grid": 5},
@@ -127,20 +134,20 @@ INCIDENCE_FORMS = {
          "matrices": {"rule": "banded", "offsets": [0, 1]}},
         0, [0.5, 0.50006103515625],
         "39b06d7a689ccf02105c59857846bb4231f6913789d4e3c5329d54c405cc77cd",
-        "642dc8be22a4bc0ef12c2215442e14ee7b12b9b9f234df53729f3579c30a0bc1",
+        "e32ac969f1c04c093e5af2e72b0270d1cf84b1813ff00906056b5f4787f2f2a0",
     ),
     "identity": (
         {"kind": "cf", "horizon": 8, "digits": [1, 2, 3], "matrices": "identity"},
         4, [0.0, 6.103515625e-05],
         "a438c3245332f53dcd08365bd0c3cfd67be4996b4490fb539c3d587009bcb36c",
-        "c5ebc581be7517db1f6c3be96069af7ee4a33c1ef2fef0a839e508f031cf8388",
+        "4636119a5dea80b87be4f4956f8118c15fcff44bcc82d8ef17b78d190293b8cc",
     ),
     "reused-array": (
         {"kind": "cf", "horizon": 10, "digits": [1, 2],
          "matrices": [[1, 1], [1, 0]]},
         0, [0.41680908203125, 0.4168701171875],
         "186e6ffa2e3d627400bb9145ec706d69a34455ea995a81b92fca1dea32e70d13",
-        "6e3f8ccb63c645cb6443fae3ba35602948b821c098c43ee7989026f6423d4b4b",
+        "742f9c86359d10171feb175879f1da11180ab72925fc0df69315494d7a8e969c",
     ),
     "per-step-arrays": (
         {"kind": "similarity", "horizon": 4,
@@ -149,7 +156,7 @@ INCIDENCE_FORMS = {
                       [[1, 1, 1], [1, 0, 1]]]},
         4, [0.62335205078125, 0.6234130859375],
         "e4cdd1e4f1d0905865458502f549ee56ce2d2819bf02d3c8eb103199a655bcf0",
-        "5d524713a68a80ec4ac384430ebf18c8f146e225ad9fdd68d84e7425d9a113b0",
+        "2dd981d98f08950ec765e6e550590a0fd7f9842423ecdc9a88e6ff33e4bc15ed",
     ),
     "gdms-reused-array": (
         {"kind": "gdms", "horizon": 10, "vertices": {"cycle": [["u", "w"]]},
@@ -157,7 +164,7 @@ INCIDENCE_FORMS = {
          "edges": {"cycle": [EDGES]}, "matrices": GDMS_MAT},
         0, [0.51361083984375, 0.513671875],
         "4c62026a427b7c3ad4c99bf82ad9132d2a1825f2ff32db574ec37f1ee6666afc",
-        "a50a8a0d9ba81b7e0de6ae124e6d87b09337272ca91ca27cc23ef5faa84a26e5",
+        "cce4a3624190706ad6db237bf78c17ebbb811613b028c11959056abbf425c6bc",
     ),
     "gdms-per-step-arrays": (
         {"kind": "gdms", "horizon": 5, "vertices": {"cycle": [["u", "w"]]},
@@ -166,7 +173,7 @@ INCIDENCE_FORMS = {
          "matrices": [GDMS_MAT, GDMS_MAT2, GDMS_MAT, GDMS_MAT2]},
         4, [0.3743896484375, 0.37445068359375],
         "55089867f5bcfced6482a399023d842e117d5f23392135dd5395abf833227686",
-        "af9da0c736f40203964c15e81d4971daab61f837ead87afaf82962f17de4763d",
+        "147685fb339709077aa9699943c940a46bcf2054fb07c0cc528f2e200c7f7bb9",
     ),
 }
 
@@ -211,7 +218,7 @@ IRREGULAR_OUTPUTS = {
     "report": (
         4, "40ed03b42783decb0ecaaa32c2a3dea4700163757d29378e1563eb72acfef2ab",
         "4147aed2551d0230214a7e75734e8beb7a275cbf7f0e38163d8a7e8742573fb2",
-        "0ff2b2b806d2db0caaae369979ebb373b50e7d21ab321b0b8f82020211eaa9ca",
+        "09d77778b2f28265b50c9c38ad304933d3e40d322ce5820fb7c9a903079cf249",
     ),
     "check": (
         4, "baa7e2ef3ea9396718c2edaa69b2d70fd0963f7714d4df358ea0b2af9aebe305",
