@@ -5,12 +5,12 @@ limit-set samplers (point states, or no state where points are projected
 word by word): every word takes all its followers, or, for the random
 sampler, one drawn follower.  States are family-specific numpy array
 bundles; expansion groups the frontier by last letter so the per-step Python
-cost is O(#letters), not O(#words).  Exact families (similarities via
-log-free products, reciprocal shifts via float continuants while they stay
-below 2^53) keep lo == hi; for norms anything else falls back to a
-word-at-a-time walk.  On reciprocal-shift ranges with integral digits that
-walk extends each prefix's exact integer continuants from its parent's, one
-step per letter; every other range composes each prefix's bracket afresh.
+cost is O(#letters), not O(#words).  Similarity norms and reciprocal-shift
+levels whose float continuants stay below 2^53 keep lo == hi; deeper digit
+levels carry an outward bracket from a stated error bound, so digit systems
+stay on the sweep at any depth (their point states still stop at 2^52).  For
+norms, tabulated, mixed and composed ranges fall back to a word-at-a-time
+walk that composes each prefix's bracket afresh.
 
 The words of a range (m, n) and their norms do not depend on t, so
 `level_norms` walks each (system, range) once and keeps the per-level norm
@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, UnsupportedError
-from .maps import MoebiusInverse, Similarity, _continuant_bracket, compose_norm
+from .maps import MoebiusInverse, Similarity, compose_norm
 from .symbolic import Word, walk_words
 
 DEFAULT_BUDGET = 2_000_000
@@ -43,7 +43,7 @@ def _family(system, m, n):
 
 
 def _moebius_float_safe(system, m, n) -> bool:
-    """Continuants stay exactly representable in float64 on this range."""
+    """Continuants stay exact in float64 on this range (the point-state gate)."""
     bound = 1.0
     for j in range(m, n + 1):
         digits = [
@@ -61,7 +61,7 @@ def vector_state(system, m, n, points=False):
     fam = _family(system, m, n)
     if fam == "similarity":
         return (SimilarityPointState if points else SimilarityState)(system)
-    if fam == "moebius" and _moebius_float_safe(system, m, n):
+    if fam == "moebius" and (not points or _moebius_float_safe(system, m, n)):
         return (MoebiusPointState if points else MoebiusState)(system)
     return None
 
@@ -88,13 +88,13 @@ class SimilarityState:
             [abs(p.ratio) for p in self.system.maps[j]], dtype=float
         )
 
-    def norm_bounds(self, state):
+    def norm_bounds(self, state, k):
         (norms,) = state
         return norms, norms
 
 
 class MoebiusState:
-    """(q_prev, q_cur) continuants; sup norm = q_cur^-2 exactly."""
+    """(q_prev, q_cur) float continuants; sup norm = q_cur^-2."""
 
     budget_hint = "try the bdp-bracket strategy"
 
@@ -113,12 +113,31 @@ class MoebiusState:
     def extend(self, j, state, src, new_letters):
         qp, qc = state
         d = self._digits(j)[new_letters]
-        return (qc[src], d * qc[src] + qp[src])
+        with np.errstate(over="ignore"):  # an inf continuant bounds as 0
+            return (qc[src], d * qc[src] + qp[src])
 
-    def norm_bounds(self, state):
+    def norm_bounds(self, state, k):
+        """(lo, hi) around 1/q^2 for the k-letter words of a level.
+
+        Below 2^53 integral digits keep continuants exact: v = q**-2 is both
+        ends (lo is hi).  Past it, each step q' = d*q + q_prev is one product
+        and one sum of positive terms, so a k-letter float continuant is within
+        relative gamma_{2k} = 2k*u / (1 - 2k*u), u = 2^-53, of the exact one
+        (Higham, "Accuracy and Stability of Numerical Algorithms", sec. 3.1).
+        With pow within two ulps, 1/q^2 is within relative gamma_{4k+4} of v,
+        and gamma_{4k+10} also covers rounding the ends.  Subnormal results
+        err by absolute units of 2^-1074 (two from pow, half of one per
+        product), so the ends move a further 2^-1072; an inf continuant gives
+        v = 0 and [0, 2^-1072], which holds its 1/q^2 < 2^-2046.
+        """
         qp, qc = state
         v = qc**-2.0
-        return v, v
+        if qc.max() < 2.0**53:
+            return v, v
+        width = (4 * k + 10) * 2.0**-53
+        rel = width / (1.0 - width)
+        lo = np.maximum(v * (1.0 - rel) - 2.0**-1072, 0.0)
+        return lo, v * (1.0 + rel) + 2.0**-1072
 
 
 class SimilarityPointState(SimilarityState):
@@ -237,45 +256,15 @@ def sweep(system, m, n, state_impl, on_level, budget=DEFAULT_BUDGET, draws=None)
         on_level(j + 1, letters, state, src)
 
 
-def _integral_digits(system, m, n):
-    """Per time m..n, {letter index: int digit} of the kept letters, when every
-    one is a reciprocal shift with an integral digit; else None."""
-    out = []
-    for j in range(m, n + 1):
-        digits = {}
-        for idx in system.schedule.kept_indices(j).tolist():
-            p = system.maps[j][idx]
-            if not (isinstance(p, MoebiusInverse) and p.integral):
-                return None
-            digits[idx] = int(p.digit)
-        out.append(digits)
-    return out
-
-
 def generic_norm_walk(system, m, n, on_word, budget=DEFAULT_BUDGET):
-    """Word-at-a-time fallback: on_word(j, word, bracket) per admissible prefix.
-
-    Used for tabulated/mixed families and for reciprocal-shift ranges whose
-    continuants would overflow float64.  When every letter on the range is a
-    reciprocal shift with an integral digit, the walk keeps the exact integer
-    continuants (q_prev, q_cur) of each prefix on a stack and extends the
-    parent's pair by one step per letter; every other range composes each
-    prefix's bracket afresh through `compose_norm`.
-    """
-    digits = _integral_digits(system, m, n)
-    pairs = [(0, 1)]  # continuants of the empty word, then one pair per depth
-    for count, (j, idx, labels) in enumerate(walk_words(system.schedule, m, n), 1):
+    """Word-at-a-time walk: on_word(j, word, bracket) per admissible prefix,
+    each bracket composed afresh through `compose_norm`; the norm fallback for
+    ranges without a vectorized state, and `thermo.partition_by_root`'s walk."""
+    for count, (j, _, labels) in enumerate(walk_words(system.schedule, m, n), 1):
         if count > budget:
             raise _walk_over_budget(budget)
         word = Word(m, labels)
-        if digits is None:
-            bracket = compose_norm(word, system, check=False)
-        else:
-            del pairs[j - m + 1:]
-            qp, qc = pairs[-1]
-            pairs.append((qc, digits[j - m][idx[-1]] * qc + qp))
-            bracket = _continuant_bracket(pairs[-1][1])
-        on_word(j, word, bracket)
+        on_word(j, word, compose_norm(word, system, check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +303,10 @@ class LevelNorms:
     """Norm bounds of the admissible words of one range (m, n), level by level.
 
     `levels[j - m]` is the (lo, hi) pair at time j.  From the vectorized
-    sweep these are sorted float arrays (lo is hi: the families are exact),
-    so the powers of one level fall into few binades; from the word-at-a-time
-    walk they are lists of bracket floats.  Nothing here depends on t.
+    sweep these are sorted float arrays (lo is hi where the state keeps the
+    norms as exact), so the powers of one level fall into few binades; from
+    the word-at-a-time walk they are lists of bracket floats.  Nothing here
+    depends on t.
     Swept levels carry their state's `budget_hint`; walked ones have None.
     """
 
@@ -362,7 +352,7 @@ def _walk_levels(system, m, n, budget):
         levels = []
 
         def on_level(j, letters, state, src):
-            lo, hi = impl.norm_bounds(state)
+            lo, hi = impl.norm_bounds(state, j - m + 1)
             lo_sorted = np.sort(lo)
             levels.append((lo_sorted, lo_sorted if hi is lo else np.sort(hi)))
 

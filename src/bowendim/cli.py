@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -44,6 +45,9 @@ EXIT_ADVISORY = 4
 EXIT_BUDGET = 5
 
 
+_CSV_CHUNK = 256  # rows formatted per write; bounds the text held at once
+
+
 def _fmt(x):
     if isinstance(x, float):
         return repr(x)
@@ -51,10 +55,16 @@ def _fmt(x):
 
 
 def write_csv(path: Path, header, rows):
+    """Write equal-length `rows` under `header`, formatted a chunk at a time."""
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+            cols = [
+                map(repr if set(map(type, col)) == {float} else _fmt, col)
+                for col in zip(*chunk)
+            ]
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def write_json(path: Path, payload):

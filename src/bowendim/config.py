@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bundled import BUNDLED, bundled_system
-from .errors import SchemaError
+from .errors import BudgetError, SchemaError
 from .geometry import SAMPLE_STRATEGIES
 from .maps import MoebiusInverse, Similarity, interval
 from .systems import (
@@ -402,13 +402,17 @@ def _build_elliptic(spec, path):
     _expect(0 < r_min < r_max, f"{path}.lattice", "need 0 < r_min < r_max")
     from .systems import gaussian_lattice_poles
 
+    try:
+        poles = gaussian_lattice_poles(r_min, r_max)
+    except BudgetError as exc:
+        _fail(f"{path}.lattice.r_max", str(exc))
     report = elliptic_lower_bound(
         q,
-        pole_norm_samples=gaussian_lattice_poles(r_min, r_max),
+        pole_norm_samples=poles,
         comparability_K=_num(spec.get("comparability", 1.0), f"{path}.comparability"),
         Q_const=_num(spec.get("norm_const", 1.0), f"{path}.norm_const"),
         t_grid=(_num(spec.get("t_star", 1.2), f"{path}.t_star"),),
-        horizon=int(_num(spec.get("horizon", 6), f"{path}.horizon")),
+        horizon=_horizon(spec.get("horizon", 6), f"{path}.horizon"),
         build=True,
     )
     _expect(report.system is not None, path, "model instantiation found no feasible pole set")

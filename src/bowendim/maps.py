@@ -4,7 +4,8 @@ Three families cover the bundled systems: affine similarities (exact norms),
 reciprocal shifts x -> 1/(digit + x) on [0, 1] (exact norms through the
 continuant recursion of the composed Moebius transform), and tabulated
 monotone interval maps carrying user-certified derivative bounds per cell.
-Brackets are exact expressions evaluated in float64; no outward rounding.
+Brackets are exact expressions evaluated in float64; no outward rounding
+(only the frontier's digit levels past 2^53 carry a stated error bound).
 """
 
 from __future__ import annotations
@@ -185,10 +186,6 @@ class MoebiusInverse(ConformalMap):
         if not 1 <= self.digit <= 2.0**52:
             raise InputError(f"digit must lie in [1, 2^52], got {self.digit}")
 
-    @property
-    def integral(self) -> bool:
-        return float(self.digit) == int(self.digit)
-
     def __call__(self, x):
         return 1.0 / (self.digit + x)
 
@@ -306,13 +303,7 @@ class ComposedMap(ConformalMap):
     parts: tuple  # applied right to left: parts[0] is the outermost map
 
     def __post_init__(self):
-        flat = []
-        for p in self.parts:
-            if isinstance(p, ComposedMap):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        object.__setattr__(self, "parts", tuple(flat))
+        object.__setattr__(self, "parts", tuple(_flatten_maps(self.parts)))
         dims = {getattr(p, "dim", 1) for p in self.parts}
         if len(dims) != 1:
             raise InputError("mixed dimensions in composition")
@@ -363,12 +354,6 @@ def continuants(digits):
     return qp, qc
 
 
-def _continuant_bracket(qc) -> NormBracket:
-    """Sup norm 1/q_cur^2 of a reciprocal-shift composition, in float64."""
-    sup = 1.0 / float(qc) ** 2
-    return NormBracket(sup, sup, "continuant")
-
-
 def _flatten_maps(maps_seq):
     flat = []
     for p in maps_seq:
@@ -388,8 +373,11 @@ def _compose_bracket(maps_seq, dom: Space) -> NormBracket:
             v *= abs(p.ratio)
         return NormBracket(v, v, "exact")
     if all(isinstance(p, MoebiusInverse) for p in maps_seq):
-        qp, qc = continuants([p.digit for p in maps_seq])
-        return _continuant_bracket(qc)
+        # sup norm 1/q_cur^2, below 2^-1024 once q_cur passes 2^512, where
+        # the float square would overflow
+        _, qc = continuants([p.digit for p in maps_seq])
+        sup = 1.0 / float(qc) ** 2 if qc < 2.0**512 else 0.0
+        return NormBracket(sup, sup or 2.0**-1024, "continuant")
     # generic chain: accumulate pointwise bounds right to left; the product of
     # infima lower-bounds the sup as well
     lo = hi = 1.0

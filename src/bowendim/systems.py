@@ -21,8 +21,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import thermo
+from . import _frontier, thermo
 from .errors import (
+    BudgetError,
     BuildError,
     CertificationError,
     ConfigurationError,
@@ -656,16 +657,17 @@ def extract_subsystem_g_bounded(
 
 
 def gaussian_lattice_poles(r_min: float = 3.0, r_max: float = 10.0):
-    """Moduli |b| of unit-lattice points in the annulus r_min <= |b| <= r_max."""
+    """Moduli |b| of unit-lattice points in the annulus r_min <= |b| <= r_max,
+    sorted; a scan over the default word budget raises BudgetError first."""
     cap = int(math.ceil(r_max)) + 1
-    mods = []
-    for a in range(-cap, cap + 1):
-        for b in range(-cap, cap + 1):
-            m = math.hypot(a, b)
-            if r_min <= m <= r_max and (a, b) != (0, 0):
-                mods.append(m)
-    mods.sort()
-    return np.array(mods)
+    if (2 * cap + 1) ** 2 > _frontier.DEFAULT_BUDGET:
+        raise BudgetError(
+            f"a lattice of radius {r_max:g} scans more points than the budget"
+            f" of {_frontier.DEFAULT_BUDGET}"
+        )
+    sq = np.arange(-cap, cap + 1, dtype=float) ** 2
+    mods = np.sqrt(sq[:, None] + sq[None, :]).ravel()  # exact sums, one rounding
+    return np.sort(mods[(r_min <= mods) & (mods <= r_max) & (mods > 0)])
 
 
 @dataclass(frozen=True)
@@ -743,6 +745,8 @@ def elliptic_lower_bound(
     """
     if q < 1:
         raise InputError("pole multiplicity q must be >= 1")
+    if build and n_check > horizon:
+        raise InputError(f"growth checks to n={n_check} pass horizon {horizon}")
     threshold = 2 * q / (q + 1)
     if pole_norm_samples is None:
         pole_norm_samples = gaussian_lattice_poles()
@@ -750,7 +754,7 @@ def elliptic_lower_bound(
     if mods.size and mods[0] <= 0:
         raise InputError("pole moduli must be positive")
     expo = (q + 1) / q
-    target = 2.0 * comparability_K**2
+    target = 2.0 * comparability_K * comparability_K  # inf, not OverflowError
 
     selections = []
     growth_checks = []

@@ -226,9 +226,12 @@ def pressure_estimate(
     if span <= 0:
         chord = (low[0], up[1])
     else:
+        # a level sum whose norms underflow (z_lo = 0) leaves its side unbounded
         chord = (
-            (math.log(z_lo[i_n]) - math.log(z_hi[i_m])) / span,
-            (math.log(z_hi[i_n]) - math.log(z_lo[i_m])) / span,
+            (math.log(z_lo[i_n]) - math.log(z_hi[i_m])) / span
+            if z_lo[i_n] > 0 else -math.inf,
+            (math.log(z_hi[i_n]) - math.log(z_lo[i_m])) / span
+            if z_lo[i_m] > 0 else math.inf,
         )
     return PressureEstimate(
         t=t,

@@ -12,6 +12,7 @@ import time
 from bowendim import (
     bowen_dimension,
     box_counting_dim,
+    build_cf_system,
     find_primitivity,
     partition,
     sample_limit_set,
@@ -28,6 +29,8 @@ from bowendim.systems import (
 )
 
 T_STAR3 = math.log(2) / math.log(3)
+# dim E_{1,2}, continued fractions with digits 1 and 2 (Jenkinson-Pollicott 2001)
+DIM_E12 = 0.531280506277205141624
 
 
 def report(criterion, ok, detail):
@@ -78,15 +81,21 @@ def test_criterion_3_continued_fractions():
     elapsed = time.perf_counter() - t0
     CF18_BRACKET["bracket"] = res.bracket
     mid = res.midpoint
+    # {1, 2} is a sub-alphabet of {1, 2, 100}, whose continuants pass 2^53
+    wide = bowen_dimension(build_cf_system([[1, 2, 100]] * 8), (0.2, 0.9), 8)
     ok = (
         0.52 <= res.bracket[0]
         and res.bracket[1] <= 0.54
+        and res.bracket[0] <= DIM_E12 <= res.bracket[1]
+        and DIM_E12 < wide.bracket[0] <= wide.bracket[1] < 1.0
         and abs(fit.slope - mid) <= 0.03
         and elapsed < 60.0
     )
     report(
         3, ok,
-        f"bracket=({res.bracket[0]:.6f}, {res.bracket[1]:.6f}) in [0.52, 0.54];"
+        f"bracket=({res.bracket[0]:.6f}, {res.bracket[1]:.6f}) in [0.52, 0.54]"
+        f" holds dim E_12 = {DIM_E12:.10f}; {{1, 2, 100}} bracket"
+        f" ({wide.bracket[0]:.6f}, {wide.bracket[1]:.6f}) inside (dim E_12, 1);"
         f" box slope {fit.slope:.4f} vs midpoint {mid:.4f}"
         f" (|diff|={abs(fit.slope - mid):.4f} <= 0.03); runtime={elapsed:.1f}s",
     )
@@ -148,11 +157,14 @@ def test_criterion_6_ascending_cf():
     ok = (
         gap <= 1e-3
         and closure_gap <= 1e-3
+        and res_direct.bracket[0] <= DIM_E12 <= res_direct.bracket[1]
         and hyp.justification == "ascending-finitely-primitive"
     )
     report(
         6, ok,
-        f"ascending bracket midpoint {res_direct.midpoint:.6f} vs reference"
+        f"ascending bracket ({res_direct.bracket[0]:.6f},"
+        f" {res_direct.bracket[1]:.6f}) holds dim E_12;"
+        f" midpoint {res_direct.midpoint:.6f} vs reference"
         f" {reference.midpoint:.6f} (|diff|={gap:.2e} <= 1e-3); closure"
         f" midpoint gap {closure_gap:.2e}; justification"
         f" '{hyp.justification}'",

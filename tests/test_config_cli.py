@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowendim import SchemaError, count_words, sample_limit_set
+from bowendim import SchemaError, cli, count_words, sample_limit_set
 from bowendim.cli import main
 from bowendim.config import load_config
 
@@ -256,6 +256,34 @@ class TestCliExitCodes:
         assert main(["check", path, "--out", str(tmp_path / "o")]) == 3
         assert "digit must lie in [1, 2^52]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digit, horizon", [(1000, 110), (1e15, 25)])
+    def test_continuants_past_the_float_range_report(self, tmp_path, digit, horizon):
+        # one letter: the limit set is a point, so the bracket must hold 0
+        path = write_cfg(tmp_path, "one.json", {
+            "schema_version": 1,
+            "system": {"kind": "cf", "digits": [digit], "horizon": horizon},
+        })
+        out = tmp_path / "o"
+        assert main(["report", path, "--out", str(out)]) in (0, 4, 5)
+        lo, hi = json.loads((out / "summary.json").read_text())["bracket"]
+        assert lo <= 0.0 <= hi
+
+    ELLIPTIC = {"kind": "elliptic_model", "q": 2, "horizon": 6, "t_star": 1.2}
+
+    @pytest.mark.parametrize(
+        "change, code",
+        [({"horizon": 1e308}, 2), ({"horizon": 4}, 3),
+         ({"lattice": {"r_min": 3.0, "r_max": 1e308}}, 2),
+         ({"comparability": 1e308}, 2)],
+        ids=["horizon-huge", "horizon-short", "r_max-huge", "comparability-huge"],
+    )
+    def test_elliptic_rejected_before_work(self, tmp_path, capsys, change, code):
+        path = write_cfg(tmp_path, "ell.json", {
+            "schema_version": 1, "system": dict(self.ELLIPTIC, **change),
+        })
+        assert main(["check", path, "--out", str(tmp_path / "o")]) == code
+        assert "error" in capsys.readouterr().err
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_one_bad_leaf_never_raises(self, tmp_path_factory, data):
@@ -292,6 +320,12 @@ FUZZ_CONFIGS = {
     "bundled": {"schema_version": 1, "params": {"p_max": 2},
                 "system": {"kind": "bundled", "name": "cf12",
                            "overrides": {"horizon": 4}}},
+    "elliptic": {
+        "schema_version": 1, "params": {"p_max": 2},
+        "system": {"kind": "elliptic_model", "q": 2, "horizon": 5,
+                   "t_star": 1.2, "comparability": 1.0, "norm_const": 1.0,
+                   "lattice": {"r_min": 3.0, "r_max": 10.0}},
+    },
 }
 BAD_VALUES = st.sampled_from(
     [math.nan, math.inf, -math.inf, 1e308, "x", True, False, [], [1, "a"], {},
@@ -310,6 +344,20 @@ def _leaves(node):
 
 
 class TestCliArtifacts:
+    def test_write_csv_equals_per_value_format(self, tmp_path):
+        # columns of floats, of ints, of strings and of mixed types, over
+        # more rows than one formatting chunk
+        rows = [
+            (k, 0.1 * k, f"w{k}", [1, 2.5, np.float64(0.3), -math.inf][k % 4])
+            for k in range(3 * cli._CSV_CHUNK + 7)
+        ]
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, ("n", "x", "word", "mixed"), iter(rows))
+        expect = "n,x,word,mixed\n" + "".join(
+            ",".join(cli._fmt(v) for v in row) + "\n" for row in rows
+        )
+        assert path.read_text() == expect
+
     def test_report_outputs(self, tmp_path):
         out = tmp_path / "rep"
         code = main(

@@ -25,24 +25,18 @@ from bowendim.maps import compose_norm
 
 
 def cf_wide(horizon=8):
-    # continuants pass 2^52 by time 8, so norms come from the word walk
+    # continuants pass 2^53 at time 8, so that level carries an outward bracket
     return build_cf_system([[1, 2, 100]] * horizon)
 
 
 def reference_levels(system, m, n, t):
     """{j: (Z_lo, Z_hi)}: a fresh sweep or word walk, math.fsum per level."""
-    fam = _frontier._family(system, m, n)
-    if fam == "similarity":
-        impl = _frontier.SimilarityState(system)
-    elif fam == "moebius" and _frontier._moebius_float_safe(system, m, n):
-        impl = _frontier.MoebiusState(system)
-    else:
-        impl = None
+    impl = _frontier.vector_state(system, m, n)
     out = {}
     if impl is not None:
 
-        def on_level(j, letters, state, words):
-            lo, hi = impl.norm_bounds(state)
+        def on_level(j, letters, state, src):
+            lo, hi = impl.norm_bounds(state, j - m + 1)
             out[j] = (math.fsum(lo**t), math.fsum(hi**t))
 
         _frontier.sweep(system, m, n, impl, on_level)
@@ -148,17 +142,69 @@ def test_one_norm_sweep_per_report(tmp_path, monkeypatch):
     assert sorted(calls) == [(1, 8), (1, 12)]
 
 
-def test_one_generic_walk_per_report(tmp_path, monkeypatch):
+def test_wide_digit_report_sweeps_without_a_walk(tmp_path, monkeypatch):
     cfg = tmp_path / "wide.json"
     cfg.write_text(json.dumps({
         "schema_version": 1,
         "system": {"kind": "cf", "digits": [1, 2, 100], "horizon": 8},
         "params": {"t_grid": 5},
     }))
-    calls = _count_calls(monkeypatch, "generic_norm_walk")
+    walks = _count_calls(monkeypatch, "generic_norm_walk")
+    sweeps = _count_calls(monkeypatch, "sweep")
     code = cli.main(["report", str(cfg), "--out", str(tmp_path / "out")])
     assert code in (0, 4)
-    assert calls == [(1, 8)]
+    # continuants pass 2^53 at time 8, yet the norms take one sweep; the
+    # other sweep samples points at the report's depth of 7
+    assert walks == []
+    assert sorted(sweeps) == [(1, 7), (1, 8)]
+
+
+def _swept_brackets(system, n):
+    """(exact q, lo, hi, lo is hi) per word of the norm sweep over (1, n): the
+    float state's bracket beside the integer continuant traced through `src`."""
+    impl = _frontier.vector_state(system, 1, n)
+    out = []
+    pairs = []
+
+    def on_level(j, letters, state, src):
+        nonlocal pairs
+        digits = [int(system.maps[j][a].digit) for a in letters.tolist()]
+        if src is None:
+            pairs = [(1, d) for d in digits]
+        else:
+            pairs = [
+                (pairs[s][1], d * pairs[s][1] + pairs[s][0])
+                for s, d in zip(src.tolist(), digits)
+            ]
+        lo, hi = impl.norm_bounds(state, j)
+        exact = [lo is hi] * lo.size
+        out.extend(zip([q for _, q in pairs], lo.tolist(), hi.tolist(), exact))
+
+    _frontier.sweep(system, 1, n, impl, on_level)
+    return out
+
+
+@pytest.mark.parametrize(
+    "digits, horizon, words", [([1, 2, 100], 8, 9840), ([1000], 110, 110)]
+)
+def test_swept_brackets_hold_the_exact_norm(digits, horizon, words):
+    swept = _swept_brackets(build_cf_system([digits] * horizon), horizon)
+    assert len(swept) == words
+    for q, lo, hi, exact in swept:
+        if exact:
+            # continuants below 2^53 are exact; q**-2 rounds once in pow
+            assert q < 2**53 and lo == hi
+            assert abs(Fraction(lo) * q * q - 1) <= Fraction(1, 2**52)
+        else:
+            assert Fraction(lo) * q * q <= 1 <= Fraction(hi) * q * q
+    bracketed = [(q, lo) for q, lo, _, exact in swept if not exact]
+    if digits == [1000]:
+        # the sweep passes subnormal norms and float continuants that overflow
+        assert any(0.0 < lo < 2.0**-1022 for _, lo in bracketed)
+        assert any(q > 2**1024 for q, _ in bracketed)
+    else:
+        # only time 8 passes 2^53
+        assert len(bracketed) == 3**8
 
 
 def _budget_message(fn):

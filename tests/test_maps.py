@@ -1,5 +1,7 @@
 """Map families: certified norms, images, distortion, contraction blocks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from bowendim import (
     MoebiusInverse,
     TabulatedInterval,
     Word,
+    build_cf_system,
     build_similarity_system,
     compose_norm,
     continuants,
@@ -53,6 +56,22 @@ class TestComposeNorm:
             [MoebiusInverse(1.0)] * 3, (0.0, 1.0), n_grid=1_000_000
         )
         assert abs(grid - br.hi) < 1e-12
+
+    def test_continuant_bracket_past_the_float_range(self):
+        # exact q reaches 1000^110 > 2^1024, and float continuants of a
+        # non-integral digit overflow to inf; neither may raise
+        system = build_cf_system([[1000]] * 110)
+        for k in (1, 51, 52, 53, 60, 103, 110):
+            br = compose_norm(Word(1, ("1000",) * k), system)
+            _, q = continuants([1000] * k)
+            if br.exact:  # 1/q^2 in float64: three roundings
+                assert k < 52
+                assert abs(Fraction(br.hi) * q * q - 1) <= Fraction(3, 2**52)
+            else:
+                assert Fraction(br.lo) * q * q <= 1 <= Fraction(br.hi) * q * q
+        system = build_cf_system([[1e15 + 0.5]] * 25)
+        br = compose_norm(Word(1, ("1000000000000000.5",) * 25), system)
+        assert (br.lo, br.hi) == (0.0, 2.0**-1024)
 
     def test_block2_maximum_is_quarter(self, cf8):
         # the worst two-letter window is (1, 1): sup = 1/(2+x)^2 at 0 = 1/4

@@ -7,6 +7,7 @@ import pytest
 
 from bowendim import (
     AscendingSpec,
+    BudgetError,
     BuildError,
     EdgeSpec,
     MoebiusInverse,
@@ -286,6 +287,19 @@ class TestEllipticModel:
     def test_lattice_size(self):
         poles = gaussian_lattice_poles(3.0, 10.0)
         assert len(poles) >= 200
+
+    @pytest.mark.parametrize("r_min, r_max", [(3.0, 10.0), (0.5, 2.5), (1.0, 250.0)])
+    def test_lattice_equals_the_point_loop(self, r_min, r_max):
+        cap = math.ceil(r_max) + 1
+        ref = sorted(
+            m for a in range(-cap, cap + 1) for b in range(-cap, cap + 1)
+            if (a, b) != (0, 0) and r_min <= (m := math.hypot(a, b)) <= r_max
+        )
+        assert gaussian_lattice_poles(r_min, r_max).tolist() == ref
+
+    def test_lattice_over_the_budget_refused(self):
+        with pytest.raises(BudgetError, match="scans more points than the budget"):
+            gaussian_lattice_poles(3.0, 1e308)
 
     def test_above_threshold_refused(self):
         rep = elliptic_lower_bound(2, t_grid=(1.5,), build=False)
