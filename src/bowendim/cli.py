@@ -30,12 +30,12 @@ from .errors import (
     SchemaError,
     UnsupportedError,
 )
+from .symbolic import certify_primitivity, find_primitivity
 from .systems import (
     extract_subsystem_g_bounded,
     reblock_one_primitive,
     reblock_pinched,
     system_certify,
-    system_primitivity,
 )
 
 EXIT_OK = 0
@@ -226,7 +226,7 @@ def cmd_pressure(args, cfg, system, out):
     return EXIT_OK
 
 
-def cmd_dimension(args, cfg, system, out, payload_extra=None):
+def cmd_dimension(args, cfg, system, out):
     n_max = _param(args, cfg, "n_max", int) or system.horizon
     res = thermo.bowen_dimension(
         system,
@@ -247,14 +247,12 @@ def cmd_dimension(args, cfg, system, out, payload_extra=None):
         "uncertainty": list(res.uncertainty),
         "hypotheses": res.hypothesis.as_dict(),
     }
-    if payload_extra:
-        payload.update(payload_extra)
     write_json(out / "summary.json", _with_meta(payload, cfg, args))
     print(
         f"dimension bracket: [{res.bracket[0]:.6f}, {res.bracket[1]:.6f}]"
         f" ({res.hypothesis.justification})"
     )
-    return res
+    return EXIT_OK if res.hypothesis.bowen_supported else EXIT_ADVISORY
 
 
 def _cloud(args, cfg, system, depth=None, with_words=True):
@@ -353,9 +351,9 @@ def cmd_subsystem(args, cfg, system, out):
         }
     elif mode == "uniform":
         cert = (
-            system_certify(system, args.p)
+            certify_primitivity(system.schedule, args.p)
             if args.p is not None
-            else system_primitivity(system, _param(args, cfg, "p_max", int))
+            else find_primitivity(system.schedule, _param(args, cfg, "p_max", int))
         )
         if cert is None or cert.p < 1:
             raise CertificationError("uniform re-blocking needs a certificate with p >= 1")
@@ -423,7 +421,7 @@ def cmd_report(args, cfg, system, out):
 
     theta = thermo.system_theta(system)
     trend = thermo.hausdorff_measure_trend(
-        system, res.midpoint, (max(1, n_max // 2), n_max), strategy
+        system, res.midpoint, (max(1, n_max // 2), n_max), strategy, budget=budget
     )
     ab = thermo.ab_dimension_bounds(system)
     payload = {
@@ -546,6 +544,7 @@ def build_parser():
 _COMMANDS = {
     "check": cmd_check,
     "pressure": cmd_pressure,
+    "dimension": cmd_dimension,
     "sample": cmd_sample,
     "boxdim": cmd_boxdim,
     "subsystem": cmd_subsystem,
@@ -569,9 +568,6 @@ def main(argv=None) -> int:
         return EXIT_SEMANTIC
     out = _out_dir(args, cfg)
     try:
-        if args.command == "dimension":
-            res = cmd_dimension(args, cfg, system, out)
-            return EXIT_OK if res.hypothesis.bowen_supported else EXIT_ADVISORY
         return _COMMANDS[args.command](args, cfg, system, out)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

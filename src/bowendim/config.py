@@ -396,6 +396,12 @@ def _build_ascending(spec, path):
 def _build_elliptic(spec, path):
     q = spec.get("q")
     _expect(isinstance(q, int) and q >= 1, f"{path}.q", "integer q >= 1 required")
+    comparability = _num(spec.get("comparability", 1.0), f"{path}.comparability")
+    _expect(comparability >= 1, f"{path}.comparability", "a distortion constant is >= 1")
+    norm_const = _num(spec.get("norm_const", 1.0), f"{path}.norm_const")
+    _expect(norm_const > 0, f"{path}.norm_const", "norm_const must be > 0")
+    t_star = _num(spec.get("t_star", 1.2), f"{path}.t_star")
+    _expect(t_star > 0, f"{path}.t_star", "t_star must be > 0")
     lat = spec.get("lattice", {})
     r_min = _num(lat.get("r_min", 3.0), f"{path}.lattice.r_min")
     r_max = _num(lat.get("r_max", 10.0), f"{path}.lattice.r_max")
@@ -409,9 +415,9 @@ def _build_elliptic(spec, path):
     report = elliptic_lower_bound(
         q,
         pole_norm_samples=poles,
-        comparability_K=_num(spec.get("comparability", 1.0), f"{path}.comparability"),
-        Q_const=_num(spec.get("norm_const", 1.0), f"{path}.norm_const"),
-        t_grid=(_num(spec.get("t_star", 1.2), f"{path}.t_star"),),
+        comparability_K=comparability,
+        Q_const=norm_const,
+        t_grid=(t_star,),
         horizon=_horizon(spec.get("horizon", 6), f"{path}.horizon"),
         build=True,
     )

@@ -652,9 +652,11 @@ class SubexpReport:
 
 @dataclass(frozen=True)
 class PrimitivityCertificate:
-    """Connector data: for every (a, b) separated by p+1 steps, a length-p
-    joining word; Q lower-bounds the connector derivative norms (None when no
-    norm oracle was supplied)."""
+    """Every (a, b) separated by p+1 steps is joined by a length-p word.
+
+    The schedule-level searches leave `connectors` empty and Q None for p >= 1;
+    `systems.system_certify`/`system_primitivity` fill in one joining word per
+    pair and Q, a lower bound on their derivative norms."""
 
     p: int
     connectors: Mapping  # time n -> {(a_label, b_label): Word}
@@ -680,14 +682,13 @@ def _products_positive(schedule, p):
     return True
 
 
-def _build_connectors(schedule, p, norm_fn):
-    """Lexicographically smallest length-p connector per (a, b) pair.
+def _build_connectors(schedule, p):
+    """Lexicographically smallest length-p connector per (a, b) pair, p >= 1.
 
     For each time n, pairs range over kept I^(n) x kept I^(n+p+1); the word
-    lives at times n+1 .. n+p.  Returns (connectors, Q).
+    lives at times n+1 .. n+p.  Returns {n: {(a_label, b_label): Word}}.
     """
     connectors = {}
-    q_vals = []
     for n in range(1, schedule.horizon - p):
         mats = [schedule.step_matrix(j) for j in range(n, n + p + 1)]
         # backward reachability to each target letter b
@@ -718,27 +719,17 @@ def _build_connectors(schedule, p, norm_fn):
                     prev = c
                 a_lbl = schedule.letters(n)[a].label
                 b_lbl = schedule.letters(n + p + 1)[b].label
-                if p > 0:
-                    word = Word(n + 1, tuple(lam))
-                    lam_n[(a_lbl, b_lbl)] = word
-                    if norm_fn is not None:
-                        q_vals.append(norm_fn(word))
-        if p > 0:
-            connectors[n] = lam_n
-    q = None
-    if p == 0:
-        q = 1.0
-    elif norm_fn is not None:
-        q = min(q_vals) if q_vals else None
-    return connectors, q
+                lam_n[(a_lbl, b_lbl)] = Word(n + 1, tuple(lam))
+        connectors[n] = lam_n
+    return connectors
 
 
-def certify_primitivity(schedule: GraphSchedule, p: int, norm_fn=None):
+def certify_primitivity(schedule: GraphSchedule, p: int):
     """Check the connector definition directly at a given p.
 
     Succeeds when every a in I^(n), b in I^(n+p+1) is joined by a length-p
     word, i.e. the (p+1)-matrix products are entrywise positive; p=0 demands
-    complete steps.  Returns a certificate or None.
+    complete steps.  Returns a certificate without connector words or None.
     """
     if schedule.horizon < p + 2:
         raise ConfigurationError(
@@ -750,17 +741,16 @@ def certify_primitivity(schedule: GraphSchedule, p: int, norm_fn=None):
         return PrimitivityCertificate(0, {}, 1.0, schedule.horizon)
     if not _products_positive(schedule, p + 1):
         return None
-    connectors, q = _build_connectors(schedule, p, norm_fn)
-    return PrimitivityCertificate(p, connectors, q, schedule.horizon)
+    return PrimitivityCertificate(p, {}, None, schedule.horizon)
 
 
-def find_primitivity(schedule: GraphSchedule, p_max: int, norm_fn=None):
+def find_primitivity(schedule: GraphSchedule, p_max: int):
     """Minimal p in [0, p_max] under the matrix-positivity criterion.
 
     p=0 is returned when every step is complete (all-ones on pruned letters);
     otherwise the smallest p >= 1 whose p-matrix products are all entrywise
     positive.  With pruned alphabets this implies the connector definition at
-    the same p.  Returns None when no p <= p_max works.
+    the same p; no connector words are built.  None when no p <= p_max works.
     """
     if schedule.horizon < p_max + 2:
         raise ConfigurationError(
@@ -771,6 +761,5 @@ def find_primitivity(schedule: GraphSchedule, p_max: int, norm_fn=None):
         return PrimitivityCertificate(0, {}, 1.0, schedule.horizon)
     for p in range(1, p_max + 1):
         if _products_positive(schedule, p):
-            connectors, q = _build_connectors(schedule, p, norm_fn)
-            return PrimitivityCertificate(p, connectors, q, schedule.horizon)
+            return PrimitivityCertificate(p, {}, None, schedule.horizon)
     return None

@@ -16,12 +16,12 @@ inverse-branch decay law near poles of a doubly periodic map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import _frontier, thermo
+from . import _frontier, symbolic, thermo
 from .errors import (
     BudgetError,
     BuildError,
@@ -55,21 +55,24 @@ from .system import SystemSpec, validate_system
 from .thermo import PSeriesTail
 
 
-def _norm_fn(system):
-    def fn(word):
-        return compose_norm(word, system, check=False).lo
-
-    return fn
+def _with_connectors(system, cert):
+    """`cert` with its connector words and Q = min connector norm filled in."""
+    if cert is None or cert.p == 0:
+        return cert
+    connectors = symbolic._build_connectors(system.schedule, cert.p)
+    words = [word for table in connectors.values() for word in table.values()]
+    q = min((compose_norm(w, system, check=False).lo for w in words), default=None)
+    return replace(cert, connectors=connectors, Q=q)
 
 
 def system_primitivity(system, p_max: int = 4) -> Optional[PrimitivityCertificate]:
     """Minimal-p certificate with connector norms taken from the system maps."""
-    return find_primitivity(system.schedule, p_max, norm_fn=_norm_fn(system))
+    return _with_connectors(system, find_primitivity(system.schedule, p_max))
 
 
 def system_certify(system, p: int) -> Optional[PrimitivityCertificate]:
     """Direct certificate at a chosen p (connector definition, not minimality)."""
-    return certify_primitivity(system.schedule, p, norm_fn=_norm_fn(system))
+    return _with_connectors(system, certify_primitivity(system.schedule, p))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +532,9 @@ def extract_subsystem_g_bounded(
             f"horizon {sched.horizon} too short for one block of span {span}"
         )
     if p >= 1 and cert.Q is None:
-        raise CertificationError("certificate lacks connector norms (Q)")
+        raise CertificationError(
+            "certificate lacks connector norms (Q); build it with system_certify"
+        )
 
     pairs = []
     chosen_words = []

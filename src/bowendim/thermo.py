@@ -455,6 +455,7 @@ class LowerBoundDiagnostics:
 def lower_bound_diagnostics(
     system, t: float, window, cert: Optional[PrimitivityCertificate] = None,
     margin: float = 0.0, strategy: str = "auto",
+    budget: int = _frontier.DEFAULT_BUDGET,
 ) -> LowerBoundDiagnostics:
     _check_t(system, t)
     if cert is None:
@@ -466,7 +467,7 @@ def lower_bound_diagnostics(
     n_lo, n_hi = window
     if not (2 <= n_lo < n_hi <= system.horizon):
         raise ConfigurationError(f"window {window} outside [2, horizon]")
-    levels, _ = _levels(system, 1, n_hi, t, strategy)
+    levels, _ = _levels(system, 1, n_hi, t, strategy, budget)
     stats = growth_stats(system.schedule)
     d = float(system.dim)
 
@@ -664,6 +665,7 @@ class MeasureTrendReport:
 def hausdorff_measure_trend(
     system, h: float, window, strategy: str = "auto",
     slope_tol: float = 0.02, value_range=(1e-8, 1e8), diam_cap: float = 1e6,
+    budget: int = _frontier.DEFAULT_BUDGET,
 ) -> MeasureTrendReport:
     """Advisory classifier for the h-dimensional measure via the tail of Z_n(h).
 
@@ -687,7 +689,7 @@ def hausdorff_measure_trend(
             "inapplicable", h, tuple(window), (), pre,
             f"hypotheses not met: {', '.join(missing)}",
         )
-    levels, _ = _levels(system, 1, n_hi, h, strategy)
+    levels, _ = _levels(system, 1, n_hi, h, strategy, budget)
     ns = list(range(n_lo, n_hi + 1))
     zs = [0.5 * (levels[n][0] + levels[n][1]) for n in ns]
     tail = [i for i, n in enumerate(ns) if n >= _tail_start(window)]

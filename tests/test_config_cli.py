@@ -271,18 +271,28 @@ class TestCliExitCodes:
     ELLIPTIC = {"kind": "elliptic_model", "q": 2, "horizon": 6, "t_star": 1.2}
 
     @pytest.mark.parametrize(
-        "change, code",
-        [({"horizon": 1e308}, 2), ({"horizon": 4}, 3),
-         ({"lattice": {"r_min": 3.0, "r_max": 1e308}}, 2),
-         ({"comparability": 1e308}, 2)],
-        ids=["horizon-huge", "horizon-short", "r_max-huge", "comparability-huge"],
+        "change, code, message",
+        [({"horizon": 1e308}, 2, "error"), ({"horizon": 4}, 3, "error"),
+         ({"lattice": {"r_min": 3.0, "r_max": 1e308}}, 2, "error"),
+         ({"comparability": 1e308}, 2, "error"),
+         ({"comparability": -1}, 2, "at system.comparability:"),
+         ({"comparability": 0.5}, 2, "at system.comparability:"),
+         ({"norm_const": -1}, 2, "at system.norm_const:"),
+         ({"norm_const": 0}, 2, "at system.norm_const:"),
+         ({"t_star": -1}, 2, "at system.t_star:"),
+         ({"t_star": 0}, 2, "at system.t_star:")],
+        ids=["horizon-huge", "horizon-short", "r_max-huge", "comparability-huge",
+             "comparability-negative", "comparability-below-one",
+             "norm_const-negative", "norm_const-zero", "t_star-negative",
+             "t_star-zero"],
     )
-    def test_elliptic_rejected_before_work(self, tmp_path, capsys, change, code):
+    def test_elliptic_rejected_before_work(self, tmp_path, capsys, change, code,
+                                           message):
         path = write_cfg(tmp_path, "ell.json", {
             "schema_version": 1, "system": dict(self.ELLIPTIC, **change),
         })
         assert main(["check", path, "--out", str(tmp_path / "o")]) == code
-        assert "error" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -1,5 +1,6 @@
 """Schedules, admissibility, enumeration, growth statistics, primitivity."""
 
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from bowendim import (
     ncifs_schedule,
     subexp_diagnostic,
 )
+from bowendim import symbolic
+from bowendim.cli import main
 from bowendim.symbolic import (
     DenseIncidence,
     GrowthStats,
@@ -30,6 +33,7 @@ from bowendim.symbolic import (
     walk_words,
 )
 from bowendim.systems import system_certify, system_primitivity
+from bowendim.thermo import hypothesis_report
 
 from oracles import (
     brute_words,
@@ -417,6 +421,39 @@ class TestPrimitivity:
         for table in cert.connectors.values():
             for word in table.values():
                 assert cert.Q <= compose_norm(word, gdms).lo + 1e-15
+
+
+class TestConnectorsOnDemand:
+    """Only the system-level certificates build connector words."""
+
+    @pytest.fixture
+    def no_connectors(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("connector words built")
+
+        monkeypatch.setattr(symbolic, "_build_connectors", refuse)
+
+    def test_schedule_search_leaves_connectors_empty(self, gdms):
+        cert = find_primitivity(gdms.schedule, 4)
+        assert cert.p == 2 and cert.connectors == {} and cert.Q is None
+
+    def test_system_certify_builds_them(self, gdms, no_connectors):
+        with pytest.raises(AssertionError, match="connector words built"):
+            system_certify(gdms, 1)
+
+    def test_hypothesis_report(self, gdms, no_connectors):
+        assert hypothesis_report(gdms).primitivity.p == 2
+
+    def test_check_command(self, tmp_path, no_connectors):
+        assert main(["check", "gdms2v", "--out", str(tmp_path)]) in (0, 4)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["hypotheses"]["primitivity_p"] == 2
+
+    def test_uniform_subsystem(self, tmp_path, no_connectors):
+        assert main(
+            ["subsystem", "gdms2v", "--mode", "uniform", "--out", str(tmp_path)]
+        ) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["p"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,10 @@ class TestLowerBoundDiagnostics:
         d = lower_bound_diagnostics(cf, 0.4, (2, 10))
         assert set(d.rho) == {4.0}
 
+    def test_budget_reaches_the_frontier(self):
+        with pytest.raises(BudgetError):
+            lower_bound_diagnostics(bundled.cf12(12), 0.4, (2, 12), budget=1000)
+
 
 class TestBalancing:
     def test_equal_ratio_perfectly(self, cantor):
@@ -275,6 +279,10 @@ class TestMeasureTrend:
         )
         rep = hausdorff_measure_trend(sys_u, 0.3, (2, 12))
         assert rep.verdict == "inapplicable"
+
+    def test_budget_reaches_the_frontier(self):
+        with pytest.raises(BudgetError):
+            hausdorff_measure_trend(bundled.cf12(12), 0.53, (6, 12), budget=1000)
 
 
 class TestEvenlyVarying:
