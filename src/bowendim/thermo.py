@@ -455,7 +455,6 @@ class LowerBoundDiagnostics:
 def lower_bound_diagnostics(
     system, t: float, window, cert: Optional[PrimitivityCertificate] = None,
     margin: float = 0.0, strategy: str = "auto",
-    budget: int = _frontier.DEFAULT_BUDGET,
 ) -> LowerBoundDiagnostics:
     _check_t(system, t)
     if cert is None:
@@ -467,7 +466,7 @@ def lower_bound_diagnostics(
     n_lo, n_hi = window
     if not (2 <= n_lo < n_hi <= system.horizon):
         raise ConfigurationError(f"window {window} outside [2, horizon]")
-    levels, _ = _levels(system, 1, n_hi, t, strategy, budget)
+    levels, _ = _levels(system, 1, n_hi, t, strategy)
     stats = growth_stats(system.schedule)
     d = float(system.dim)
 

@@ -186,10 +186,6 @@ class TestLowerBoundDiagnostics:
         d = lower_bound_diagnostics(cf, 0.4, (2, 10))
         assert set(d.rho) == {4.0}
 
-    def test_budget_reaches_the_frontier(self):
-        with pytest.raises(BudgetError):
-            lower_bound_diagnostics(bundled.cf12(12), 0.4, (2, 12), budget=1000)
-
 
 class TestBalancing:
     def test_equal_ratio_perfectly(self, cantor):
