@@ -14,7 +14,7 @@ from bowendim.bundled import cantor3
 system = cantor3(horizon=30)
 target = math.log(2) / math.log(3)
 
-print("middle-thirds schedule:", system.provenance)
+print("middle-thirds schedule: bundled system cantor3")
 print(f"analytic dimension  log2/log3 = {target:.9f}\n")
 
 print("partition values Z_n(t) (matrix-exact, closed form (2*3^-t)^n):")

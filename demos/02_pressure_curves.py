@@ -18,7 +18,7 @@ system = alt24(horizon=30)
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("demo_out")
 out.mkdir(exist_ok=True)
 
-print("alternating schedule:", system.provenance)
+print("alternating schedule: bundled system alt24")
 print("closed-form pressure zero: t = 2/3\n")
 
 for t in (0.6, 2 / 3, 0.72):

@@ -13,14 +13,15 @@ from bowendim import (
     lower_bound_diagnostics,
     verify_osc,
 )
-from bowendim.bundled import cantor3, gdms2v, perm2
+from bowendim.bundled import bundled_system, cantor3
 from bowendim.geometry import diameter_diagnostics
 
-for system in (cantor3(16), gdms2v(16), perm2(10)):
+for name, horizon in (("cantor3", 16), ("gdms2v", 16), ("perm2", 10)):
+    system = bundled_system(name, horizon=horizon)
     rep = hypothesis_report(system)
     osc = verify_osc(system, 2)
     diam = diameter_diagnostics(system)
-    print(system.provenance)
+    print(name)
     print(f"  open-set check (level 2): {'clean' if osc.ok else osc.violations}")
     print(f"  diameter condition: {'consistent' if diam.satisfied else 'violated'}")
     p = "none" if rep.primitivity is None else rep.primitivity.p

@@ -9,7 +9,6 @@ field path for the CLI's parse exit code.
 
 from __future__ import annotations
 
-import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -17,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundled import BUNDLED, bundled_system
 from .errors import BudgetError, SchemaError
 from .geometry import SAMPLE_STRATEGIES
 from .maps import MoebiusInverse, Similarity, interval
@@ -33,6 +31,12 @@ from .systems import (
 from .thermo import STRATEGIES
 
 SCHEMA_VERSION = 1
+
+# the bundled systems: one packaged config per name, the only definition of each
+_PACKAGED = {
+    path.stem: path for path in sorted((Path(__file__).parent / "configs").glob("*.json"))
+}
+
 
 def _number(v):
     """A finite int or float (not a bool)."""
@@ -348,7 +352,7 @@ def _build_gdms_cfg(spec, path):
     return build_gdms(vertex_schedule, edge_schedule, spaces, mats)
 
 
-def _build_ascending(spec, path):
+def _ascending_spec(spec, path="system") -> AscendingSpec:
     horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
     family = spec.get("family")
     _expect(family in ("cf", "similarity"), f"{path}.family", "family must be cf or similarity")
@@ -383,14 +387,16 @@ def _build_ascending(spec, path):
             f"need {horizon} include rows or prefix/then",
         )
         include = _lists(inc, f"{path}.include")
-    return build_ascending(
-        AscendingSpec(
-            base_maps=base,
-            # labels are strings, as the keys of the base family are
-            include=[[str(lbl) for lbl in row] for row in include],
-            infinite_family=bool(spec.get("infinite_family", False)),
-        )
+    return AscendingSpec(
+        base_maps=base,
+        # labels are strings, as the keys of the base family are
+        include=[[str(lbl) for lbl in row] for row in include],
+        infinite_family=bool(spec.get("infinite_family", False)),
     )
+
+
+def _build_ascending(spec, path):
+    return build_ascending(_ascending_spec(spec, path))
 
 
 def _build_elliptic(spec, path):
@@ -434,24 +440,31 @@ _BUILDERS = {
 }
 
 
+def _bundled_spec(spec, path="system"):
+    """The packaged system spec of a {"kind": "bundled"} spec, with its
+    `overrides` merged in."""
+    name = spec.get("name")
+    _expect(
+        isinstance(name, str) and name in _PACKAGED,
+        f"{path}.name",
+        f"unknown bundled name {name!r}",
+    )
+    overrides = spec.get("overrides", {})
+    _expect(isinstance(overrides, dict), f"{path}.overrides", "object required")
+    packaged = json.loads(_PACKAGED[name].read_text())["system"]
+    takes = sorted({"horizon", "t_star"} & packaged.keys())
+    for key, val in overrides.items():
+        opath = f"{path}.overrides.{key}"
+        _expect(key in takes, opath, f"{name} takes only {takes}")
+        (_horizon if key == "horizon" else _num)(val, opath)
+    return {**packaged, **overrides}
+
+
 def build_from_spec(spec: dict, path: str = "system"):
     _expect(isinstance(spec, dict), path, "system spec must be an object")
     kind = spec.get("kind")
     if kind == "bundled":
-        name = spec.get("name")
-        _expect(
-            isinstance(name, str) and name in BUNDLED,
-            f"{path}.name",
-            f"unknown bundled name {name!r}",
-        )
-        overrides = spec.get("overrides", {})
-        _expect(isinstance(overrides, dict), f"{path}.overrides", "object required")
-        takes = inspect.signature(BUNDLED[name]).parameters
-        for key, val in overrides.items():
-            opath = f"{path}.overrides.{key}"
-            _expect(key in takes, opath, f"{name} takes only {sorted(takes)}")
-            (_horizon if key == "horizon" else _num)(val, opath)
-        return bundled_system(name, **overrides)
+        return build_from_spec(_bundled_spec(spec, path), path)
     _expect(
         isinstance(kind, str) and kind in _BUILDERS,
         f"{path}.kind",
@@ -469,13 +482,9 @@ def load_config(source):
     propagate the builder errors.
     """
     src = str(source)
-    if src in BUNDLED:
-        packaged = Path(__file__).parent / "configs" / f"{src}.json"
-        if packaged.exists():
-            cfg, system = load_config(str(packaged))
-            return RunConfig(cfg.system_spec, cfg.params, cfg.output_dir, src), system
-        cfg = RunConfig({"kind": "bundled", "name": src}, {}, "out", src)
-        return cfg, bundled_system(src)
+    if src in _PACKAGED:
+        cfg, system = load_config(_PACKAGED[src])
+        return RunConfig(cfg.system_spec, cfg.params, cfg.output_dir, src), system
     p = Path(src)
     if not p.exists():
         _fail("(source)", f"{src!r} is neither a bundled name nor a file")

@@ -400,15 +400,8 @@ def compose_norm(word: Word, system, check: bool = True) -> NormBracket:
     """Certified bracket on the sup derivative norm of phi_word."""
     if check and not is_admissible(word, system.schedule):
         raise InputError(f"word {word} is not admissible")
-    key = (word.start, word.letters)
-    memo = system.norm_memo
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     dom = system.domain_space(word.end, word.letters[-1])
-    out = _compose_bracket(_word_maps(word, system), dom)
-    memo[key] = out  # concurrent last-writer-wins on identical values
-    return out
+    return _compose_bracket(_word_maps(word, system), dom)
 
 
 def image_region(word: Word, system, check: bool = True) -> Space:
@@ -468,12 +461,7 @@ def contraction_eta(system, m_max: int = 8, budget: int = 200_000) -> Contractio
     reach norm >= 1.
     """
     sched = system.schedule
-    singles = []
-    for n in range(1, sched.horizon + 1):
-        for idx in sched.kept_indices(n):
-            dom = system.domain_space_idx(n, idx)
-            singles.append(system.maps[n][idx].norm_on(dom).hi)
-    singles_max = max(singles)
+    singles_max = max(system.c_bounds(n)[1] for n in range(1, sched.horizon + 1))
     if singles_max < 1.0:
         return Contraction(1, singles_max, singles_max, singles_max)
 

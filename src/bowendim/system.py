@@ -74,10 +74,6 @@ class SystemSpec:
         )
 
     @cached_property
-    def norm_memo(self) -> dict:
-        return {}
-
-    @cached_property
     def _level_memo(self) -> dict:
         """One slot: (m, n) -> that range's t-independent level norms."""
         return {}

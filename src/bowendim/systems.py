@@ -384,6 +384,13 @@ def reblock_one_primitive(system: SystemSpec, cert: PrimitivityCertificate) -> S
             f"horizon {sched.horizon} holds fewer than two blocks of length {p}"
         )
     dropped = sched.horizon - blocks * p
+    for n in range(1, blocks + 1):  # each block alphabet becomes a dense matrix side
+        size = symbolic.count_words((n - 1) * p + 1, n * p, sched)
+        if size > symbolic.DENSE_LETTER_CAP:
+            raise BudgetError(
+                f"block {n} holds {size} words of length {p}, past the"
+                f" {symbolic.DENSE_LETTER_CAP}-letter cap on dense incidence"
+            )
     rows = [_block_alphabet(system, (n - 1) * p + 1, p) for n in range(1, blocks + 1)]
     incidence = []
     for n in range(1, blocks):
@@ -750,6 +757,15 @@ def elliptic_lower_bound(
     """
     if q < 1:
         raise InputError("pole multiplicity q must be >= 1")
+    # negated comparisons, so that NaN fails them too
+    if not Q_const > 0:
+        raise InputError(f"norm constant Q_const must be > 0, got {Q_const}")
+    if not comparability_K >= 1:
+        raise InputError(
+            f"comparability_K is a distortion constant, so >= 1; got {comparability_K}"
+        )
+    if not all(t > 0 for t in t_grid):
+        raise InputError(f"every t in t_grid must be > 0, got {tuple(t_grid)}")
     if build and n_check > horizon:
         raise InputError(f"growth checks to n={n_check} pass horizon {horizon}")
     threshold = 2 * q / (q + 1)

@@ -585,11 +585,7 @@ def classify_rho(
 def balancing_class(system, horizon: Optional[int] = None, **thresholds) -> BalancingReport:
     h = horizon or system.horizon
     rho_seq = [system.rho(n) for n in range(1, h + 1)]
-    all_sim = all(
-        isinstance(system.maps[n][idx], Similarity)
-        for n in range(1, h + 1)
-        for idx in system.schedule.kept_indices(n)
-    )
+    all_sim = frozenset().union(*system._map_types[1 : h + 1]) <= {Similarity}
     return classify_rho(rho_seq, all_similarity=all_sim, **thresholds)
 
 

@@ -190,6 +190,36 @@ class TestCliExitCodes:
         summary = json.loads((tmp_path / "o5" / "summary.json").read_text())
         assert summary["partial"] is True
 
+    @pytest.mark.parametrize(
+        "name, overrides, code",
+        [
+            # 2^23 letters: refused at the powers generator, before any is built
+            ("ab-half", {"horizon": 23}, 2),
+            # an odd horizon builds, and the check reports failed hypotheses
+            ("pinch2", {"horizon": 13}, 4),
+            # above the threshold 4/3 no finite pole set is selected
+            ("elliptic-q2", {"t_star": 1.5}, 2),
+        ],
+    )
+    def test_bundled_overrides(self, tmp_path, name, overrides, code):
+        path = write_cfg(tmp_path, "b.json", {
+            "schema_version": 1,
+            "system": {"kind": "bundled", "name": name, "overrides": overrides},
+        })
+        assert main(["check", path, "--out", str(tmp_path / "o")]) == code
+
+    def test_uniform_blocks_past_the_dense_cap_is_5(self, tmp_path):
+        # 71 letters with complete incidence: 71^2 = 5041 block words at p = 2
+        path = write_cfg(tmp_path, "wide.json", {
+            "schema_version": 1,
+            "system": {"kind": "similarity", "horizon": 4,
+                       "ratios": {"cycle": [[0.01] * 71]}},
+        })
+        out = tmp_path / "o"
+        args = ["subsystem", path, "--mode", "uniform", "--p", "2", "--out", str(out)]
+        assert main(args) == 5
+        assert json.loads((out / "summary.json").read_text())["partial"] is True
+
     def test_ok_is_0(self, tmp_path):
         assert main(
             ["dimension", "cantor3", "--out", str(tmp_path / "o0"), "--n-max", "12"]

@@ -16,14 +16,17 @@ pressure.csv hash was re-recorded when digit systems moved from the
 exact-integer word walk to the float-continuant sweep: 5 of its 40 rows
 moved in the last digits, the four at n = 8 (the one level past 2^53, which
 now carries an outward bracket) and one at n = 5 (numpy's power and Python's
-`**` differ in the last bit there).  A change that alters any of them changes
-the program's output and must say why.
+`**` differ in the last bit there).  The bundled-system fingerprints were
+taken while `bundled.py` still spelled each system out in Python, before the
+packaged configs became their one definition.  A change that alters any of
+them changes the program's output and must say why.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bowendim import (
@@ -35,6 +38,7 @@ from bowendim import (
     reblock_one_primitive,
     reblock_pinched,
 )
+from bowendim.config import build_from_spec, load_config
 from bowendim.systems import system_certify, system_primitivity
 
 WIDE_PRESSURE_SHA256 = (
@@ -317,3 +321,80 @@ def test_subsystem_partitions(mode):
     sub = _derived(mode)
     values = tuple(partition(sub, 1, n, 0.5, "enumerate-exact").hi for n in (1, 2, 3))
     assert values == SUBSYSTEM_PARTITIONS[mode]
+
+
+# SHA-256 of each bundled system's structure, at its packaged horizon and at
+# horizon 8; see `_fingerprint` for the fields
+BUNDLED_FINGERPRINTS = {
+    "cantor3": (
+        "24b8092acdd2f406403659c6c155bdceb1bcbc62ef6c798bfaf34e5ca20aab50",
+        "c8b34606c3841dce027961e34147ebbd63773ec1e5a851cb9983e648c1b68f39",
+    ),
+    "interval2": (
+        "81c3dc52a06a38227fdd80b74ac99b49efd825d8af19d11e1fd7a0ce996b18f7",
+        "4e3392957bf69799b9582647b7c3fa3ed8e0c0604d226880ff408397eacb19fe",
+    ),
+    "alt24": (
+        "a899ef83f535fda0bf05862a6db29143c3e615e95a8e5964a2f38b7446ba76a1",
+        "84ec675326846b90782d92d9aed091694f1452e14f442990f38694477fce2c1b",
+    ),
+    "cf12": (
+        "1cc19791891aefffd827c79ba7b7619cf9ef9153a84f704a60db613ba6cc5ff3",
+        "b077a4a47a4bf5b2adbdfb841dc985a2844e0de8f87e4b2ef728927482774492",
+    ),
+    "ab-half": (
+        "8038a8492e09b220b36b0d38f8eede47a55667d7ebfa63af4e0003dfe4e03f76",
+        "932d39113715d52e568ba67aceb0a4db7fdfa65d3a452ea1b5f0d508769911ac",
+    ),
+    "ascend-cf12": (
+        "659237c75af6eb3fb1dc3c432f21179b725dab1c5710ba3b223289f5ba3e9d58",
+        "401c2390fa1634870db83199f42a6fda19a54dfd5c9226de566b351cf06e27f1",
+    ),
+    "gdms2v": (
+        "eab45ade7ecba29ec28bc93af280356ac1cf5d044753eb6cba00d5f04c48b8d4",
+        "f84a238be7316464df33b069fa95930b02f2197b3fc1d79a80c2b100e1ca8262",
+    ),
+    "perm2": (
+        "da7e3e2bd8fbabe6c9ce0bb47034110d6da0674b4b8b3eb76c9a7432f3807d79",
+        "5014cfce4dbd8b1c8ea23157e930a48f3408c9c7cf3fbee9793633a58bd8c09d",
+    ),
+    "pinch2": (
+        "362c380db0116f33ab0ddab62e2b8ed4ea2907597ea1a8d4cf96de35d8626019",
+        "74fd124cd9f281d1ebe00f16bc0c8233d83fbde14251875d44555db9bb23693c",
+    ),
+    "elliptic-q2": (
+        "f3152772c13c3280966fccad22ce8ae191d0d87e50c9cf9f1d1192f921c1c78b",
+        "408f6897e234d25f4d6e473b9a9b2b26549cf0d84550e45a8970e3a5d40888fb",
+    ),
+}
+
+
+def _fingerprint(system):
+    """SHA-256 of the vertex sets, alphabets, incidence types and matrices,
+    spaces, maps, dim, declared distortion, tail rule (by `vars`) and flags;
+    `provenance` and `notes` are left out."""
+    digest = hashlib.sha256()
+    sched = system.schedule
+    digest.update(repr((sched.vertex_sets, sched.alphabets)).encode())
+    for inc in sched.incidence[1:]:
+        mat = inc.matrix()
+        digest.update(repr((type(inc).__name__, mat.shape)).encode())
+        digest.update(np.packbits(mat).tobytes())
+    tail = None if system.tail_rule is None else sorted(vars(system.tail_rule).items())
+    digest.update(repr((
+        system.spaces, system.maps, system.dim, system.declared_distortion,
+        tail, sorted(system.flags),
+    )).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_FINGERPRINTS))
+def test_bundled_fingerprints_on_every_route(name):
+    # the Python function, the CLI's bundled name and a {"kind": "bundled"} spec
+    packaged, at_8 = BUNDLED_FINGERPRINTS[name]
+    spec = {"kind": "bundled", "name": name}
+    assert _fingerprint(bundled.BUNDLED[name]()) == packaged
+    assert _fingerprint(load_config(name)[1]) == packaged
+    assert _fingerprint(build_from_spec(spec)) == packaged
+    assert _fingerprint(bundled.BUNDLED[name](horizon=8)) == at_8
+    assert _fingerprint(build_from_spec(dict(spec, overrides={"horizon": 8}))) == at_8

@@ -264,7 +264,7 @@ def _walked(system, m, n, budget=_frontier.DEFAULT_BUDGET):
 def test_walk_equals_compose_norm(m, n):
     walked = _walked(cf_wide(), m, n)
     assert len(walked) == sum(3**k for k in range(1, n - m + 2))
-    fresh = cf_wide()  # compose_norm memoizes per system: start empty
+    fresh = cf_wide()  # a system the walk never touched
     for j, word, bracket in walked:
         assert word.start == m and word.end == j
         ref = compose_norm(word, fresh)

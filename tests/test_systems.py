@@ -10,6 +10,7 @@ from bowendim import (
     BudgetError,
     BuildError,
     EdgeSpec,
+    InputError,
     MoebiusInverse,
     Similarity,
     Word,
@@ -19,6 +20,7 @@ from bowendim import (
     build_cf_system,
     build_gdms,
     build_similarity_system,
+    certify_primitivity,
     compose_norm,
     contraction_eta,
     count_words,
@@ -191,6 +193,20 @@ class TestReblockUniform:
         xb = np.sort(b.coords[:, 0])
         assert np.allclose(xa, xb, atol=2 * (a.radii.max() + b.radii.max()))
 
+    def test_block_alphabet_past_the_dense_cap_refused(self, monkeypatch):
+        # 71 letters with complete incidence: 71^2 = 5041 block words at p = 2
+        wide = build_similarity_system(
+            [[0.01] * 71] * 4, [[k / 71 for k in range(71)]] * 4
+        )
+        cert = certify_primitivity(wide.schedule, 2)
+
+        def walked(*args):
+            raise AssertionError("block words walked before the size check")
+
+        monkeypatch.setattr("bowendim.systems._block_words", walked)
+        with pytest.raises(BudgetError, match="5041 words"):
+            reblock_one_primitive(wide, cert)
+
 
 class TestReblockPinched:
     def test_single_vertex_identity_blocks(self):
@@ -305,6 +321,20 @@ class TestEllipticModel:
         rep = elliptic_lower_bound(2, t_grid=(1.5,), build=False)
         sel = rep.selections[0]
         assert not sel.feasible and "threshold" in sel.reason
+
+    @pytest.mark.parametrize(
+        "constants, field",
+        [({"Q_const": 0.0}, "Q_const"), ({"comparability_K": 0.5}, "comparability_K"),
+         ({"t_grid": (1.2, -1.0)}, "t_grid")],
+        ids=["Q_const", "comparability_K", "t_grid"],
+    )
+    def test_constants_checked_before_any_work(self, monkeypatch, constants, field):
+        def scanned(*args):
+            raise AssertionError("lattice scanned before the constants were checked")
+
+        monkeypatch.setattr("bowendim.systems.gaussian_lattice_poles", scanned)
+        with pytest.raises(InputError, match=field):
+            elliptic_lower_bound(2, **constants)
 
     def test_selection_and_growth(self):
         rep = elliptic_lower_bound(2, t_grid=(1.2,), horizon=6)
