@@ -78,9 +78,9 @@ def write_json(path: Path, payload):
 # ---------------------------------------------------------------------------
 
 
-def pressure_svg(path: Path, ts, rates, crossing=None, width=640, height=420):
+def pressure_svg(path: Path, ts, rates, crossing=None):
     """Pressure-rate-versus-t polyline with the zero line and crossing mark."""
-    pad = 50
+    width, height, pad = 640, 420, 50
     t0, t1 = min(ts), max(ts)
     lo = min(min(rates), 0.0)
     hi = max(max(rates), 0.0)

@@ -210,9 +210,11 @@ def _boxes_at_scale(coords, radii, eps, budget=20_000_000):
     are listed in one pass by splitting a running per-point index into
     mixed-radix digits, one axis at a time.
     """
-    lo = np.floor((coords - radii[:, None]) / eps)
-    extent = np.floor((coords + radii[:, None]) / eps) - lo + 1
-    # counted in floats first: far or non-finite enclosures overflow int64
+    # counted in floats first: far or non-finite enclosures overflow int64,
+    # and the inf or nan they leave fails the budget test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.floor((coords - radii[:, None]) / eps)
+        extent = np.floor((coords + radii[:, None]) / eps) - lo + 1
     total = extent.prod(axis=1).sum()
     if not total <= budget:
         raise BudgetError(f"box enumeration at scale {eps} needs {total:.0f} cells")
@@ -307,14 +309,17 @@ class OscReport:
     level: int
     checked: int
     violations: tuple
-    tol: float
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def verify_osc(system, n: int, tol: float = 1e-12, budget: int = 200_000) -> OscReport:
+#: interior overlap up to this size counts as touching, not overlapping
+OSC_TOL = 1e-12
+
+
+def verify_osc(system, n: int, budget: int = 200_000) -> OscReport:
     """Pairwise interior-overlap check of the level-n cells sharing a root vertex."""
     cover = level_cover(system, n, budget)
     groups = {}
@@ -326,15 +331,15 @@ def verify_osc(system, n: int, tol: float = 1e-12, budget: int = 200_000) -> Osc
             cells = sorted(cells, key=lambda c: c[1].bounds[0])
             for (la, ra), (lb, rb) in zip(cells, cells[1:]):
                 overlap = ra.interior_overlap(rb)
-                if overlap > tol:
+                if overlap > OSC_TOL:
                     violations.append((la, lb, overlap))
         else:
             for i in range(len(cells)):
                 for j in range(i + 1, len(cells)):
                     overlap = cells[i][1].interior_overlap(cells[j][1])
-                    if overlap > tol:
+                    if overlap > OSC_TOL:
                         violations.append((cells[i][0], cells[j][0], overlap))
-    return OscReport(n, len(cover.cells), tuple(violations), tol)
+    return OscReport(n, len(cover.cells), tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +376,10 @@ class DiameterReport:
         }
 
 
-def diameter_diagnostics(system, horizon: Optional[int] = None) -> DiameterReport:
+def diameter_diagnostics(system) -> DiameterReport:
     """Space-diameter sequences with fitted rates for both diameter limits
     and for the vertex-count growth."""
-    h = horizon or system.horizon
+    h = system.horizon
     d_lo, d_hi = [], []
     for n in range(0, h + 1):
         lo, hi = system.diam_bounds(n)

@@ -40,10 +40,10 @@ class Space:
     """Compact space attached to a (vertex, time) pair.
 
     kind "interval": bounds = (lo, hi); kind "disk": bounds = (cx, cy, r).
-    The enlarged conformality domain W is the concentric `enlargement`-times
-    blow-up (1.5 keeps diam(W) <= 2 diam(X)).  `declared` may carry
-    user-asserted cone/covering constants for planar model systems; nothing
-    numeric consumes them, and intervals satisfy those conditions trivially.
+    `enlargement` records the factor of the concentric conformality domain W
+    (1.5 keeps diam(W) <= 2 diam(X)).  `declared` may carry user-asserted
+    cone/covering constants for planar model systems.  Nothing numeric
+    consumes either, and intervals satisfy those conditions trivially.
     """
 
     kind: str
@@ -68,21 +68,9 @@ class Space:
             return self.bounds[1] - self.bounds[0]
         return 2.0 * self.bounds[2]
 
-    @property
-    def center(self):
-        if self.kind == "interval":
-            return 0.5 * (self.bounds[0] + self.bounds[1])
-        return self.bounds[:2]
-
-    def enlarged(self) -> "Space":
-        if self.kind == "interval":
-            c = 0.5 * (self.bounds[0] + self.bounds[1])
-            h = 0.5 * self.enlargement * (self.bounds[1] - self.bounds[0])
-            return Space("interval", (c - h, c + h), self.enlargement)
-        cx, cy, r = self.bounds
-        return Space("disk", (cx, cy, self.enlargement * r), self.enlargement)
-
-    def contains(self, other: "Space", tol=1e-12) -> bool:
+    def contains(self, other: "Space") -> bool:
+        """`other` lies inside this space, up to 1e-12 at the boundary."""
+        tol = 1e-12
         if self.kind != other.kind:
             return False
         if self.kind == "interval":

@@ -493,15 +493,21 @@ def enumerate_words(
     return iter(())
 
 
-def count_words(m: int, n: int, schedule: GraphSchedule) -> int:
-    """#I^{m,n} over pruned letters, by exact integer transfer."""
-    if n > schedule.horizon:
-        raise ConfigurationError(f"time {n} beyond horizon {schedule.horizon}")
+def _word_counts(schedule: GraphSchedule, m: int, n: int) -> list:
+    """Per letter at time m, the number of pruned words m..n it starts (0 for
+    pruned-away letters), by exact integer transfer backward from time n."""
     counts = [1 if k else 0 for k in schedule.kept[n]]
     for j in range(n - 1, m - 1, -1):
         nxt = schedule.incidence[j].count_transfer(counts)
         counts = [c if k else 0 for c, k in zip(nxt, schedule.kept[j])]
-    return sum(counts)
+    return counts
+
+
+def count_words(m: int, n: int, schedule: GraphSchedule) -> int:
+    """#I^{m,n} over pruned letters, by exact integer transfer."""
+    if n > schedule.horizon:
+        raise ConfigurationError(f"time {n} beyond horizon {schedule.horizon}")
+    return sum(_word_counts(schedule, m, n))
 
 
 def follower_set(word: Word, depth: int, schedule: GraphSchedule):
@@ -544,24 +550,18 @@ class GrowthStats:
     xi: tuple
     horizon: int
 
-    def count_trend(self, slope_tol=None) -> TrendReport:
-        kw = {} if slope_tol is None else {"slope_tol": slope_tol}
-        return trend_report("#I", self.times, values=self.counts, **kw)
+    def count_trend(self) -> TrendReport:
+        return trend_report("#I", self.times, values=self.counts)
 
-    def follower_trend(self, slope_tol=None) -> TrendReport:
-        kw = {} if slope_tol is None else {"slope_tol": slope_tol}
+    def follower_trend(self) -> TrendReport:
         ns = self.times[: len(self.g_hi)]
-        return trend_report("G_hi", ns, values=self.g_hi, **kw)
+        return trend_report("G_hi", ns, values=self.g_hi)
 
 
 def _follower_count_range(schedule, n, depth):
     """(min, max) over kept letters at time n of #length-`depth` continuations."""
-    counts = [1 if k else 0 for k in schedule.kept[n + depth]]
-    for j in range(n + depth - 1, n, -1):
-        nxt = schedule.incidence[j].count_transfer(counts)
-        counts = [c if k else 0 for c, k in zip(nxt, schedule.kept[j])]
-    final = schedule.incidence[n].count_transfer(counts)
-    vals = [c for c, k in zip(final, schedule.kept[n]) if k]
+    counts = _word_counts(schedule, n, n + depth)
+    vals = [c for c, k in zip(counts, schedule.kept[n]) if k]
     return min(vals), max(vals)
 
 
@@ -619,13 +619,11 @@ def growth_stats(schedule: GraphSchedule, cert=None) -> GrowthStats:
     return stats
 
 
-def subexp_diagnostic(stats: GrowthStats, slope_tol=None):
+def subexp_diagnostic(stats: GrowthStats):
     """Alphabet- and follower-growth trend reports with a combined verdict."""
     if stats.horizon < 8:
         raise ConfigurationError("subexponential diagnostics need horizon >= 8")
-    count_trend = stats.count_trend(slope_tol)
-    follower_trend = stats.follower_trend(slope_tol)
-    return SubexpReport(count_trend, follower_trend)
+    return SubexpReport(stats.count_trend(), stats.follower_trend())
 
 
 @dataclass(frozen=True)
@@ -731,6 +729,8 @@ def certify_primitivity(schedule: GraphSchedule, p: int):
     word, i.e. the (p+1)-matrix products are entrywise positive; p=0 demands
     complete steps.  Returns a certificate without connector words or None.
     """
+    if p < 0:
+        raise InputError(f"connector length p must be >= 0, got {p}")
     if schedule.horizon < p + 2:
         raise ConfigurationError(
             f"certifying p={p} needs horizon >= {p + 2}, have {schedule.horizon}"

@@ -28,14 +28,12 @@ from .errors import (
     CertificationError,
     ConfigurationError,
     InputError,
-    UnsupportedError,
 )
 from .maps import (
     ComposedMap,
     ConformalMap,
     MoebiusInverse,
     Similarity,
-    Space,
     compose_norm,
     disk,
     interval,
@@ -143,29 +141,24 @@ def build_similarity_system(
     ratios_schedule: Sequence[Sequence[float]],
     offsets: Sequence[Sequence],
     matrices="full",
-    space: Space = None,
-    dim: int = 1,
     provenance: str = "similarity schedule",
 ) -> SystemSpec:
-    """Single-vertex system of affine contractions, one list per time step.
+    """Single-vertex system of affine contractions x -> r x + o on [0, 1],
+    one list of ratios and one of offsets per time step.
 
     `matrices` is "full", "identity", a per-step list of those/0-1 arrays, or
     a single explicit array reused at every step.
     """
     if len(offsets) != len(ratios_schedule):
         raise BuildError("ratios and offsets schedules differ in length")
-    space = space or (interval(0.0, 1.0) if dim == 1 else disk(0.0, 0.0, 1.0))
-    maps = []
-    for ratios, offs in zip(ratios_schedule, offsets):
-        row = []
-        for r, o in zip(ratios, offs):
-            if dim == 2 and not isinstance(o, tuple):
-                raise BuildError("dim=2 needs (x, y) offsets")
-            off = o if isinstance(o, tuple) else (float(o),)
-            row.append(Similarity(float(r), off, dim=dim))
-        maps.append(row)
+    maps = [
+        [Similarity(float(r), (float(o),)) for r, o in zip(ratios, offs)]
+        for ratios, offs in zip(ratios_schedule, offsets)
+    ]
     labels = [[f"m{k}" for k in range(len(row))] for row in ratios_schedule]
-    return _one_vertex(labels, maps, space, matrices, dim=dim, provenance=provenance)
+    return _one_vertex(
+        labels, maps, interval(0.0, 1.0), matrices, provenance=provenance
+    )
 
 
 def build_cf_system(
@@ -202,7 +195,6 @@ def build_gdms(
     spaces: Mapping,
     matrices="full",
     provenance: str = "graph directed schedule",
-    dim: int = 1,
 ) -> SystemSpec:
     """General multi-vertex builder.
 
@@ -228,7 +220,6 @@ def build_gdms(
         [[e.map for e in edges] for edges in edge_schedule],
         space_rows,
         matrices,
-        dim=dim,
         provenance=provenance,
     )
 
@@ -240,7 +231,8 @@ def build_gdms(
 
 @dataclass(frozen=True)
 class AscendingSpec:
-    """Nested alphabets over one master map family on a fixed space.
+    """Nested alphabets over one master map family on [0, 1], with complete
+    incidence.
 
     include[n-1] lists the labels active at time n; nesting, map agreement
     and incidence agreement across times then hold by construction.
@@ -249,9 +241,6 @@ class AscendingSpec:
 
     base_maps: Mapping
     include: Sequence[Sequence[str]]
-    space: Space = None
-    incidence: str = "full"
-    dim: int = 1
     infinite_family: bool = False
     tail_rule: object = None
 
@@ -270,10 +259,6 @@ class AscendingSpec:
                     " nesting violated"
                 )
             prev = cur
-        if self.incidence != "full":
-            raise UnsupportedError(
-                "ascending builder currently materializes complete incidence"
-            )
 
 
 def build_ascending(spec: AscendingSpec) -> SystemSpec:
@@ -281,32 +266,27 @@ def build_ascending(spec: AscendingSpec) -> SystemSpec:
     return _one_vertex(
         spec.include,
         [[spec.base_maps[lbl] for lbl in labels] for labels in spec.include],
-        spec.space or interval(0.0, 1.0),
-        dim=spec.dim,
+        interval(0.0, 1.0),
         tail_rule=spec.tail_rule,
         flags=frozenset({"ascending"}),
         provenance="ascending family",
     )
 
 
-def autonomous_closure(spec: AscendingSpec, horizon: Optional[int] = None) -> SystemSpec:
-    """The time-independent system on the union alphabet.
+def autonomous_closure(spec: AscendingSpec) -> SystemSpec:
+    """The time-independent system on the union alphabet, over the spec's
+    horizon.
 
     Materialized alphabets are nested, so the union is the last include list;
     truncations of unbounded families carry an explicit tail note.
     """
     spec.validate()
-    if spec.incidence != "full":
-        raise UnsupportedError(
-            "closure is defined for iterated-function schedules only"
-        )
     union = list(spec.include[-1])
-    h = horizon or len(spec.include)
+    h = len(spec.include)
     return _one_vertex(
         [union] * h,
         [[spec.base_maps[lbl] for lbl in union]] * h,
-        spec.space or interval(0.0, 1.0),
-        dim=spec.dim,
+        interval(0.0, 1.0),
         tail_rule=spec.tail_rule,
         flags=frozenset({"closure"}),
         provenance="autonomous closure of ascending family",
@@ -423,19 +403,22 @@ def reblock_one_primitive(system: SystemSpec, cert: PrimitivityCertificate) -> S
     return out
 
 
-def reblock_pinched(
-    system: SystemSpec,
-    pinch_times: Sequence[int],
-    growth_slope_cap: float = 0.5,
-    check_identity: bool = True,
-) -> SystemSpec:
+#: largest fitted tail slope of (l_n^2 - l_(n-1)^2)/n over the pinch times l_n
+PINCH_SLOPE_CAP = 0.5
+
+
+def reblock_pinched(system: SystemSpec, pinch_times: Sequence[int]) -> SystemSpec:
     """Blocks cut at pinch times: each pinch must be a single-vertex time with
-    complete incidence into the next alphabet; emits an iterated-function
-    schedule whose level-n partition equals the original at time pinch_n."""
+    complete incidence into the next alphabet, and the pinch spacing must pass
+    the PINCH_SLOPE_CAP growth test.  Emits an iterated-function schedule
+    whose level-n partition equals the original at time pinch_n, checked at
+    t = 1/2 for the first four blocks."""
     sched = system.schedule
     ells = [int(x) for x in pinch_times]
-    if any(b <= a for a, b in zip(ells, ells[1:])) or not ells:
-        raise InputError("pinch times must be strictly increasing and nonempty")
+    if not ells or ells[0] < 1 or any(b <= a for a, b in zip(ells, ells[1:])):
+        raise InputError(
+            "pinch times must be nonempty, at least 1 and strictly increasing"
+        )
     if ells[-1] > sched.horizon:
         raise ConfigurationError(
             f"pinch time {ells[-1]} beyond horizon {sched.horizon}"
@@ -461,10 +444,10 @@ def reblock_pinched(
 
         tail = vals[len(vals) // 2 :]
         slope, _, _ = fit_line(range(len(tail)), tail)
-        if slope > growth_slope_cap:
+        if slope > PINCH_SLOPE_CAP:
             raise BuildError(
                 "pinch spacing grows too fast: fitted slope of"
-                f" (l_n^2 - l_(n-1)^2)/n is {slope:.3g} > {growth_slope_cap};"
+                f" (l_n^2 - l_(n-1)^2)/n is {slope:.3g} > {PINCH_SLOPE_CAP};"
                 " the subexponential re-blocking hypothesis fails"
             )
     rows = [
@@ -481,16 +464,14 @@ def reblock_pinched(
         flags=system.flags | frozenset({"pinched"}),
         provenance=f"{system.provenance} [pinched at {ells}]",
     )
-    if check_identity:
-        upto = min(len(ells), 4)
-        for n in range(1, upto + 1):
-            orig = thermo.partition(system, 1, ells[n - 1], 0.5, "enumerate-exact")
-            blocked = thermo.partition(out, 1, n, 0.5, "enumerate-exact")
-            if not math.isclose(orig.hi, blocked.hi, rel_tol=1e-12):
-                raise BuildError(
-                    f"partition identity failed at block {n}:"
-                    f" {orig.hi} != {blocked.hi}"
-                )
+    for n in range(1, min(len(ells), 4) + 1):
+        orig = thermo.partition(system, 1, ells[n - 1], 0.5, "enumerate-exact")
+        blocked = thermo.partition(out, 1, n, 0.5, "enumerate-exact")
+        if not math.isclose(orig.hi, blocked.hi, rel_tol=1e-12):
+            raise BuildError(
+                f"partition identity failed at block {n}:"
+                f" {orig.hi} != {blocked.hi}"
+            )
     return out
 
 
@@ -703,8 +684,8 @@ class EllipticModelReport:
     system: Optional[SystemSpec]
 
 
-def _pack_disks(radii, space_radius=1.0):
-    """Greedy centers for disjoint disks inside the unit-radius space."""
+def _pack_disks(radii):
+    """Greedy centers for disjoint disks inside the unit disk."""
     order = np.argsort(-np.asarray(radii))
     placed = []
     centers = [None] * len(radii)
@@ -713,12 +694,12 @@ def _pack_disks(radii, space_radius=1.0):
         r = radii[idx]
         done = False
         rad = 0.0
-        while rad + r <= space_radius + 1e-12 and not done:
+        while rad + r <= 1.0 + 1e-12 and not done:
             k_max = max(1, int(math.ceil(2 * math.pi * max(rad, step) / step)))
             for k in range(k_max):
                 ang = 2 * math.pi * k / k_max
                 cx, cy = rad * math.cos(ang), rad * math.sin(ang)
-                if math.hypot(cx, cy) + r > space_radius:
+                if math.hypot(cx, cy) + r > 1.0:
                     continue
                 if all(
                     math.hypot(cx - px, cy - py) >= r + pr

@@ -197,6 +197,13 @@ def _tail_start(window):
     return n_lo + (n_hi - n_lo) // 2
 
 
+def _tail(window):
+    """Indices into the times n_lo..n_hi of the window's tail half, the
+    times n >= _tail_start(window)."""
+    n_lo, n_hi = window
+    return range(_tail_start(window) - n_lo, n_hi - n_lo + 1)
+
+
 def pressure_estimate(
     system, t: float, window, strategy: str = "auto",
     budget: int = _frontier.DEFAULT_BUDGET,
@@ -214,7 +221,7 @@ def pressure_estimate(
     s_lo = tuple(math.log(z) / n if z > 0 else -math.inf for n, z in zip(ns, z_lo))
     s_hi = tuple(math.log(z) / n if z > 0 else -math.inf for n, z in zip(ns, z_hi))
 
-    tail = [i for i, n in enumerate(ns) if n >= _tail_start(window)]
+    tail = _tail(window)
     low = (min(s_lo[i] for i in tail), min(s_hi[i] for i in tail))
     up = (max(s_lo[i] for i in tail), max(s_hi[i] for i in tail))
 
@@ -282,7 +289,6 @@ def bowen_dimension(
     window=None,
     strategy: str = "auto",
     budget: int = _frontier.DEFAULT_BUDGET,
-    hypothesis: Optional["HypothesisReport"] = None,
 ) -> DimensionResult:
     """Bracket the zero-crossing of the windowed pressure rate in t.
 
@@ -314,37 +320,32 @@ def bowen_dimension(
             " zero-crossing inside the bracket"
         )
     if r_hi[0] >= 0:
-        if t_hi >= system.dim:
-            notes.append(
-                f"pressure rate still nonnegative at t = d = {t_hi};"
-                " dimension estimate clamps to the ambient dimension"
+        if t_hi < system.dim:
+            raise BracketingError(
+                f"pressure rate at t={t_hi} is {r_hi}, not negative; widen the"
+                " bracket"
             )
-            hyp = hypothesis or hypothesis_report(system)
-            return DimensionResult(
-                (max(t_lo, t_hi - tol), t_hi), n_max, window, tol,
-                tuple(trace), hyp, _resolve_strategy(system, 1, n_max, strategy),
-                tuple(notes),
-            )
-        raise BracketingError(
-            f"pressure rate at t={t_hi} is {r_hi}, not negative; widen the"
-            " bracket"
+        notes.append(
+            f"pressure rate still nonnegative at t = d = {t_hi};"
+            " dimension estimate clamps to the ambient dimension"
         )
-    while t_hi - t_lo > tol:
-        mid = 0.5 * (t_lo + t_hi)
-        r = rate(mid)
-        if r[0] >= 0:
-            t_lo = mid
-        elif r[1] < 0:
-            t_hi = mid
-        else:
-            notes.append(
-                f"norm-bracket uncertainty straddles zero at t={mid:.6g};"
-                f" stopping with width {t_hi - t_lo:.3g}"
-            )
-            break
-    hyp = hypothesis or hypothesis_report(system)
+        t_lo = max(t_lo, t_hi - tol)
+    else:
+        while t_hi - t_lo > tol:
+            mid = 0.5 * (t_lo + t_hi)
+            r = rate(mid)
+            if r[0] >= 0:
+                t_lo = mid
+            elif r[1] < 0:
+                t_hi = mid
+            else:
+                notes.append(
+                    f"norm-bracket uncertainty straddles zero at t={mid:.6g};"
+                    f" stopping with width {t_hi - t_lo:.3g}"
+                )
+                break
     return DimensionResult(
-        (t_lo, t_hi), n_max, window, tol, tuple(trace), hyp,
+        (t_lo, t_hi), n_max, window, tol, tuple(trace), hypothesis_report(system),
         _resolve_strategy(system, 1, n_max, strategy), tuple(notes),
     )
 
@@ -403,8 +404,8 @@ def theta_bounds(family_rule, tol: float = 1e-9, t_cap: float = 8.0) -> ThetaBou
     return ThetaBounds(0.5 * (lo + hi), 0.5 * (lo + hi), "tail-rule")
 
 
-def system_theta(system, tol: float = 1e-9) -> ThetaBounds:
-    return theta_bounds(system.tail_rule, tol, t_cap=float(max(8, 4 * system.dim)))
+def system_theta(system) -> ThetaBounds:
+    return theta_bounds(system.tail_rule, t_cap=float(max(8, 4 * system.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +440,6 @@ class LowerBoundDiagnostics:
     delta_proxy: float
     p: int
     certified: bool
-    margin: float
 
     def as_dict(self):
         return {
@@ -452,13 +452,9 @@ class LowerBoundDiagnostics:
         }
 
 
-def lower_bound_diagnostics(
-    system, t: float, window, cert: Optional[PrimitivityCertificate] = None,
-    margin: float = 0.0, strategy: str = "auto",
-) -> LowerBoundDiagnostics:
+def lower_bound_diagnostics(system, t: float, window) -> LowerBoundDiagnostics:
     _check_t(system, t)
-    if cert is None:
-        cert = find_primitivity(system.schedule, p_max=4)
+    cert = find_primitivity(system.schedule, p_max=4)
     if cert is None:
         raise ConfigurationError(
             "lower-bound diagnostics need a primitivity certificate"
@@ -466,7 +462,7 @@ def lower_bound_diagnostics(
     n_lo, n_hi = window
     if not (2 <= n_lo < n_hi <= system.horizon):
         raise ConfigurationError(f"window {window} outside [2, horizon]")
-    levels, _ = _levels(system, 1, n_hi, t, strategy)
+    levels, _ = _levels(system, 1, n_hi, t, "auto")
     stats = growth_stats(system.schedule)
     d = float(system.dim)
 
@@ -499,23 +495,22 @@ def lower_bound_diagnostics(
         z_tilde.append(zt)
         kappa_seq.append(kappa_n)
 
-    tail = [i for i, n in enumerate(ns) if n >= _tail_start(window)]
-    kappa_proxy = min(kappa_seq[i] for i in tail)
+    kappa_proxy = min(kappa_seq[i] for i in _tail(window))
     ghi_ns = stats.times[: len(stats.g_hi)]
-    tail_g = [i for i, n in enumerate(ghi_ns) if n >= _tail_start((1, len(ghi_ns)))]
+    tail_g = _tail((1, len(ghi_ns)))
     delta_proxy, _, _ = fit_line(
         [ghi_ns[i] for i in tail_g],
         [math.log(stats.g_hi[i]) for i in tail_g],
     )
     delta_proxy = max(delta_proxy, 0.0)
     p = cert.p
-    certified = delta_proxy * (p**2 + p + 1) < kappa_proxy - margin
+    certified = delta_proxy * (p**2 + p + 1) < kappa_proxy
     return LowerBoundDiagnostics(
         t=t, window=(n_lo, n_hi), ns=tuple(ns), rho=tuple(rho),
         c_lo=tuple(c_lo_seq), c_hi=tuple(c_hi_seq), g_lo=tuple(g_lo_seq),
         d_lo=tuple(d_lo_seq), d_hi=tuple(d_hi_seq), z_tilde=tuple(z_tilde),
         kappa_seq=tuple(kappa_seq), kappa_proxy=kappa_proxy,
-        delta_proxy=delta_proxy, p=p, certified=certified, margin=margin,
+        delta_proxy=delta_proxy, p=p, certified=certified,
     )
 
 
@@ -524,6 +519,8 @@ def lower_bound_diagnostics(
 # ---------------------------------------------------------------------------
 
 BALANCING_ORDER = ("perfectly", "balanced", "weakly", "barely", "unclassified")
+#: largest last rate that still passes the weakly and barely tests
+BALANCING_RATE_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -537,19 +534,21 @@ class BalancingReport:
     rho: tuple
     flags: dict
     verdict: str
-    thresholds: dict
 
     def at_least(self, cls: str) -> bool:
         return self.flags.get(cls, False)
 
 
 def classify_rho(
-    rho_seq: Sequence[float],
-    all_similarity: bool = False,
-    balanced_slope_tol: float = 1e-3,
-    rate_tol: float = 0.05,
+    rho_seq: Sequence[float], all_similarity: bool = False
 ) -> BalancingReport:
-    """Finite-horizon balancing verdict from the rho_n sequence alone."""
+    """Finite-horizon balancing verdict from the rho_n sequence alone.
+
+    balanced: the tail-half slope of log rho_n is at most 1e-3 in size;
+    weakly and barely: the last rate (1/n) log rho_n, resp.
+    (1/n) log(1 + log rho_n), is at most BALANCING_RATE_TOL.  Each class
+    implies the weaker ones.
+    """
     rho_seq = [float(r) for r in rho_seq]
     if any(r < 1.0 - 1e-9 for r in rho_seq):
         raise InputError("rho values must be >= 1")
@@ -557,11 +556,11 @@ def classify_rho(
     ns = list(range(1, h + 1))
     perfectly = all_similarity and all(abs(r - 1.0) <= 1e-12 for r in rho_seq)
     log_rho = [math.log(max(r, 1.0)) for r in rho_seq]
-    tail = [i for i in range(h) if ns[i] >= 1 + (h - 1) // 2]
+    tail = _tail((1, h))
     slope, _, _ = fit_line([ns[i] for i in tail], [log_rho[i] for i in tail])
-    balanced = perfectly or abs(slope) <= balanced_slope_tol
-    weakly = balanced or (log_rho[-1] / ns[-1]) <= rate_tol
-    barely = weakly or (math.log(1.0 + log_rho[-1]) / ns[-1]) <= rate_tol
+    balanced = perfectly or abs(slope) <= 1e-3
+    weakly = balanced or (log_rho[-1] / ns[-1]) <= BALANCING_RATE_TOL
+    barely = weakly or (math.log(1.0 + log_rho[-1]) / ns[-1]) <= BALANCING_RATE_TOL
     flags = {
         "perfectly": perfectly,
         "balanced": balanced,
@@ -571,22 +570,13 @@ def classify_rho(
     verdict = next(
         (c for c in BALANCING_ORDER[:-1] if flags[c]), "unclassified"
     )
-    return BalancingReport(
-        rho=tuple(rho_seq),
-        flags=flags,
-        verdict=verdict,
-        thresholds={
-            "balanced_slope_tol": balanced_slope_tol,
-            "rate_tol": rate_tol,
-        },
-    )
+    return BalancingReport(rho=tuple(rho_seq), flags=flags, verdict=verdict)
 
 
-def balancing_class(system, horizon: Optional[int] = None, **thresholds) -> BalancingReport:
-    h = horizon or system.horizon
-    rho_seq = [system.rho(n) for n in range(1, h + 1)]
-    all_sim = frozenset().union(*system._map_types[1 : h + 1]) <= {Similarity}
-    return classify_rho(rho_seq, all_similarity=all_sim, **thresholds)
+def balancing_class(system) -> BalancingReport:
+    rho_seq = [system.rho(n) for n in range(1, system.horizon + 1)]
+    all_sim = frozenset().union(*system._map_types[1:]) <= {Similarity}
+    return classify_rho(rho_seq, all_similarity=all_sim)
 
 
 # ---------------------------------------------------------------------------
@@ -604,40 +594,42 @@ class ABDimensionBounds:
     reason: str = ""
 
 
-def ab_dimension_bounds(
-    system, horizon: Optional[int] = None, min_rate: float = 0.05,
-    match_tol: float = 0.05,
-) -> ABDimensionBounds:
+#: least fitted a- or b-rate that counts as positive-exponential
+AB_MIN_RATE = 0.05
+#: largest relative gap between a0 and a1, and between b0 and b1, for a point
+AB_MATCH_TOL = 0.05
+
+
+def ab_dimension_bounds(system) -> ABDimensionBounds:
     """Dimension bounds [a0/b1, a1/b0] from fitted exponential rates of the
     follower counts (a) and reciprocal norm extremes (b)."""
-    h = horizon or system.horizon
+    h = system.horizon
     stats = growth_stats(system.schedule)
     ns = list(range(1, h))
-    tail = [i for i in range(len(ns)) if ns[i] >= 1 + (len(ns) - 1) // 2]
+    tail = _tail((1, h - 1))
     txs = [ns[i] for i in tail]
     a0, _, _ = fit_line(txs, [math.log(stats.g_lo[i]) for i in tail])
     a1, _, _ = fit_line(txs, [math.log(stats.g_hi[i]) for i in tail])
     cb = [system.c_bounds(n) for n in range(1, h + 1)]
-    tail_c = [i for i in range(h) if i + 1 >= 1 + (h - 1) // 2]
+    tail_c = _tail((1, h))
     txc = [i + 1 for i in tail_c]
     b0, _, _ = fit_line(txc, [-math.log(cb[i][1]) for i in tail_c])
     b1, _, _ = fit_line(txc, [-math.log(cb[i][0]) for i in tail_c])
     rates = {"a0": a0, "a1": a1, "b0": b0, "b1": b1}
-    if min(a0, a1) <= min_rate:
+    if min(a0, a1) <= AB_MIN_RATE:
         return ABDimensionBounds(
             False, None, None, None, rates,
             "follower growth rate not positive-exponential",
         )
-    if min(b0, b1) <= min_rate or not all(map(math.isfinite, (b0, b1))):
+    if min(b0, b1) <= AB_MIN_RATE or not all(map(math.isfinite, (b0, b1))):
         return ABDimensionBounds(
             False, None, None, None, rates,
             "norm decay rate not positive-exponential",
         )
     lo, hi = a0 / b1, a1 / b0
     point = None
-    if abs(a0 - a1) <= match_tol * max(a0, a1) and abs(b0 - b1) <= match_tol * max(
-        b0, b1
-    ):
+    a_match = abs(a0 - a1) <= AB_MATCH_TOL * max(a0, a1)
+    if a_match and abs(b0 - b1) <= AB_MATCH_TOL * max(b0, b1):
         point = (0.5 * (a0 + a1)) / (0.5 * (b0 + b1))
     return ABDimensionBounds(True, lo, hi, point, rates)
 
@@ -657,15 +649,21 @@ class MeasureTrendReport:
     reason: str = ""
 
 
+#: largest |tail slope| of log Z_n(h) that reads as neither zero nor infinite
+MEASURE_SLOPE_TOL = 0.02
+
+
 def hausdorff_measure_trend(
     system, h: float, window, strategy: str = "auto",
-    slope_tol: float = 0.02, value_range=(1e-8, 1e8), diam_cap: float = 1e6,
     budget: int = _frontier.DEFAULT_BUDGET,
 ) -> MeasureTrendReport:
     """Advisory classifier for the h-dimensional measure via the tail of Z_n(h).
 
     Applies only to balanced, uniformly finite systems whose space diameters
-    stay within a bounded band; otherwise reports inapplicable.
+    stay within a factor 1e6 of each other; otherwise reports inapplicable.
+    A tail slope of log Z_n(h) below -MEASURE_SLOPE_TOL reads as zero, above
+    MEASURE_SLOPE_TOL as infinite; in between, tail values inside
+    [1e-8, 1e8] read as finite-positive.
     """
     _check_t(system, h)
     n_lo, n_hi = window
@@ -676,7 +674,7 @@ def hausdorff_measure_trend(
     pre = {
         "balanced": bal.at_least("balanced"),
         "uniformly_finite": max(counts) == min(counts),
-        "diameter_band": band <= diam_cap,
+        "diameter_band": band <= 1e6,
     }
     if not all(pre.values()):
         missing = [k for k, v in pre.items() if not v]
@@ -687,14 +685,14 @@ def hausdorff_measure_trend(
     levels, _ = _levels(system, 1, n_hi, h, strategy, budget)
     ns = list(range(n_lo, n_hi + 1))
     zs = [0.5 * (levels[n][0] + levels[n][1]) for n in ns]
-    tail = [i for i, n in enumerate(ns) if n >= _tail_start(window)]
+    tail = _tail(window)
     slope, _, _ = fit_line([ns[i] for i in tail], [math.log(zs[i]) for i in tail])
     tail_vals = [zs[i] for i in tail]
-    if slope < -slope_tol:
+    if slope < -MEASURE_SLOPE_TOL:
         verdict = "zero"
-    elif slope > slope_tol:
+    elif slope > MEASURE_SLOPE_TOL:
         verdict = "infinite"
-    elif all(value_range[0] <= z <= value_range[1] for z in tail_vals):
+    elif all(1e-8 <= z <= 1e8 for z in tail_vals):
         verdict = "finite-positive"
     else:
         verdict = "inconclusive"
@@ -714,10 +712,10 @@ class EvenlyVaryingReport:
     cap: float
 
 
-def evenly_varying_check(system, horizon: Optional[int] = None, cap: float = 100.0):
+def evenly_varying_check(system, cap: float = 100.0):
     """Per-letter geometric-mean norms eta_i and the smallest sandwich constant
     c with eta_i/c <= |D phi_i^(n)| <= c eta_i; fails beyond the cap."""
-    h = horizon or system.horizon
+    h = system.horizon
     label_sets = [
         frozenset(
             system.schedule.letters(n)[i].label

@@ -16,7 +16,7 @@ SUBEXPONENTIAL = "subexponential-consistent"
 EXPONENTIAL = "exponential"
 INCONCLUSIVE = "inconclusive"
 
-#: default tolerance on the fitted tail slope of log v_n
+#: tolerance on the fitted tail slope of log v_n
 SLOPE_TOL = 0.05
 
 
@@ -41,9 +41,9 @@ def fit_line(xs, ys):
     return slope, intercept, stderr
 
 
-def tail_indices(n_points, fraction=0.5):
-    """Indices of the trailing `fraction` of a sequence (at least two points)."""
-    start = min(n_points - 2, int(math.ceil(n_points * (1.0 - fraction))))
+def tail_indices(n_points):
+    """Indices of the trailing half of a sequence (at least two points)."""
+    start = min(n_points - 2, (n_points + 1) // 2)
     return range(max(0, start), n_points)
 
 
@@ -81,10 +81,10 @@ class TrendReport:
         }
 
 
-def trend_report(name, ns, values=None, log_values=None, slope_tol=SLOPE_TOL):
+def trend_report(name, ns, values=None, log_values=None):
     """Classify growth of v_n as subexponential / exponential / inconclusive.
 
-    Verdict rule: |tail slope| <= slope_tol reads as consistent with
+    Verdict rule: |tail slope| <= SLOPE_TOL reads as consistent with
     (1/n) log v_n -> 0.  A larger slope counts as a genuine exponential rate
     only when the first and second halves of the tail agree on it (within
     25%); a drifting slope stays inconclusive.
@@ -102,13 +102,13 @@ def trend_report(name, ns, values=None, log_values=None, slope_tol=SLOPE_TOL):
 
     verdict = INCONCLUSIVE
     rate = None
-    if abs(slope) <= slope_tol:
+    if abs(slope) <= SLOPE_TOL:
         verdict = SUBEXPONENTIAL
     elif len(idx) >= 4:
         half = len(idx) // 2
         s1, _, _ = fit_line(txs[:half], tys[:half])
         s2, _, _ = fit_line(txs[half:], tys[half:])
-        if abs(s1 - s2) <= 0.25 * max(abs(s1), abs(s2), slope_tol):
+        if abs(s1 - s2) <= 0.25 * max(abs(s1), abs(s2), SLOPE_TOL):
             verdict = EXPONENTIAL
             rate = slope
     per_n = tuple(lv / n if n else 0.0 for n, lv in zip(ns, log_values))

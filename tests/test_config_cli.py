@@ -220,6 +220,29 @@ class TestCliExitCodes:
         assert main(args) == 5
         assert json.loads((out / "summary.json").read_text())["partial"] is True
 
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("cf12", ["--mode", "uniform", "--p", "-1"]),
+            ("cf12", ["--mode", "blocks", "--p", "-1"]),
+            ("alt24", ["--mode", "uniform", "--p", "-1"]),
+            ("ascend-cf12", ["--mode", "blocks", "--p", "-1"]),
+            ("pinch2", ["--mode", "pinched", "--pinch-times", "0", "2"]),
+        ],
+        ids=["cf12-uniform", "cf12-blocks", "alt24-uniform", "ascend-cf12-blocks",
+             "pinch2-time-0"],
+    )
+    def test_out_of_range_subsystem_flags_are_2(self, tmp_path, name, flags):
+        # these once ended in an IndexError or AttributeError traceback
+        proc = subprocess.run(
+            [sys.executable, "-m", "bowendim.cli", "subsystem", name,
+             "--out", str(tmp_path / "o")] + flags,
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
     def test_ok_is_0(self, tmp_path):
         assert main(
             ["dimension", "cantor3", "--out", str(tmp_path / "o0"), "--n-max", "12"]

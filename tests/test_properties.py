@@ -15,7 +15,12 @@ from bowendim import (
     partition,
 )
 from bowendim import bundled
-from bowendim.symbolic import DenseIncidence, ncifs_schedule
+from bowendim.symbolic import (
+    DenseIncidence,
+    _follower_count_range,
+    follower_set,
+    ncifs_schedule,
+)
 from bowendim.systems import system_certify
 
 from oracles import dense_grid_norm_fast
@@ -208,6 +213,13 @@ def test_enumeration_count_matches_transfer(sched, m, span):
     n = min(m + span, sched.horizon)
     m = min(m, n)
     assert count_words(m, n, sched) == sum(1 for _ in enumerate_words(m, n, sched))
+    # the follower-count range reads the same backward transfer
+    if m < n:
+        sizes = [
+            len(follower_set(Word(m, (e.label,)), n - m, sched))
+            for e, k in zip(sched.letters(m), sched.kept[m]) if k
+        ]
+        assert _follower_count_range(sched, m, n - m) == (min(sizes), max(sizes))
 
 
 @CASES
