@@ -160,6 +160,31 @@ class TestCliExitCodes:
         )
         assert main(["check", path, "--out", str(tmp_path / "o")]) == 3
 
+    def test_escaping_gdms_letter_is_3(self, tmp_path, capsys):
+        edge = {"label": "ww", "src": "w", "dst": "w", "ratio": 0.25, "offset": 2.8}
+        path = write_cfg(tmp_path, "esc.json", {
+            "schema_version": 1,
+            "system": dict(self.GDMS1, vertices={"cycle": [["w"]]},
+                           spaces={"w": [2.0, 3.0]}, edges={"cycle": [[edge]]}),
+        })
+        assert main(["check", path, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "semantic error: image of letter 'ww' at time 1 escapes its"
+            " codomain: (3.3, 3.55) not within (2.0, 3.0)\n"
+        )
+
+    def test_degenerate_image_is_3(self, tmp_path, capsys):
+        # packed offsets put both letters at 0 and 1/2 with width below an ulp
+        path = write_cfg(tmp_path, "degen.json", {
+            "schema_version": 1,
+            "system": {"kind": "similarity", "horizon": 3,
+                       "ratios": {"cycle": [[1e-300, 1e-300]]}},
+        })
+        assert main(["check", path, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "semantic error: degenerate interval (0.5, 0.5)\n"
+        )
+
     def test_sub_ulp_images_report(self, tmp_path):
         # digit 173 makes some depth-7 images narrower than one float64 ulp
         path = write_cfg(

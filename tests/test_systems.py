@@ -364,3 +364,61 @@ class TestBundledInvariants:
             if level > system.horizon:
                 break
             assert verify_osc(system, level, budget=budget).ok
+
+
+class TestImageValidation:
+    """phi_e(X_t(e)) must lie in X_i(e): the first offending letter, in time
+    then alphabet order, is named with its image and codomain bounds."""
+
+    def _message(self, build):
+        with pytest.raises(BuildError) as exc:
+            build()
+        return str(exc.value)
+
+    def test_negative_ratio_escape(self):
+        msg = self._message(lambda: build_similarity_system(
+            [[0.3, -0.3]] * 3, [[0.5, 0.2]] * 3))
+        assert msg == (
+            "image of letter 'm1' at time 1 escapes its codomain:"
+            " (-0.09999999999999998, 0.2) not within (0.0, 1.0)"
+        )
+
+    def test_offset_escape(self):
+        msg = self._message(lambda: build_similarity_system(
+            [[0.3, 0.3]] * 3, [[0.0, 0.8]] * 3))
+        assert msg == (
+            "image of letter 'm1' at time 1 escapes its codomain:"
+            " (0.8, 1.1) not within (0.0, 1.0)"
+        )
+
+    def test_reciprocal_shift_between_spaces(self):
+        # b maps X_u = [0, 1] onto [1/2, 1], which leaves X_w = [0.6, 1]
+        edges = [
+            EdgeSpec("a", "u", "w", MoebiusInverse(1.0)),
+            EdgeSpec("b", "w", "u", MoebiusInverse(1.0)),
+            EdgeSpec("c", "w", "w", MoebiusInverse(2.0)),
+        ]
+        spaces = {"u": interval(0.0, 1.0), "w": interval(0.6, 1.0)}
+        msg = self._message(lambda: build_gdms([["u", "w"]] * 4, [edges] * 3, spaces))
+        assert msg == (
+            "image of letter 'b' at time 1 escapes its codomain:"
+            " (0.5, 1.0) not within (0.6, 1.0)"
+        )
+
+    def test_multi_vertex_similarity_escape(self):
+        # uw maps X_w = [2, 3] into X_u; ww maps X_w past its own right end
+        edges = [
+            EdgeSpec("uw", "u", "w", Similarity(0.2, (0.2,))),
+            EdgeSpec("wu", "w", "u", Similarity(0.25, (2.0,))),
+            EdgeSpec("ww", "w", "w", Similarity(0.25, (2.8,))),
+        ]
+        spaces = {"u": interval(0.0, 1.0), "w": interval(2.0, 3.0)}
+        msg = self._message(lambda: build_gdms([["u", "w"]] * 4, [edges] * 3, spaces))
+        assert msg == (
+            "image of letter 'ww' at time 1 escapes its codomain:"
+            " (3.3, 3.55) not within (2.0, 3.0)"
+        )
+
+    def test_cf_digits_up_to_2_52_pass(self):
+        system = build_cf_system([[1.0, 2.0**52]] * 3)
+        assert system.letter_brackets[1][1][1] == 1.0 / 2.0**104
