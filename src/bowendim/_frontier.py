@@ -46,10 +46,9 @@ def _moebius_float_safe(system, m, n) -> bool:
     """Continuants stay exact in float64 on this range (the point-state gate)."""
     bound = 1.0
     for j in range(m, n + 1):
-        digits = [
-            system.maps[j][idx].digit for idx in system.schedule.kept_indices(j)
-        ]
-        bound *= max(digits) + 1.0
+        tab = system.letter_table
+        digits = tab.digit[tab.span(j)][system.schedule.kept[j]]
+        bound *= float(digits.max()) + 1.0
         if bound > 2.0**52:
             return False
     return True
@@ -84,9 +83,8 @@ class SimilarityState:
         return (norms[src] * self._ratios(j)[new_letters],)
 
     def _ratios(self, j):
-        return np.array(
-            [abs(p.ratio) for p in self.system.maps[j]], dtype=float
-        )
+        tab = self.system.letter_table
+        return np.abs(tab.ratio[tab.span(j)])
 
     def norm_bounds(self, state, k):
         (norms,) = state
@@ -102,9 +100,8 @@ class MoebiusState:
         self.system = system
 
     def _digits(self, j):
-        return np.array(
-            [getattr(p, "digit", 1.0) for p in self.system.maps[j]], dtype=float
-        )
+        tab = self.system.letter_table
+        return tab.digit[tab.span(j)]
 
     def init(self, j, letters):
         d = self._digits(j)[letters]
@@ -144,26 +141,20 @@ class SimilarityPointState(SimilarityState):
     """Affine composition (scale, offset / offset2d) for point sampling."""
 
     def init(self, j, letters):
-        scale = np.array([p.ratio for p in self.system.maps[j]], dtype=float)[letters]
-        offs = self._offsets(j)
-        return (scale,) + tuple(o[letters] for o in offs)
+        return self._columns(j, letters)
 
     def extend(self, j, state, src, new_letters):
         scale, *off = state
-        nscale = np.array(
-            [p.ratio for p in self.system.maps[j]], dtype=float
-        )[new_letters]
-        noffs = [o[new_letters] for o in self._offsets(j)]
+        nscale, *noffs = self._columns(j, new_letters)
         out_scale = scale[src] * nscale
         out_offs = [scale[src] * no + o[src] for o, no in zip(off, noffs)]
         return (out_scale, *out_offs)
 
-    def _offsets(self, j):
-        dim = self.system.dim
-        return [
-            np.array([p.offset[k] for p in self.system.maps[j]], dtype=float)
-            for k in range(dim)
-        ]
+    def _columns(self, j, letters):
+        """(ratio, offset...) of the given letters of time j."""
+        tab = self.system.letter_table
+        sp = tab.span(j)
+        return (tab.ratio[sp][letters],) + tuple(tab.offset[:, sp][:, letters])
 
     def region(self, state, dom):
         """Per-word (center..., radius) of the image of the domain space."""

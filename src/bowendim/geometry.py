@@ -159,15 +159,16 @@ def _project(system, depth, impl, letters, state, columns):
             for labels in zip(*columns)
         ]
         return np.array([p for p, _ in pairs]), np.array([r for _, r in pairs])
-    groups = {}
-    for a in np.unique(letters).tolist():
-        dom = system.domain_space_idx(depth, a)
-        groups.setdefault(dom.bounds, (dom, []))[1].append(a)
+    tab = system.letter_table
+    used = np.unique(letters)
+    doms = tab.dom[tab.span(depth)][used] - tab.space_start[depth]
+    groups = np.unique(doms).tolist()
     coords = np.empty((letters.size, system.dim))
     radii = np.empty(letters.size)
-    for dom, group in groups.values():
+    for k in groups:
         # a lone domain takes the whole state without copying it
-        mask = slice(None) if len(groups) == 1 else np.isin(letters, group)
+        mask = slice(None) if len(groups) == 1 else np.isin(letters, used[doms == k])
+        dom = system.spaces[depth][k]
         centers, r = impl.region(tuple(arr[mask] for arr in state), dom)
         coords[mask] = np.stack(centers, axis=1)
         radii[mask] = r

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import CertificationError, InputError, UnsupportedError
 from .symbolic import Word, is_admissible, walk_words
 
@@ -33,6 +35,10 @@ class NormBracket:
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
+
+
+#: slack at the boundary of `Space.contains`
+CONTAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,8 +75,8 @@ class Space:
         return 2.0 * self.bounds[2]
 
     def contains(self, other: "Space") -> bool:
-        """`other` lies inside this space, up to 1e-12 at the boundary."""
-        tol = 1e-12
+        """`other` lies inside this space, up to CONTAIN_TOL at the boundary."""
+        tol = CONTAIN_TOL
         if self.kind != other.kind:
             return False
         if self.kind == "interval":
@@ -136,9 +142,10 @@ class Similarity(ConformalMap):
     dim: int = 1
 
     def __post_init__(self):
-        off = self.offset if isinstance(self.offset, tuple) else (float(self.offset),)
-        object.__setattr__(self, "offset", tuple(float(o) for o in off))
-        if len(self.offset) != self.dim:
+        off = self.offset
+        off = tuple(map(float, off)) if isinstance(off, tuple) else (float(off),)
+        object.__setattr__(self, "offset", off)
+        if len(off) != self.dim:
             raise InputError(f"offset {self.offset} does not match dim {self.dim}")
 
     def __call__(self, x):
@@ -322,6 +329,11 @@ class ComposedMap(ConformalMap):
         return _compose_bracket(self.parts, dom)
 
 
+#: family codes of `system.LetterTable.family`: the two families whose images
+#: and norms have closed forms, and every other map type
+SIMILARITY, MOEBIUS, OTHER = 0, 1, 2
+
+
 # ---------------------------------------------------------------------------
 # composition norms
 # ---------------------------------------------------------------------------
@@ -424,10 +436,12 @@ def distortion_constant(system) -> float:
     """Certified bound K with |D phi_w(x)| <= K |D phi_w(y)| along any branch."""
     if system.declared_distortion is not None:
         return float(system.declared_distortion)
-    k = 1.0
-    for n in range(1, system.schedule.horizon + 1):
-        for idx in system.schedule.kept_indices(n):
-            k = max(k, _map_distortion(system.maps[n][idx]))
+    tab = system.letter_table
+    # similarities give 1, the floor already
+    k = 4.0 if (tab.family[tab.kept] == MOEBIUS).any() else 1.0
+    for i in np.flatnonzero(tab.kept & (tab.family == OTHER)).tolist():
+        n, idx = tab.locate(i)
+        k = max(k, _map_distortion(system.maps[n][idx]))
     return k
 
 

@@ -1,17 +1,136 @@
-"""The assembled system: schedule + spaces + map family per edge + constants."""
+"""The assembled system: schedule + spaces + map family per edge + constants.
+
+Besides the per-letter maps, a system keeps one letter table: numpy columns,
+time after time, of each letter's family, similarity ratio and offset or
+reciprocal-shift digit, and domain and codomain space indices.  Validation,
+the letter norm brackets, the map-type classification, the distortion
+constant, the autonomy test and the vectorized frontier states read these
+columns, so the images and norms of similarity and reciprocal-shift letters
+are computed for every time at once; tabulated and composed letters, and
+disk spaces, keep the per-letter `image` and `norm_on`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from . import maps as _maps
 from .errors import BuildError, InputError
-from .maps import ConformalMap, Contraction, Space
+from .maps import (
+    CONTAIN_TOL,
+    MOEBIUS,
+    OTHER,
+    SIMILARITY,
+    ConformalMap,
+    Contraction,
+    MoebiusInverse,
+    Similarity,
+    Space,
+)
 from .symbolic import GraphSchedule
+
+
+@dataclass(frozen=True)
+class LetterTable:
+    """Every letter of times 1..H as numpy columns, time after time and each
+    time in alphabet order: letter idx of time n sits at start[n] + idx.
+
+    `family` is SIMILARITY (a `Similarity` of the system's dim), MOEBIUS (a
+    `MoebiusInverse`) or OTHER; `ratio` holds every `Similarity`'s ratio and
+    `offset` (dim x letters) a SIMILARITY letter's offset, 0 elsewhere;
+    `digit` a MOEBIUS letter's digit, 1 elsewhere; `kept` the schedule's
+    pruning mask and `time` each letter's time.  `dom` and `cod` index the
+    letter's domain space (its terminal vertex, at time n) and codomain
+    space (its initial vertex, at time n - 1) in the space columns
+    `space_lo`, `space_hi` and `space_interval`, which list the spaces of
+    times 0..H the same way from `space_start`; a disk has NaN bounds.
+    """
+
+    start: tuple
+    time: np.ndarray
+    family: np.ndarray
+    ratio: np.ndarray
+    offset: np.ndarray
+    digit: np.ndarray
+    kept: np.ndarray
+    dom: np.ndarray
+    cod: np.ndarray
+    space_start: tuple
+    space_lo: np.ndarray
+    space_hi: np.ndarray
+    space_interval: np.ndarray
+
+    def span(self, n: int) -> slice:
+        """The positions of time n's letters."""
+        return slice(self.start[n], self.start[n + 1])
+
+    def locate(self, i: int):
+        """(n, idx): the time and alphabet index of position i."""
+        n = int(self.time[i])
+        return n, i - self.start[n]
+
+
+def _space_indices(vertex_index, base, letters, end):
+    """Per letter, the space-column index of its `end` ("src" or "dst")
+    vertex, whose time's spaces start at `base`."""
+    if len(vertex_index) == 1:
+        return [base] * len(letters)
+    return [base + vertex_index[getattr(e, end)] for e in letters]
+
+
+def _letter_table(system) -> LetterTable:
+    """The system's letters and spaces as columns, in one pass over each."""
+    sched = system.schedule
+    blank = (0.0,) * system.dim
+    space_start = tuple(accumulate([0] + [len(row) for row in system.spaces]))
+    spaces = [s for row in system.spaces for s in row]
+    interval = [s.kind == "interval" for s in spaces]
+    bounds = [s.bounds if iv else (np.nan, np.nan) for s, iv in zip(spaces, interval)]
+    vertex_index = system._vertex_index
+    family, ratio, offset, digit, dom, cod = [], [], [], [], [], []  # offset: flat
+    for n in range(1, system.horizon + 1):
+        for p in system.maps[n]:
+            kind = type(p)
+            if kind is Similarity and p.dim == system.dim:
+                family.append(SIMILARITY)
+                ratio.append(p.ratio)
+                offset += p.offset
+                digit.append(1.0)
+                continue
+            if kind is MoebiusInverse:
+                family.append(MOEBIUS)
+                digit.append(p.digit)
+            else:
+                family.append(OTHER)
+                digit.append(1.0)
+            # a Similarity of another dim keeps its ratio for the sweep
+            ratio.append(p.ratio if kind is Similarity else 0.0)
+            offset += blank
+        letters = sched.letters(n)
+        dom += _space_indices(vertex_index[n], space_start[n], letters, "dst")
+        cod += _space_indices(vertex_index[n - 1], space_start[n - 1], letters, "src")
+    sizes = [0] + [len(sched.letters(n)) for n in range(1, system.horizon + 1)]
+    space_lo, space_hi = np.array(bounds, dtype=float).reshape(-1, 2).T
+    return LetterTable(
+        start=tuple(accumulate([0] + sizes)),
+        time=np.repeat(np.arange(system.horizon + 1), sizes),
+        family=np.array(family, dtype=np.int8),
+        ratio=np.array(ratio, dtype=float),
+        offset=np.array(offset, dtype=float).reshape(-1, system.dim).T.copy(),
+        digit=np.array(digit, dtype=float),
+        kept=np.concatenate(sched.kept[1:]),
+        dom=np.array(dom, dtype=np.intp),
+        cod=np.array(cod, dtype=np.intp),
+        space_start=space_start,
+        space_lo=space_lo,
+        space_hi=space_hi,
+        space_interval=np.array(interval, dtype=bool),
+    )
 
 
 @dataclass(frozen=True)
@@ -20,9 +139,11 @@ class SystemSpec:
 
     `spaces[n]` is a tuple of Space aligned with vertex_sets[n] (n = 0..H);
     `maps[n]` a tuple of ConformalMap aligned with the alphabet at time n
-    (index 0 is an empty placeholder).  `tail_rule` describes single-time
-    partition convergence for infinite parametric families; finite systems
-    leave it None.
+    (index 0 is an empty placeholder), the public per-letter view.
+    `letter_table` holds the same letters, and the spaces, as numpy columns
+    (LetterTable), built in one pass over `maps` on first use.  `tail_rule`
+    describes single-time partition convergence for infinite parametric
+    families; finite systems leave it None.
     """
 
     schedule: GraphSchedule
@@ -64,14 +185,25 @@ class SystemSpec:
     def codomain_space_idx(self, n: int, idx: int) -> Space:
         return self.space_for(n - 1, self.schedule.letters(n)[idx].src)
 
+    # -- the letter table ----------------------------------------------------
+    @cached_property
+    def letter_table(self) -> LetterTable:
+        """Every letter and space as numpy columns (LetterTable)."""
+        return _letter_table(self)
+
     @cached_property
     def _map_types(self) -> tuple:
         """Per time n, the frozenset of map types of the kept letters."""
-        return tuple(
-            frozenset(type(self.maps[n][idx]) for idx in self.schedule.kept_indices(n))
-            if n else frozenset()
-            for n in range(self.horizon + 1)
-        )
+        tab = self.letter_table
+        present = np.zeros((self.horizon + 1, 3), dtype=bool)
+        present[tab.time[tab.kept], tab.family[tab.kept]] = True
+        types = [set() for _ in range(self.horizon + 1)]
+        for n, code in np.argwhere(present[:, :OTHER]).tolist():
+            types[n].add((Similarity, MoebiusInverse)[code])
+        for i in np.flatnonzero(tab.kept & (tab.family == OTHER)).tolist():
+            n, idx = tab.locate(i)
+            types[n].add(type(self.maps[n][idx]))
+        return tuple(frozenset(t) for t in types)
 
     @cached_property
     def _level_memo(self) -> dict:
@@ -80,17 +212,38 @@ class SystemSpec:
 
     # -- single-letter norm tables -------------------------------------------
     @cached_property
+    def _letter_norms(self):
+        """(lo, hi) single-map norm brackets over the letter-table positions,
+        zero outside the kept letters.
+
+        A similarity's bracket is |ratio| at both ends; a reciprocal shift's
+        on an interval [a, b] is 1/(digit + a)**2 at both ends, taken in
+        Python floats as `MoebiusInverse.norm_on` takes it; other letters
+        call `norm_on` one at a time.
+        """
+        tab = self.letter_table
+        sim = tab.kept & (tab.family == SIMILARITY)
+        hi = np.where(sim, np.abs(tab.ratio), 0.0)
+        lo = hi.copy()
+        moeb = tab.kept & (tab.family == MOEBIUS) & tab.space_interval[tab.dom]
+        idx = np.flatnonzero(moeb)
+        lo[idx] = hi[idx] = [
+            1.0 / (d + a) ** 2
+            for d, a in zip(tab.digit[idx].tolist(), tab.space_lo[tab.dom[idx]].tolist())
+        ]
+        for i in np.flatnonzero(tab.kept & ~sim & ~moeb).tolist():
+            n, k = tab.locate(i)
+            br = self.maps[n][k].norm_on(self.domain_space_idx(n, k))
+            lo[i], hi[i] = br.lo, br.hi
+        return lo, hi
+
+    @cached_property
     def letter_brackets(self):
-        """Per time n: (lo, hi) float arrays of single-map norm brackets."""
-        out = [None]
-        for n in range(1, self.horizon + 1):
-            lo = np.zeros(len(self.schedule.letters(n)))
-            hi = np.zeros_like(lo)
-            for idx in self.schedule.kept_indices(n):
-                br = self.maps[n][idx].norm_on(self.domain_space_idx(n, idx))
-                lo[idx], hi[idx] = br.lo, br.hi
-            out.append((lo, hi))
-        return tuple(out)
+        """Per time n: (lo, hi) float arrays of single-map norm brackets,
+        aligned with the alphabet and zero outside the kept letters."""
+        lo, hi = self._letter_norms
+        spans = [self.letter_table.span(n) for n in range(1, self.horizon + 1)]
+        return (None,) + tuple((lo[sp], hi[sp]) for sp in spans)
 
     def c_bounds(self, n: int):
         """(c_lo, c_hi): least and greatest single-letter norms at time n."""
@@ -137,7 +290,14 @@ class SystemSpec:
         first = self.schedule.alphabets[1]
         if any(self.schedule.alphabets[n] != first for n in range(2, self.horizon + 1)):
             return False
-        if any(self.maps[n] != self.maps[1] for n in range(2, self.horizon + 1)):
+        # equal alphabets: each column is an H x (letters per time) block
+        tab, h = self.letter_table, self.horizon
+        for col in (tab.family, tab.ratio, tab.offset, tab.digit):
+            block = col.reshape(-1, h, len(first))
+            if not (block == block[:, :1]).all():
+                return False
+        other = np.flatnonzero(tab.family[tab.span(1)] == OTHER).tolist()
+        if any(self.maps[n][i] != self.maps[1][i] for n in range(2, h + 1) for i in other):
             return False
         for n in range(2, self.horizon):
             a = self.schedule.incidence[1].matrix()
@@ -147,20 +307,67 @@ class SystemSpec:
         return True
 
 
+def _closed_form_clears(system: SystemSpec) -> np.ndarray:
+    """Mask over the letter-table positions: the letters whose image, in
+    closed form, is a nondegenerate interval inside their codomain.
+
+    Covers similarity (of dim 1) and reciprocal-shift letters between
+    interval spaces, with `Similarity.image`'s and `MoebiusInverse.image`'s
+    arithmetic (the latter's one-ulp widening included) and `Space.contains`'
+    CONTAIN_TOL; every other letter is left to the per-letter check.
+    """
+    tab = system.letter_table
+    a, b = tab.space_lo[tab.dom], tab.space_hi[tab.dom]
+    on_intervals = tab.space_interval[tab.dom] & tab.space_interval[tab.cod]
+    sim = on_intervals & (tab.family == SIMILARITY) & (system.dim == 1)
+    moeb = on_intervals & (tab.family == MOEBIUS) & (tab.digit + a > 0)
+    # image ends; NaN, which fails every comparison below, where no closed
+    # form applies (overflow and NaN ends fall to the per-letter check too)
+    lo, hi = np.full((2, tab.family.size), np.nan)
+    with np.errstate(all="ignore"):
+        if sim.any():
+            ends = tab.ratio * a + tab.offset[0], tab.ratio * b + tab.offset[0]
+            np.copyto(lo, np.minimum(*ends), where=sim)
+            np.copyto(hi, np.maximum(*ends), where=sim)
+        if moeb.any():
+            # decreasing: the domain's right end maps to the image's left end
+            left, right = 1.0 / (tab.digit + b), 1.0 / (tab.digit + a)
+            sub_ulp = ~(left < right)
+            np.copyto(lo, np.where(sub_ulp, np.nextafter(left, -np.inf), left), where=moeb)
+            np.copyto(hi, np.where(sub_ulp, np.nextafter(right, np.inf), right), where=moeb)
+        inside = (lo >= tab.space_lo[tab.cod] - CONTAIN_TOL) & (
+            hi <= tab.space_hi[tab.cod] + CONTAIN_TOL
+        )
+    return (lo < hi) & inside
+
+
+def _check_image(system: SystemSpec, n: int, idx: int) -> None:
+    """Raise BuildError unless letter idx of time n maps its domain space
+    onto a space inside its codomain space."""
+    label = system.schedule.letters(n)[idx].label
+    try:
+        img = system.maps[n][idx].image(system.domain_space_idx(n, idx))
+    except InputError as exc:
+        raise BuildError(f"image of letter {label!r} at time {n} collapses: {exc}") from exc
+    cod = system.codomain_space_idx(n, idx)
+    if not cod.contains(img):
+        raise BuildError(
+            f"image of letter {label!r} at time {n} escapes its"
+            f" codomain: {img.bounds} not within {cod.bounds}"
+        )
+
+
 def validate_images(system: SystemSpec) -> None:
-    """Every single-letter image must land inside its codomain space."""
-    sched = system.schedule
-    for n in range(1, system.horizon + 1):
-        for idx in sched.kept_indices(n):
-            dom = system.domain_space_idx(n, idx)
-            img = system.maps[n][idx].image(dom)
-            cod = system.codomain_space_idx(n, idx)
-            if not cod.contains(img):
-                e = sched.letters(n)[idx]
-                raise BuildError(
-                    f"image of letter {e.label!r} at time {n} escapes its"
-                    f" codomain: {img.bounds} not within {cod.bounds}"
-                )
+    """Every single-letter image must land inside its codomain space.
+
+    The letter table clears most letters at once; the rest, and every
+    letter it flags, go through the per-letter check in time and alphabet
+    order, so the first offending letter and its message are those of a
+    letter-by-letter pass.
+    """
+    tab = system.letter_table
+    for i in np.flatnonzero(tab.kept & ~_closed_form_clears(system)).tolist():
+        _check_image(system, *tab.locate(i))
 
 
 def validate_system(system: SystemSpec) -> SystemSpec:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -122,9 +123,11 @@ def _assemble(vertex_sets, alphabets, maps, spaces, matrices="full", **fields):
 def _one_vertex(labels, maps, space, matrices="full", **fields):
     """The one-vertex case: every letter a loop at "v" on the same space."""
     horizon = len(labels)
+    # letters are immutable: one object per label serves every time
+    pool = {lbl: Letter(lbl, "v", "v") for lbl in set(chain.from_iterable(labels))}
     return _assemble(
         [("v",)] * (horizon + 1),
-        [[Letter(lbl, "v", "v") for lbl in row] for row in labels],
+        [[pool[lbl] for lbl in row] for row in labels],
         maps,
         [(space,)] * (horizon + 1),
         matrices,

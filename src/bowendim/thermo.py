@@ -11,6 +11,7 @@ bound into an equality for the Hausdorff dimension.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -557,7 +558,10 @@ def classify_rho(
     perfectly = all_similarity and all(abs(r - 1.0) <= 1e-12 for r in rho_seq)
     log_rho = [math.log(max(r, 1.0)) for r in rho_seq]
     tail = _tail((1, h))
-    slope, _, _ = fit_line([ns[i] for i in tail], [log_rho[i] for i in tail])
+    if any(map(math.isinf, log_rho)):
+        slope = math.inf  # a norm ratio past the float range has no fitted slope
+    else:
+        slope, _, _ = fit_line([ns[i] for i in tail], [log_rho[i] for i in tail])
     balanced = perfectly or abs(slope) <= 1e-3
     weakly = balanced or (log_rho[-1] / ns[-1]) <= BALANCING_RATE_TOL
     barely = weakly or (math.log(1.0 + log_rho[-1]) / ns[-1]) <= BALANCING_RATE_TOL
@@ -712,36 +716,43 @@ class EvenlyVaryingReport:
     cap: float
 
 
+def _geometric_mean(lo, hi):
+    """sqrt(lo * hi) elementwise; where the product underflows past the
+    normal range, sqrt(lo) * sqrt(hi) instead."""
+    prod = lo * hi
+    return np.where(
+        prod >= sys.float_info.min, np.sqrt(prod), np.sqrt(lo) * np.sqrt(hi)
+    )
+
+
 def evenly_varying_check(system, cap: float = 100.0):
     """Per-letter geometric-mean norms eta_i and the smallest sandwich constant
-    c with eta_i/c <= |D phi_i^(n)| <= c eta_i; fails beyond the cap."""
+    c with eta_i/c <= |D phi_i^(n)| <= c eta_i; fails beyond the cap, and
+    when a letter's norm is below the float range (c is then inf)."""
+    sched = system.schedule
     h = system.horizon
-    label_sets = [
-        frozenset(
-            system.schedule.letters(n)[i].label
-            for i in system.schedule.kept_indices(n)
-        )
+    labels = [  # the kept letters of each time, in alphabet order
+        [sched.letters(n)[i].label for i in sched.kept_indices(n).tolist()]
         for n in range(1, h + 1)
     ]
-    if len(set(label_sets)) != 1:
+    first = labels[0]
+    if any(set(row) != set(first) for row in labels[1:]):
         raise InputError(
             "evenly-varying check needs comparable letter sets across times"
         )
-    norms = {lbl: [] for lbl in label_sets[0]}
-    for n in range(1, h + 1):
-        lo, hi = system.letter_brackets[n]
-        for i in system.schedule.kept_indices(n):
-            lbl = system.schedule.letters(n)[i].label
-            norms[lbl].append(math.sqrt(lo[i] * hi[i]))
-    eta = {
-        lbl: math.exp(math.fsum(math.log(v) for v in vs) / len(vs))
-        for lbl, vs in norms.items()
-    }
-    c = 1.0
-    for lbl, vs in norms.items():
-        for v in vs:
-            c = max(c, v / eta[lbl], eta[lbl] / v)
-    return EvenlyVaryingReport(c <= cap, c, eta, cap)
+    column = {lbl: k for k, lbl in enumerate(first)}
+    tab = system.letter_table
+    lo, hi = system._letter_norms
+    norms = np.empty((h, len(first)))  # norms[n - 1, k]: label k at time n
+    norms[tab.time[tab.kept] - 1, [column[lbl] for row in labels for lbl in row]] = (
+        _geometric_mean(lo[tab.kept], hi[tab.kept])
+    )
+    if not (norms > 0).all():
+        return EvenlyVaryingReport(False, math.inf, {}, cap)
+    logs = np.array([math.log(v) for v in norms.ravel().tolist()]).reshape(norms.shape)
+    eta = np.array([math.exp(math.fsum(col) / h) for col in logs.T.tolist()])
+    c = max(1.0, float((norms / eta).max()), float((eta / norms).max()))
+    return EvenlyVaryingReport(c <= cap, c, dict(zip(first, eta.tolist())), cap)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ These deliberately avoid the library's own fast paths: derivative norms come
 from dense-grid chain-rule evaluation, admissibility from a brute-force path
 search over the raw (unpruned) schedule, and word counts from explicit
 incidence matrix powers.  The dense-incidence references are the original
-per-column and per-row loops and int64 matrix products.
+per-column and per-row loops and int64 matrix products.  The letter-table
+references (`per_letter_*`) ask each map object in turn for its norm,
+image, type and distortion, as the system did before it kept its letters
+as numpy columns.
 """
 
 import numpy as np
@@ -135,3 +138,123 @@ def fit_slope(xs, ys):
     ys = np.asarray(ys, float)
     xb, yb = xs.mean(), ys.mean()
     return float(((xs - xb) * (ys - yb)).sum() / ((xs - xb) ** 2).sum())
+
+
+# ---------------------------------------------------------------------------
+# per-letter references for the letter table: each map object asked in turn
+# ---------------------------------------------------------------------------
+
+
+def per_letter_brackets(system):
+    """Per time n: (lo, hi) arrays of `norm_on` over the kept letters."""
+    out = [None]
+    for n in range(1, system.horizon + 1):
+        lo = np.zeros(len(system.schedule.letters(n)))
+        hi = np.zeros_like(lo)
+        for idx in system.schedule.kept_indices(n):
+            br = system.maps[n][idx].norm_on(system.domain_space_idx(n, idx))
+            lo[idx], hi[idx] = br.lo, br.hi
+        out.append((lo, hi))
+    return tuple(out)
+
+
+def per_letter_map_types(system):
+    return tuple(
+        frozenset(type(system.maps[n][i]) for i in system.schedule.kept_indices(n))
+        if n else frozenset()
+        for n in range(system.horizon + 1)
+    )
+
+
+def per_letter_distortion(system):
+    from bowendim.maps import _map_distortion
+
+    if system.declared_distortion is not None:
+        return float(system.declared_distortion)
+    k = 1.0
+    for n in range(1, system.horizon + 1):
+        for idx in system.schedule.kept_indices(n):
+            k = max(k, _map_distortion(system.maps[n][idx]))
+    return k
+
+
+def per_letter_is_autonomous(system):
+    if not system.is_stationary:
+        return False
+    sched = system.schedule
+    h = system.horizon
+    if any(sched.alphabets[n] != sched.alphabets[1] for n in range(2, h + 1)):
+        return False
+    if any(system.maps[n] != system.maps[1] for n in range(2, h + 1)):
+        return False
+    for n in range(2, h):
+        a = sched.incidence[1].matrix()
+        b = sched.incidence[n].matrix()
+        if a.shape != b.shape or not np.array_equal(a, b):
+            return False
+    return True
+
+
+def per_letter_contraction(system):
+    """`contraction_eta` on a copy of the system that reads the per-letter
+    brackets."""
+    import dataclasses
+
+    from bowendim.maps import contraction_eta
+
+    copy = dataclasses.replace(system)
+    copy.__dict__["letter_brackets"] = per_letter_brackets(system)
+    return contraction_eta(copy)
+
+
+def per_letter_validate(system):
+    """The message of the first kept letter, in time then alphabet order,
+    whose image is not a space or escapes its codomain; None when all fit."""
+    from bowendim.errors import InputError
+
+    for n in range(1, system.horizon + 1):
+        for idx in system.schedule.kept_indices(n):
+            label = system.schedule.letters(n)[idx].label
+            try:
+                img = system.maps[n][idx].image(system.domain_space_idx(n, idx))
+            except InputError as exc:
+                return f"image of letter {label!r} at time {n} collapses: {exc}"
+            cod = system.codomain_space_idx(n, idx)
+            if not cod.contains(img):
+                return (
+                    f"image of letter {label!r} at time {n} escapes its"
+                    f" codomain: {img.bounds} not within {cod.bounds}"
+                )
+    return None
+
+
+def per_letter_evenly_varying(system, cap=100.0):
+    """(ok, c, eta) of the evenly-varying check, letter by letter; the log
+    of a norm product that underflows raises ValueError here."""
+    import math
+
+    from bowendim.errors import InputError
+
+    sched = system.schedule
+    label_sets = [
+        frozenset(sched.letters(n)[i].label for i in sched.kept_indices(n))
+        for n in range(1, system.horizon + 1)
+    ]
+    if len(set(label_sets)) != 1:
+        raise InputError(
+            "evenly-varying check needs comparable letter sets across times"
+        )
+    norms = {lbl: [] for lbl in label_sets[0]}
+    for n in range(1, system.horizon + 1):
+        lo, hi = system.letter_brackets[n]
+        for i in sched.kept_indices(n):
+            norms[sched.letters(n)[i].label].append(math.sqrt(lo[i] * hi[i]))
+    eta = {
+        lbl: math.exp(math.fsum(math.log(v) for v in vs) / len(vs))
+        for lbl, vs in norms.items()
+    }
+    c = 1.0
+    for lbl, vs in norms.items():
+        for v in vs:
+            c = max(c, v / eta[lbl], eta[lbl] / v)
+    return c <= cap, c, eta

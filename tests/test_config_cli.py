@@ -174,7 +174,8 @@ class TestCliExitCodes:
         )
 
     def test_degenerate_image_is_3(self, tmp_path, capsys):
-        # packed offsets put both letters at 0 and 1/2 with width below an ulp
+        # packed offsets put the letters at 0 and 1/2; the second image is
+        # narrower than an ulp of 1/2, and the message names its letter
         path = write_cfg(tmp_path, "degen.json", {
             "schema_version": 1,
             "system": {"kind": "similarity", "horizon": 3,
@@ -182,8 +183,26 @@ class TestCliExitCodes:
         })
         assert main(["check", path, "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
-            "semantic error: degenerate interval (0.5, 0.5)\n"
+            "semantic error: image of letter 'm1' at time 1 collapses:"
+            " degenerate interval (0.5, 0.5)\n"
         )
+
+    @pytest.mark.parametrize("command", ["check", "report"])
+    @pytest.mark.parametrize("ratio", [1e-200, 1e-320])
+    def test_tiny_ratios_never_raise(self, tmp_path, command, ratio):
+        # lo * hi of the evenly-varying check underflowed to 0 before its log
+        path = write_cfg(tmp_path, "tiny.json", {
+            "schema_version": 1,
+            "system": {"kind": "similarity", "horizon": 3,
+                       "ratios": {"cycle": [[ratio, 0.5]]}},
+        })
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "bowendim.cli", command, path,
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode in (0, 4)
+        assert "Traceback" not in proc.stderr
 
     def test_sub_ulp_images_report(self, tmp_path):
         # digit 173 makes some depth-7 images narrower than one float64 ulp
