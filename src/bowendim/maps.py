@@ -142,10 +142,9 @@ class Similarity(ConformalMap):
     dim: int = 1
 
     def __post_init__(self):
-        off = self.offset
-        off = tuple(map(float, off)) if isinstance(off, tuple) else (float(off),)
-        object.__setattr__(self, "offset", off)
-        if len(off) != self.dim:
+        off = self.offset if isinstance(self.offset, tuple) else (float(self.offset),)
+        object.__setattr__(self, "offset", tuple(float(o) for o in off))
+        if len(self.offset) != self.dim:
             raise InputError(f"offset {self.offset} does not match dim {self.dim}")
 
     def __call__(self, x):

@@ -205,10 +205,9 @@ class DenseIncidence(Incidence):
                 f"incidence shape {self._mat.shape} != ({self.n_cur}, {self.n_nxt})"
             )
         # composability: allowed implies matching vertices
-        rows, cols = np.nonzero(self._mat)
-        bad = np.flatnonzero(self._cur_dst[rows] != self._nxt_src[cols])
-        if bad.size:
-            a, b = rows[bad[0]], cols[bad[0]]
+        bad = self._mat & (self._cur_dst[:, None] != self._nxt_src[None, :])
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
             raise IntegrityError(
                 f"incidence allows letters {a}->{b} with t(a)={self._cur_dst[a]!r}"
                 f" != i(b)={self._nxt_src[b]!r}"

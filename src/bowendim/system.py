@@ -3,11 +3,11 @@
 Besides the per-letter maps, a system keeps one letter table: numpy columns,
 time after time, of each letter's family, similarity ratio and offset or
 reciprocal-shift digit, and domain and codomain space indices.  Validation,
-the letter norm brackets, the map-type classification, the distortion
-constant, the autonomy test and the vectorized frontier states read these
-columns, so the images and norms of similarity and reciprocal-shift letters
-are computed for every time at once; tabulated and composed letters, and
-disk spaces, keep the per-letter `image` and `norm_on`.
+the letter norm brackets, the distortion constant and the vectorized
+frontier states read these columns, so the images and norms of similarity
+and reciprocal-shift letters are computed for every time at once;
+tabulated and composed letters, and disk spaces, keep the per-letter
+`image` and `norm_on`.
 """
 
 from __future__ import annotations
@@ -78,8 +78,6 @@ class LetterTable:
 def _space_indices(vertex_index, base, letters, end):
     """Per letter, the space-column index of its `end` ("src" or "dst")
     vertex, whose time's spaces start at `base`."""
-    if len(vertex_index) == 1:
-        return [base] * len(letters)
     return [base + vertex_index[getattr(e, end)] for e in letters]
 
 
@@ -194,16 +192,11 @@ class SystemSpec:
     @cached_property
     def _map_types(self) -> tuple:
         """Per time n, the frozenset of map types of the kept letters."""
-        tab = self.letter_table
-        present = np.zeros((self.horizon + 1, 3), dtype=bool)
-        present[tab.time[tab.kept], tab.family[tab.kept]] = True
-        types = [set() for _ in range(self.horizon + 1)]
-        for n, code in np.argwhere(present[:, :OTHER]).tolist():
-            types[n].add((Similarity, MoebiusInverse)[code])
-        for i in np.flatnonzero(tab.kept & (tab.family == OTHER)).tolist():
-            n, idx = tab.locate(i)
-            types[n].add(type(self.maps[n][idx]))
-        return tuple(frozenset(t) for t in types)
+        return tuple(
+            frozenset(type(self.maps[n][idx]) for idx in self.schedule.kept_indices(n))
+            if n else frozenset()
+            for n in range(self.horizon + 1)
+        )
 
     @cached_property
     def _level_memo(self) -> dict:
@@ -290,14 +283,7 @@ class SystemSpec:
         first = self.schedule.alphabets[1]
         if any(self.schedule.alphabets[n] != first for n in range(2, self.horizon + 1)):
             return False
-        # equal alphabets: each column is an H x (letters per time) block
-        tab, h = self.letter_table, self.horizon
-        for col in (tab.family, tab.ratio, tab.offset, tab.digit):
-            block = col.reshape(-1, h, len(first))
-            if not (block == block[:, :1]).all():
-                return False
-        other = np.flatnonzero(tab.family[tab.span(1)] == OTHER).tolist()
-        if any(self.maps[n][i] != self.maps[1][i] for n in range(2, h + 1) for i in other):
+        if any(self.maps[n] != self.maps[1] for n in range(2, self.horizon + 1)):
             return False
         for n in range(2, self.horizon):
             a = self.schedule.incidence[1].matrix()

@@ -11,7 +11,6 @@ bound into an equality for the Hausdorff dimension.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -717,12 +716,10 @@ class EvenlyVaryingReport:
 
 
 def _geometric_mean(lo, hi):
-    """sqrt(lo * hi) elementwise; where the product underflows past the
-    normal range, sqrt(lo) * sqrt(hi) instead."""
+    """sqrt(lo * hi) elementwise; where the product underflows to 0,
+    sqrt(lo) * sqrt(hi) instead."""
     prod = lo * hi
-    return np.where(
-        prod >= sys.float_info.min, np.sqrt(prod), np.sqrt(lo) * np.sqrt(hi)
-    )
+    return np.where(prod > 0, np.sqrt(prod), np.sqrt(lo) * np.sqrt(hi))
 
 
 def evenly_varying_check(system, cap: float = 100.0):

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -172,6 +172,8 @@ DIGITS = st.one_of(
     st.lists(st.tuples(RATIOS, OFFSETS), min_size=1, max_size=4),
     min_size=2, max_size=4,
 ))
+# r * r subnormal but not 0: sqrt(lo * hi) keeps the per-letter value
+@example(rows=[[(1e-160, 0.0)], [(1e-160, 0.5)]])
 def test_drawn_similarity_systems(rows):
     system = one_vertex([[Similarity(r, (o,)) for r, o in row] for row in rows])
     assert_table_matches(system)
