@@ -158,14 +158,6 @@ def per_letter_brackets(system):
     return tuple(out)
 
 
-def per_letter_map_types(system):
-    return tuple(
-        frozenset(type(system.maps[n][i]) for i in system.schedule.kept_indices(n))
-        if n else frozenset()
-        for n in range(system.horizon + 1)
-    )
-
-
 def per_letter_distortion(system):
     from bowendim.maps import _map_distortion
 
@@ -176,23 +168,6 @@ def per_letter_distortion(system):
         for idx in system.schedule.kept_indices(n):
             k = max(k, _map_distortion(system.maps[n][idx]))
     return k
-
-
-def per_letter_is_autonomous(system):
-    if not system.is_stationary:
-        return False
-    sched = system.schedule
-    h = system.horizon
-    if any(sched.alphabets[n] != sched.alphabets[1] for n in range(2, h + 1)):
-        return False
-    if any(system.maps[n] != system.maps[1] for n in range(2, h + 1)):
-        return False
-    for n in range(2, h):
-        a = sched.incidence[1].matrix()
-        b = sched.incidence[n].matrix()
-        if a.shape != b.shape or not np.array_equal(a, b):
-            return False
-    return True
 
 
 def per_letter_contraction(system):

@@ -1,8 +1,9 @@
 """The per-time letter table against the per-letter map objects.
 
-Every quantity the table feeds (letter brackets, map types, the distortion
-constant, autonomy, the contraction certificate, the evenly-varying check
-and the image-validation verdict) must equal, bit for bit, what asking each map object in turn gives
+Every quantity the table feeds (letter brackets, the distortion constant,
+the contraction certificate, the evenly-varying check and the
+image-validation verdict) must equal, bit for bit, what asking each map
+object in turn gives
 (`oracles.per_letter_*`), on the bundled systems, re-blocked and block
 subsystems, and drawn similarity, continued-fraction and two-vertex systems.
 """
@@ -87,11 +88,9 @@ def assert_table_matches(system):
     assert brackets == outcome(lambda: bits(oracles.per_letter_brackets(system)))
     if brackets[0] != "ok":
         return
-    assert system._map_types == oracles.per_letter_map_types(system)
     assert outcome(lambda: system.distortion) == outcome(
         lambda: oracles.per_letter_distortion(system)
     )
-    assert system.is_autonomous == oracles.per_letter_is_autonomous(system)
     reference = outcome(lambda: oracles.per_letter_evenly_varying(system))
     if reference[0] != "ValueError":  # the reference's log of an underflow
         ev = outcome(lambda: evenly_varying_check(system))
