@@ -13,11 +13,14 @@ norms, tabulated, mixed and composed ranges fall back to a word-at-a-time
 walk that composes each prefix's bracket afresh.
 
 The words of a range (m, n) and their norms do not depend on t, so
-`level_norms` walks each (system, range) once and keeps the per-level norm
-arrays in a one-slot memo on the system; every evaluation at a t (bisection,
-the t grid, the measure trend, the lower-bound diagnostics) sums powers of
-those cached norms.  Level sums are correctly rounded: `exact_sum` equals
-`math.fsum`.
+`level_norms` walks each (system, range) once and keeps its norms in a
+one-slot memo on the system; every evaluation at a t (bisection, the t grid,
+the measure trend, the lower-bound diagnostics) sums powers of those cached
+norms.  Swept ranges keep one table: each level's distinct norm bounds, with
+how many words share each, so an evaluation raises every distinct norm to t
+once (a word and its reversal share a continuant, so digit levels repeat
+most norms) and sums all levels in one count-weighted pass.  Level sums are
+correctly rounded: `exact_sum` equals `math.fsum`.
 """
 
 from __future__ import annotations
@@ -264,77 +267,146 @@ def generic_norm_walk(system, m, n, on_word, budget=DEFAULT_BUDGET):
 
 
 def exact_sum(x) -> float:
-    """Correctly rounded sum of a non-negative float64 array: equals math.fsum.
-
-    Each term is m * 2**(e - 53) with a 53-bit integer mantissa m.  Mantissas
-    are added in int64 per run of equal exponents, as 27- and 26-bit halves so
-    that runs shorter than 2**36 terms cannot overflow; the run sums meet in
-    one Python int and a single int/int division rounds once.  Any order is
-    exact; sorted input keeps the runs few.
-    """
+    """Correctly rounded sum of a non-negative float64 array: equals math.fsum."""
     if x.size == 0:
         return 0.0
-    mant, expo = np.frexp(x)
-    ints = np.ldexp(mant, 53).astype(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], expo[1:] != expo[:-1])))
-    high = np.add.reduceat(ints >> 26, starts).tolist()
-    low = np.add.reduceat(ints & ((1 << 26) - 1), starts).tolist()
-    run_expo = expo[starts].tolist()
-    base = min(run_expo)
-    total = 0
-    for h, lo, e in zip(high, low, run_expo):
-        total += ((h << 26) + lo) << (e - base)
-    shift = base - 53
-    if shift >= 0:
-        return float(total << shift)
-    return total / (1 << -shift)
+    return _segment_sums(x, np.ones(x.size, dtype=np.int64), [0])[0]
+
+
+_HALF = (1 << 26) - 1
+
+
+def _segment_sums(x, counts, cuts):
+    """Correctly rounded sums of the segments x[cuts[i]:cuts[i + 1]] (the last
+    runs to the end) of a non-negative float64 array, each x[k] taken
+    counts[k] times.
+
+    Read from its bits, each term is M * 2**(E - 1075): E is its exponent
+    field (1 for subnormals and zero) and M its 52-bit fraction, plus 2**52
+    when the field is nonzero.  Per run of equal fields, a run never crossing
+    a cut, the fraction is added in int64 as two 26-bit halves weighted by the
+    counts, and the implicit bits as the run's word count: a run whose counts
+    add to fewer than 2**36 words cannot overflow (2**26 * 2**36 < 2**63).  A
+    run lies in one level, and the sweep stops before a level passes its
+    budget (DEFAULT_BUDGET = 2,000,000 < 2**21 words), so every run stays far
+    below that.  The run sums of a segment meet in one Python int and a single
+    int/int division rounds once.  Any order is exact; sorted segments keep
+    the runs few.
+    """
+    bits = x.view(np.int64)
+    work = bits >> 52  # the exponent fields, then each weighted half
+    first = np.empty(x.size, dtype=bool)
+    first[0] = True
+    np.not_equal(work[1:], work[:-1], out=first[1:])
+    first[cuts] = True
+    starts = np.flatnonzero(first)
+    fields = work[starts].tolist()
+
+    def run_sums(part):
+        np.multiply(part, counts, out=part)
+        return np.add.reduceat(part, starts).tolist()
+
+    np.right_shift(bits, 26, out=work)
+    high = run_sums(np.bitwise_and(work, _HALF, out=work))
+    low = run_sums(np.bitwise_and(bits, _HALF, out=work))
+    words = np.add.reduceat(counts, starts).tolist()
+    base = max(min(fields), 1)
+    terms = [
+        ((w << 52 if f else 0) + (h << 26) + lo) << (max(f, 1) - base)
+        for f, w, h, lo in zip(fields, words, high, low)
+    ]
+    bounds = np.searchsorted(starts, cuts).tolist() + [starts.size]
+    totals = [sum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+    scale = 1075 - base
+    if scale <= 0:
+        return [float(total << -scale) for total in totals]
+    return [total / (1 << scale) for total in totals]
 
 
 class LevelNorms:
     """Norm bounds of the admissible words of one range (m, n), level by level.
 
-    `levels[j - m]` is the (lo, hi) pair at time j.  From the vectorized
-    sweep these are sorted float arrays (lo is hi where the state keeps the
-    norms as exact), so the powers of one level fall into few binades; from
-    the word-at-a-time walk they are lists of bracket floats.  Nothing here
-    depends on t.
-    Swept levels carry their state's `budget_hint`; walked ones have None.
+    Nothing here depends on t.  Swept levels (they carry their state's
+    `budget_hint`) are kept as one table, one segment per level and side:
+    `values` holds the distinct sorted lo bounds of each level, and its
+    distinct hi bounds where the state gives hi apart from lo, segment after
+    segment, and `counts[i]` is how many of the segment's words share
+    values[i].  Equal floats have equal powers, so each t takes one numpy
+    power and one weighted `_segment_sums` pass over every level.  Walked
+    levels (budget_hint None) keep per-word lists of bracket floats in
+    `walked`.  `sizes[j - m]` is the word count at time j.
     """
 
     def __init__(self, m, levels, budget_hint=None):
+        """`levels[j - m]` is the (lo, hi) pair at time j: lists of floats for
+        walked levels, `_distinct` (values, counts) pairs for swept ones (hi
+        is lo where the state keeps the norms as exact)."""
         self.m = m
-        self.levels = levels
         self.vectorized = budget_hint is not None
         self.budget_hint = budget_hint
+        if not self.vectorized:
+            self.walked = levels
+            self.sizes = [len(lo) for lo, _ in levels]
+            return
+        segments = []
+        self._sides = []
+        for lo, hi in levels:
+            first = len(segments)
+            segments.append(lo)
+            if hi is not lo:
+                segments.append(hi)
+            self._sides.append((first, len(segments) - 1))
+        self.values = np.concatenate([v for v, _ in segments])
+        self.counts = np.concatenate([c for _, c in segments])
+        self._cuts = np.cumsum([0] + [v.size for v, _ in segments[:-1]])
+        self.sizes = [int(c.sum()) for (_, c), _ in levels]
 
     def check_budget(self, budget):
         """Raise the BudgetError a fresh walk of this range would raise."""
-        sizes = [len(lo) for lo, _ in self.levels]
         if not self.vectorized:
-            if sum(sizes) > budget:
+            if sum(self.sizes) > budget:
                 raise _walk_over_budget(budget)
             return
-        for j, size in enumerate(sizes[1:], self.m + 1):
+        for j, size in enumerate(self.sizes[1:], self.m + 1):
             if size > budget:
                 raise _frontier_over_budget(size, j, budget, self.budget_hint)
 
     def power_sums(self, t):
         """{j: (Z_lo, Z_hi, words)}: sums of norm**t per level, correctly rounded.
 
-        The vectorized levels take numpy's power and `exact_sum`; the walked
-        ones keep Python's `**` and math.fsum, whose power can differ from
-        numpy's in the last bit.
+        The swept levels take numpy's power; the walked ones keep Python's
+        `**` and math.fsum, whose power can differ from numpy's in the last
+        bit.
         """
-        out = {}
-        for j, (lo, hi) in enumerate(self.levels, self.m):
-            if self.vectorized:
-                z_lo = exact_sum(lo**t)
-                z_hi = z_lo if hi is lo else exact_sum(hi**t)
-            else:
-                z_lo = math.fsum([x**t for x in lo])
-                z_hi = math.fsum([x**t for x in hi])
-            out[j] = (z_lo, z_hi, len(lo))
-        return out
+        if not self.vectorized:
+            return {
+                j: (
+                    math.fsum([x**t for x in lo]),
+                    math.fsum([x**t for x in hi]),
+                    len(lo),
+                )
+                for j, (lo, hi) in enumerate(self.walked, self.m)
+            }
+        sums = _segment_sums(self.values**t, self.counts, self._cuts)
+        return {
+            j: (sums[a], sums[b], size)
+            for j, ((a, b), size) in enumerate(zip(self._sides, self.sizes), self.m)
+        }
+
+
+def _distinct(x):
+    """(sorted distinct values, int64 counts) of x, as np.unique gives them
+    with return_counts, from a sort and one mask (about half np.unique's
+    time on a cf12 level)."""
+    x = np.sort(x)
+    first = np.empty(x.size, dtype=bool)
+    first[0] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = x.size - starts[-1]
+    return x[starts], counts
 
 
 def _walk_levels(system, m, n, budget):
@@ -344,11 +416,12 @@ def _walk_levels(system, m, n, budget):
 
         def on_level(j, letters, state, src):
             lo, hi = impl.norm_bounds(state, j - m + 1)
-            lo_sorted = np.sort(lo)
-            levels.append((lo_sorted, lo_sorted if hi is lo else np.sort(hi)))
+            lo_table = _distinct(lo)
+            hi_table = lo_table if hi is lo else _distinct(hi)
+            levels.append((lo_table, hi_table))
 
         sweep(system, m, n, impl, on_level, budget)
-        return LevelNorms(m, tuple(levels), impl.budget_hint)
+        return LevelNorms(m, levels, impl.budget_hint)
     lows = [[] for _ in range(m, n + 1)]
     highs = [[] for _ in range(m, n + 1)]
 

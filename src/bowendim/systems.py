@@ -687,38 +687,88 @@ class EllipticModelReport:
     system: Optional[SystemSpec]
 
 
+# Slack of the numpy screen in `_first_fit`: far above the few-ulp gaps
+# between numpy's and math's cos, sin and hypot on the unit disk.
+_SCREEN_SLACK = 1e-9
+# Scan points screened together: whole rings, at least this many a block.
+_SCREEN_BLOCK = 256
+
+
 def _pack_disks(radii):
-    """Greedy centers for disjoint disks inside the unit disk."""
-    order = np.argsort(-np.asarray(radii))
+    """Greedy centers for disjoint disks inside the unit disk.
+
+    Each disk, largest first, takes the first point of a scan over rings
+    `step` apart, with points about `step` apart on each ring, where it stays
+    inside the unit disk and clear of the disks already placed.  The scan is
+    screened in blocks of whole rings, each block's points made once, when
+    the first disk reaches it.
+    """
+    step = max(min(radii) / 2.0, 1e-3)
+    blocks, block = [], []  # rings as far as the smallest disk scans
+    rad = 0.0
+    while rad + min(radii) <= 1.0 + 1e-12:
+        block.append((rad, max(1, int(math.ceil(2 * math.pi * max(rad, step) / step)))))
+        rad += step
+        if sum(k_max for _, k_max in block) >= _SCREEN_BLOCK:
+            blocks.append(block)
+            block = []
+    if block:
+        blocks.append(block)
+    points = [None] * len(blocks)
     placed = []
     centers = [None] * len(radii)
-    step = max(min(radii) / 2.0, 1e-3)
-    for idx in order:
+    for idx in np.argsort(-np.asarray(radii)):
         r = radii[idx]
-        done = False
-        rad = 0.0
-        while rad + r <= 1.0 + 1e-12 and not done:
-            k_max = max(1, int(math.ceil(2 * math.pi * max(rad, step) / step)))
-            for k in range(k_max):
-                ang = 2 * math.pi * k / k_max
-                cx, cy = rad * math.cos(ang), rad * math.sin(ang)
-                if math.hypot(cx, cy) + r > 1.0:
-                    continue
-                if all(
-                    math.hypot(cx - px, cy - py) >= r + pr
-                    for (px, py, pr) in placed
-                ):
-                    placed.append((cx, cy, r))
-                    centers[idx] = (cx, cy)
-                    done = True
-                    break
-            rad += step
-        if not done:
+        center = None
+        for b, block in enumerate(blocks):
+            if block[0][0] + r > 1.0 + 1e-12:
+                break
+            if points[b] is None:
+                points[b] = _scan_points(block)
+            center = _first_fit(points[b], r, placed)
+            if center is not None:
+                break
+        if center is None:
             raise BuildError(
                 "could not pack the model images disjointly; shrink the norm"
                 " constant or the pole set"
             )
+        placed.append((*center, r))
+        centers[idx] = center
     return centers
+
+
+def _scan_points(rings):
+    """(rad, k, k_max, x, y) arrays of the scan points of `rings`, in order."""
+    rad, k, k_max = np.array(
+        [(rad, k, k_max) for rad, k_max in rings for k in range(k_max)]
+    ).T
+    ang = 2 * math.pi * k / k_max
+    return rad, k, k_max, rad * np.cos(ang), rad * np.sin(ang)
+
+
+def _first_fit(points, r, placed):
+    """The first scan point where a disk of radius r fits, or None.
+
+    numpy screens the points against the placed disks with `_SCREEN_SLACK`,
+    so every point that fits passes the screen; the `math` test then decides
+    among those in scan order, so the point found is the one a point-by-point
+    `math` scan finds.
+    """
+    rad, k, k_max, sx, sy = points
+    fits = (rad + r <= 1.0 + 1e-12) & (np.hypot(sx, sy) + r <= 1.0 + _SCREEN_SLACK)
+    if placed:
+        px, py, pr = np.array(placed).T
+        gaps = np.hypot(sx[:, None] - px, sy[:, None] - py) - (r + pr)
+        fits &= (gaps >= -_SCREEN_SLACK).all(axis=1)
+    for i in np.flatnonzero(fits).tolist():
+        ang = 2 * math.pi * int(k[i]) / int(k_max[i])
+        x, y = float(rad[i]) * math.cos(ang), float(rad[i]) * math.sin(ang)
+        if math.hypot(x, y) + r <= 1.0 and all(
+            math.hypot(x - qx, y - qy) >= r + qr for qx, qy, qr in placed
+        ):
+            return x, y
+    return None
 
 
 def elliptic_lower_bound(

@@ -1,5 +1,6 @@
-"""The t-independent level-norm cache: exact sums, equality with a fresh walk,
-walk counts per report and budget behaviour on cache hits."""
+"""The t-independent level-norm cache: exact sums, the distinct-norm table
+against per-word sums of a fresh sweep, walk counts per report and budget
+behaviour on cache hits."""
 
 import json
 import math
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -117,6 +118,89 @@ def test_exact_sum_sorted_level():
     x = np.sort(rng.random(32768) ** 40)
     assert exact_sum(x) == math.fsum(x)
     assert exact_sum(x[::-1]) == math.fsum(x)
+
+
+# ---------------------------------------------------------------------------
+# the distinct-norm table against per-word sums
+# ---------------------------------------------------------------------------
+
+
+def _swept_words(system, n):
+    """{j: (lo, hi)}: the per-word norm bounds of a fresh sweep over (1, n)."""
+    impl = _frontier.vector_state(system, 1, n)
+    out = {}
+
+    def on_level(j, letters, state, src):
+        lo, hi = impl.norm_bounds(state, j)
+        out[j] = (lo.copy(), hi.copy())
+
+    _frontier.sweep(system, 1, n, impl, on_level)
+    return out
+
+
+TABLE_SYSTEMS = {
+    "cf12": lambda: bundled.cf12(12),
+    "ascend-cf12": lambda: bundled.ascend_cf12(12),
+    "cf-wide": cf_wide,  # lo and hi part past 2^53, at time 8
+    "gdms2v": lambda: bundled.gdms2v(10),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TABLE_SYSTEMS))
+def table_and_words(request):
+    make = TABLE_SYSTEMS[request.param]
+    system = make()
+    n = system.horizon
+    norms = _frontier.level_norms(system, 1, n)
+    assert norms.vectorized
+    return norms, _swept_words(make(), n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=st.floats(0.0, 1.0))
+@example(t=0.0)
+@example(t=0.5)
+@example(t=1.0)
+def test_table_sums_equal_per_word_sums(table_and_words, t):
+    norms, words = table_and_words
+    expect = {
+        j: (math.fsum((lo**t).tolist()), math.fsum((hi**t).tolist()), lo.size)
+        for j, (lo, hi) in words.items()
+    }
+    assert norms.power_sums(t) == expect
+
+
+def test_wide_digits_keep_both_sides():
+    words = _swept_words(cf_wide(), 8)
+    assert [j for j, (lo, hi) in words.items() if not np.array_equal(lo, hi)] == [8]
+
+
+def test_table_weights_high_multiplicities():
+    # one level of 2^20 equal norms and 64 more binades, inside the default
+    # budget: count-weighted mantissa halves reach 2^46 in one run
+    spread = np.ldexp(0.7, -7 * np.arange(1, 65))
+    level = np.concatenate([np.full(2**20, 0.3**20), spread, spread[::3]])
+    first = np.array([0.3, 0.3, 0.25])
+    tables = [_frontier._distinct(x) for x in (first, level)]
+    for x, (values, counts) in zip((first, level), tables):
+        ref_values, ref_counts = np.unique(x, return_counts=True)
+        assert values.tolist() == ref_values.tolist()
+        assert counts.tolist() == ref_counts.tolist() and counts.dtype == np.int64
+    norms = _frontier.LevelNorms(1, [(tab, tab) for tab in tables], "hint")
+    norms.check_budget(_frontier.DEFAULT_BUDGET)
+    assert norms.counts.max() == 2**20
+    for t in (0.0, 0.31, 0.5, 0.97, 1.0):
+        z1 = math.fsum((first**t).tolist())
+        z2 = math.fsum((level**t).tolist())
+        assert norms.power_sums(t) == {1: (z1, z1, 3), 2: (z2, z2, level.size)}
+
+
+def test_cf12_table_stores_distinct_norms():
+    # 65,534 words in levels 1..15 share 24,725 norms (a word and its
+    # reversal have one continuant); the table keeps no per-word powers
+    norms = _frontier.level_norms(bundled.cf12(15), 1, 15)
+    assert sum(norms.sizes) == 65534
+    assert norms.values.size <= 25000
 
 
 def _count_calls(monkeypatch, attr):

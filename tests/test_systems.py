@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bowendim import (
     AscendingSpec,
@@ -35,8 +37,61 @@ from bowendim import (
     sample_limit_set,
     verify_osc,
 )
-from bowendim import bundled
+from bowendim import bundled, systems
 from bowendim.systems import system_certify, system_primitivity
+
+# (ratio, center) of each elliptic-q2 letter, the same at every time: the
+# centers of the point-by-point `math` disk packing, recorded before its
+# candidates were screened with numpy.
+ELLIPTIC_Q2_DISKS = [
+    (0.19245008972987526, (0.0, 0.0)),
+    (0.19245008972987526, (0.4381912897190635, 0.0)),
+    (0.19245008972987526, (0.23966791881713254, 0.36683905881942375)),
+    (0.19245008972987526, (-0.17601943620293156, 0.40128389509729684)),
+    (0.17782794100389226, (-0.4322149316670154, 0.07212391579589568)),
+    (0.17782794100389226, (-0.2967788853736378, -0.3223878092950126)),
+    (0.17782794100389226, (0.10756960221753921, -0.4247827527859584)),
+    (0.17782794100389226, (0.4711317808400327, -0.4583240768825328)),
+    (0.17782794100389226, (0.641381739823676, 0.3492778795089147)),
+    (0.17782794100389226, (0.05457679348243603, 0.7282766966659479)),
+    (0.17782794100389226, (-0.5353615752468087, 0.4967429486593092)),
+    (0.17782794100389226, (-0.7077353764836162, -0.18021157056938267)),
+    (0.14606376323968784, (-0.3003707102760336, -0.6656898750182104)),
+    (0.14606376323968784, (0.8033506978182829, 0.0)),
+    (0.14606376323968784, (0.44256347447553235, 0.6704550057574833)),
+    (0.14606376323968784, (-0.31573693343923204, 0.7387032777424993)),
+    (0.14606376323968784, (-0.774400236810922, 0.2137208855313633)),
+]
+
+
+def _scan_pack(radii):
+    """Reference disk packing: every ring point tested one by one with math."""
+    order = np.argsort(-np.asarray(radii))
+    placed = []
+    centers = [None] * len(radii)
+    step = max(min(radii) / 2.0, 1e-3)
+    for idx in order:
+        r = radii[idx]
+        done = False
+        rad = 0.0
+        while rad + r <= 1.0 + 1e-12 and not done:
+            k_max = max(1, int(math.ceil(2 * math.pi * max(rad, step) / step)))
+            for k in range(k_max):
+                ang = 2 * math.pi * k / k_max
+                cx, cy = rad * math.cos(ang), rad * math.sin(ang)
+                if math.hypot(cx, cy) + r > 1.0:
+                    continue
+                if all(
+                    math.hypot(cx - px, cy - py) >= r + pr for (px, py, pr) in placed
+                ):
+                    placed.append((cx, cy, r))
+                    centers[idx] = (cx, cy)
+                    done = True
+                    break
+            rad += step
+        if not done:
+            return None
+    return centers
 
 
 class TestSimilarityBuilder:
@@ -350,6 +405,20 @@ class TestEllipticModel:
         assert elliptic.dim == 2
         assert verify_osc(elliptic, 1).ok
         assert elliptic.contraction.eta_block < 0.2
+
+    def test_disk_centers_pinned(self, elliptic):
+        for row in elliptic.maps[1:]:
+            assert [(m.ratio, m.offset) for m in row] == ELLIPTIC_Q2_DISKS
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.05, 0.3), min_size=1, max_size=20))
+    def test_packing_equals_the_point_by_point_scan(self, radii):
+        expect = _scan_pack(radii)
+        if expect is None:
+            with pytest.raises(BuildError, match="could not pack"):
+                systems._pack_disks(radii)
+        else:
+            assert systems._pack_disks(radii) == expect
 
 
 class TestBundledInvariants:
