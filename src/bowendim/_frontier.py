@@ -4,13 +4,15 @@ One frontier pass serves both the partition functions (norm states) and the
 limit-set samplers (point states, or no state where points are projected
 word by word): every word takes all its followers, or, for the random
 sampler, one drawn follower.  States are family-specific numpy array
-bundles; expansion groups the frontier by last letter so the per-step Python
-cost is O(#letters), not O(#words).  Similarity norms and reciprocal-shift
-levels whose float continuants stay below 2^53 keep lo == hi; deeper digit
-levels carry an outward bracket from a stated error bound, so digit systems
-stay on the sweep at any depth (their point states still stop at 2^52).  For
-norms, tabulated, mixed and composed ranges fall back to a word-at-a-time
-walk that composes each prefix's bracket afresh.
+bundles.  Each step reads the schedule's follower table for that step, built
+once per schedule, and expands the whole frontier in a fixed number of numpy
+passes over its words (a stable sort by last letter, one repeat and one
+gather), with no Python loop over letters or words.  Similarity norms and
+reciprocal-shift levels whose float continuants stay below 2^53 keep
+lo == hi; deeper digit levels carry an outward bracket from a stated error
+bound, so digit systems stay on the sweep at any depth (their point states
+still stop at 2^52).  For norms, tabulated, mixed and composed ranges fall
+back to a word-at-a-time walk that composes each prefix's bracket afresh.
 
 The words of a range (m, n) and their norms do not depend on t, so
 `level_norms` walks each (system, range) once and keeps its norms in a
@@ -97,7 +99,9 @@ class SimilarityState:
 class MoebiusState:
     """(q_prev, q_cur) float continuants; sup norm = q_cur^-2."""
 
-    budget_hint = "try the bdp-bracket strategy"
+    # no strategy both applies and gives a narrower bracket: bdp-bracket
+    # returns the whole range on cf12 at n_max 18
+    budget_hint = "lower n_max or raise the budget"
 
     def __init__(self, system):
         self.system = system
@@ -213,9 +217,12 @@ def sweep(system, m, n, state_impl, on_level, budget=DEFAULT_BUDGET, draws=None)
     `on_level(j, letters, state, src)` runs once per time j in [m, n]; `src`
     holds each word's parent position in the level before (None at time m),
     so a caller that wants the words traces their letters back through it.
-    Every word takes all its followers, unless `draws` is given: an
-    (N, n - m + 1) array of uniforms in [0, 1) whose row i walks one word,
-    taking choice floor(u * k) of its k candidates at each time.
+    Every word takes all its followers, read from the schedule's follower
+    table of the step: the new level lists the words by last letter
+    ascending, then by position, and each word's followers together,
+    ascending.  With `draws`, an (N, n - m + 1) array of uniforms in [0, 1)
+    whose row i walks one word, each word instead takes choice floor(u * k)
+    of its k candidates at each time and keeps its position.
     """
     sched = system.schedule
     letters = sched.kept_indices(m)
@@ -224,30 +231,45 @@ def sweep(system, m, n, state_impl, on_level, budget=DEFAULT_BUDGET, draws=None)
     state = state_impl.init(m, letters)
     on_level(m, letters, state, None)
     for j in range(m, n):
-        groups = []
-        for a in np.unique(letters).tolist():
-            fl = sched.followers(j, a)
-            if fl.size:
-                groups.append((np.flatnonzero(letters == a), fl))
-        if not groups:
-            raise UnsupportedError(
-                f"frontier died at time {j}; pruning should prevent this"
-            )
-        if draws is None:
-            total = sum(pos.size * fl.size for pos, fl in groups)
-            if total > budget:
-                hint = state_impl.budget_hint
-                raise _frontier_over_budget(total, j + 1, budget, hint)
-            src = np.concatenate([np.repeat(pos, fl.size) for pos, fl in groups])
-            letters = np.concatenate([np.tile(fl, pos.size) for pos, fl in groups])
-        else:
-            u = draws[:, j - m + 1]
-            src = np.arange(letters.size)
-            letters = np.empty_like(letters)
-            for pos, fl in groups:
-                letters[pos] = fl[(u[pos] * fl.size).astype(np.intp)]
+        u = None if draws is None else draws[:, j - m + 1]
+        table = sched.follower_table(j)
+        src, letters = _expand(table, letters, j, u, budget, state_impl)
         state = state_impl.extend(j + 1, state, src, letters)
         on_level(j + 1, letters, state, src)
+
+
+def _expand(table, letters, j, u, budget, state_impl):
+    """(src, letters) of the level after time j, from its follower table:
+    every word's followers, or with uniforms `u` the follower floor(u * k) of
+    each word's k.  Its scratch arrays are freed before the caller extends
+    the state."""
+    if u is None:
+        # a stable radix sort (linear) where the letters fit 16 bits
+        small = table.row.size <= 1 << 16
+        src = np.argsort(
+            letters.astype(np.uint16) if small else letters, kind="stable"
+        )
+        cls = table.row[letters[src]]
+    else:
+        src = np.arange(letters.size)
+        cls = table.row[letters]
+    first = table.ptr[cls]
+    degree = table.counts[cls]
+    total = int(degree.sum())
+    if not total:
+        raise UnsupportedError(
+            f"frontier died at time {j}; pruning should prevent this"
+        )
+    if u is not None:
+        return src, table.cols[first + (u * degree).astype(np.intp)]
+    if total > budget:
+        raise _frontier_over_budget(total, j + 1, budget, state_impl.budget_hint)
+    # entry k of word i's run reads cols[first[i] + k]; first is our copy, so
+    # shifting it by each run's start allocates nothing more
+    first -= np.cumsum(degree) - degree
+    pick = np.repeat(first, degree)
+    pick += np.arange(total)
+    return np.repeat(src, degree), table.cols[pick]
 
 
 def generic_norm_walk(system, m, n, on_word, budget=DEFAULT_BUDGET):

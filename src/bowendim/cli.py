@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, geometry, thermo
 from .config import _PARAMS, _check_param, load_config
 from .errors import (
@@ -460,17 +462,23 @@ def _with_meta(payload, cfg, args):
         "version": __version__,
         "source": cfg.source,
         "seed": _param(args, cfg, "seed", int),
-        "system_sha256": _spec_sha256(cfg.system_spec),
+        "system_sha256": _spec_sha256(cfg.system_spec, cfg.int_matrices),
     }
     return payload
 
 
-def _spec_sha256(spec):
+def _spec_sha256(spec, int_matrices=None):
     """SHA-256 of json.dumps(spec, sort_keys=True), hashed piece by piece so
-    that a large matrix is never held as one string."""
+    that a large matrix is never held as one string.  A list that the loader
+    parsed as a 0/1 matrix of plain ints (`RunConfig.int_matrices`) is
+    rendered from its array."""
     digest = hashlib.sha256()
 
     def feed(obj):
+        parsed = int_matrices.get(id(obj)) if int_matrices else None
+        if parsed is not None and parsed[0] is obj:
+            _feed_zero_one(digest, parsed[1])
+            return
         if isinstance(obj, dict):
             pieces = [(json.dumps(k) + ": ", v) for k, v in sorted(obj.items())]
             opening, closing = "{", "}"
@@ -488,6 +496,29 @@ def _spec_sha256(spec):
 
     feed(spec)
     return digest.hexdigest()
+
+
+def _feed_zero_one(digest, mat):
+    """Feed `digest` the json.dumps bytes of a boolean matrix (at least one
+    column) read as 0/1 ints, written in numpy 64 rows at a time: each row is
+    "[d, d, ..., d], " (3 bytes an entry and 2 more), and the last drops its
+    ", "."""
+    end = 3 * mat.shape[1]
+    out = np.empty((min(64, mat.shape[0]), end + 2), dtype=np.uint8)
+    out[:, 0] = ord("[")
+    out[:, 2:end:3] = ord(",")
+    out[:, 3:end:3] = ord(" ")
+    out[:, end - 1] = ord("]")
+    out[:, end:] = ord(","), ord(" ")
+    digest.update(b"[")
+    for start in range(0, mat.shape[0], out.shape[0]):
+        block = mat[start : start + out.shape[0]]
+        rows = out[: block.shape[0]]
+        rows[:, 1:end:3] = block
+        rows[:, 1:end:3] += ord("0")
+        last = start + block.shape[0] == mat.shape[0]
+        digest.update(rows.reshape(-1)[:-2] if last else rows)
+    digest.update(b"]")
 
 
 # ---------------------------------------------------------------------------

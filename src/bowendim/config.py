@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +116,9 @@ class RunConfig:
     params: dict
     output_dir: str
     source: str
+    # id -> (list, boolean array) of each list of system_spec that the loader
+    # parsed as a 0/1 matrix of plain ints (no bools, no floats)
+    int_matrices: dict = field(default_factory=dict, compare=False, repr=False)
 
     def param(self, name):
         return self.params.get(name, _PARAMS[name][0])
@@ -196,9 +199,10 @@ def _rows(spec, horizon, path):
     _fail(path, "expected a list of rows, {'cycle': ...}, {'powers': ...} or {'packed': true}")
 
 
-def _matrices(spec, counts, path):
+def _matrices(spec, counts, path, int_matrices=None):
     """The builder's incidence form of a matrices spec, given the alphabet
-    size per time; the banded rule becomes one boolean array per step."""
+    size per time; the banded rule becomes one boolean array per step.
+    Explicit matrices of ints go into `int_matrices` when it is given."""
     if spec in ("full", "identity"):
         return spec
     if isinstance(spec, dict) and "rule" in spec:
@@ -221,13 +225,16 @@ def _matrices(spec, counts, path):
                 path,
                 f"need {len(counts) - 1} per-step matrices, got {len(spec)}",
             )
-            return [_zero_one(m, f"{path}[{k}]") for k, m in enumerate(spec)]
-        return _zero_one(spec, path)  # one matrix reused per step
+            return [
+                _zero_one(m, f"{path}[{k}]", int_matrices) for k, m in enumerate(spec)
+            ]
+        return _zero_one(spec, path, int_matrices)  # one matrix reused per step
     _fail(path, "expected 'full', 'identity', a 0/1 array, arrays per step, or a rule")
 
 
-def _zero_one(rows, path):
-    """A rectangular list of 0/1 (or boolean) rows as a boolean array."""
+def _zero_one(rows, path, int_matrices=None):
+    """A rectangular list of 0/1 (or boolean) rows as a boolean array; with
+    `int_matrices`, one parsed as integers is kept there by id."""
     try:
         arr = np.asarray(rows)
         regular = arr.ndim == 2 and arr.dtype.kind in "biuf"
@@ -249,10 +256,13 @@ def _zero_one(rows, path):
     if bad.size:
         i, j = bad[0].tolist()
         _fail(f"{path}[{i}][{j}]", f"0 or 1 required, got {rows[i][j]!r}")
-    return arr.astype(bool)
+    mat = arr.astype(bool)
+    if int_matrices is not None and arr.dtype.kind == "i":
+        int_matrices[id(rows)] = (rows, mat)
+    return mat
 
 
-def _build_similarity(spec, path):
+def _build_similarity(spec, path, int_matrices):
     horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
     ratios = _rows(spec.get("ratios"), horizon, f"{path}.ratios")
     _expect(ratios != "packed", f"{path}.ratios", "ratios cannot be 'packed'")
@@ -270,11 +280,13 @@ def _build_similarity(spec, path):
             f"row length {len(oo)} != ratios row length {len(rr)}",
         )
     counts = [len(r) for r in ratios]
-    mat = _matrices(spec.get("matrices", "full"), counts, f"{path}.matrices")
+    mat = _matrices(
+        spec.get("matrices", "full"), counts, f"{path}.matrices", int_matrices
+    )
     return build_similarity_system(ratios, offsets, mat)
 
 
-def _build_cf(spec, path):
+def _build_cf(spec, path, int_matrices):
     horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
     digits = spec.get("digits")
     if isinstance(digits, dict) and "prefix" in digits:
@@ -290,11 +302,13 @@ def _build_cf(spec, path):
         _expect(rows != "packed", f"{path}.digits", "digit rows required")
     rows = [list(r) for r in _numbers(rows, f"{path}.digits")]
     counts = [len(r) for r in rows]
-    mat = _matrices(spec.get("matrices", "full"), counts, f"{path}.matrices")
+    mat = _matrices(
+        spec.get("matrices", "full"), counts, f"{path}.matrices", int_matrices
+    )
     return build_cf_system(rows, mat)
 
 
-def _build_gdms_cfg(spec, path):
+def _build_gdms_cfg(spec, path, int_matrices):
     horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
     verts = spec.get("vertices")
     if isinstance(verts, dict) and "cycle" in verts:
@@ -348,7 +362,9 @@ def _build_gdms_cfg(spec, path):
             )
         edge_schedule.append(parsed)
     counts = [len(r) for r in edge_schedule]
-    mats = _matrices(spec.get("matrices", "full"), counts, f"{path}.matrices")
+    mats = _matrices(
+        spec.get("matrices", "full"), counts, f"{path}.matrices", int_matrices
+    )
     return build_gdms(vertex_schedule, edge_schedule, spaces, mats)
 
 
@@ -395,11 +411,11 @@ def _ascending_spec(spec, path="system") -> AscendingSpec:
     )
 
 
-def _build_ascending(spec, path):
+def _build_ascending(spec, path, int_matrices):
     return build_ascending(_ascending_spec(spec, path))
 
 
-def _build_elliptic(spec, path):
+def _build_elliptic(spec, path, int_matrices):
     q = spec.get("q")
     _expect(isinstance(q, int) and q >= 1, f"{path}.q", "integer q >= 1 required")
     comparability = _num(spec.get("comparability", 1.0), f"{path}.comparability")
@@ -460,7 +476,9 @@ def _bundled_spec(spec, path="system"):
     return {**packaged, **overrides}
 
 
-def build_from_spec(spec: dict, path: str = "system"):
+def build_from_spec(spec: dict, path: str = "system", int_matrices=None):
+    """The system of a spec; `int_matrices`, when given, collects the
+    explicit matrices parsed as plain ints (see `RunConfig.int_matrices`)."""
     _expect(isinstance(spec, dict), path, "system spec must be an object")
     kind = spec.get("kind")
     if kind == "bundled":
@@ -470,7 +488,7 @@ def build_from_spec(spec: dict, path: str = "system"):
         f"{path}.kind",
         f"unknown kind {kind!r}; choose from {sorted(_BUILDERS) + ['bundled']}",
     )
-    return _BUILDERS[kind](spec, path)
+    return _BUILDERS[kind](spec, path, int_matrices)
 
 
 def load_config(source):
@@ -484,12 +502,13 @@ def load_config(source):
     src = str(source)
     if src in _PACKAGED:
         cfg, system = load_config(_PACKAGED[src])
-        return RunConfig(cfg.system_spec, cfg.params, cfg.output_dir, src), system
+        return replace(cfg, source=src), system
     p = Path(src)
     if not p.exists():
         _fail("(source)", f"{src!r} is neither a bundled name nor a file")
+    text = p.read_text()
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail("(file)", f"invalid JSON: {exc}")
     _expect(isinstance(raw, dict), "(root)", "config must be a JSON object")
@@ -505,7 +524,11 @@ def load_config(source):
     for key, val in params.items():
         _check_param(key, val, f"params.{key}")
     out_dir = raw.get("output_dir", "out")
-    system = build_from_spec(raw["system"])
+    # json.loads makes bools from these literals alone, so without them an
+    # integer array parsed from a list of lists held only plain ints
+    no_bools = "true" not in text and "false" not in text
+    int_matrices = {} if no_bools else None
+    system = build_from_spec(raw["system"], int_matrices=int_matrices)
     window = params.get("window")
     if window is not None:
         _expect(
@@ -520,5 +543,5 @@ def load_config(source):
             "params.n_max",
             f"n_max must sit in [2, horizon={system.horizon}]",
         )
-    cfg = RunConfig(raw["system"], params, out_dir, src)
+    cfg = RunConfig(raw["system"], params, out_dir, src, int_matrices or {})
     return cfg, system

@@ -94,6 +94,10 @@ class Incidence:
     def followers(self, a: int, keep_nxt) -> np.ndarray:
         raise NotImplementedError
 
+    def follower_table(self, keep_nxt) -> "FollowerTable":
+        """The allowed successors in keep_nxt of every current letter."""
+        raise NotImplementedError
+
     def count_followers(self, keep_nxt) -> np.ndarray:
         """Per current letter, number of allowed kept successors."""
         raise NotImplementedError
@@ -119,6 +123,24 @@ class Incidence:
         raise NotImplementedError
 
 
+class FollowerTable:
+    """The allowed successors of every letter of one step, by row class.
+
+    Letter a belongs to row class `row[a]`: itself for explicit matrices, its
+    terminal vertex for complete steps, so a complete step never builds a
+    letters-by-letters matrix.  Class c has `counts[c]` successors,
+    `cols[ptr[c]:ptr[c] + counts[c]]`, ascending.  The arrays are read-only,
+    since a schedule caches its tables.
+    """
+
+    def __init__(self, row, counts, cols):
+        ptr = np.zeros(counts.size, dtype=np.intp)
+        np.cumsum(counts[:-1], out=ptr[1:])
+        for arr in (row, counts, ptr, cols):
+            arr.flags.writeable = False
+        self.row, self.counts, self.ptr, self.cols = row, counts, ptr, cols
+
+
 class FullIncidence(Incidence):
     """Every composable pair allowed: A(a, b) = 1 iff t(a) = i(b)."""
 
@@ -138,6 +160,14 @@ class FullIncidence(Incidence):
     def followers(self, a, keep_nxt):
         cur, nxt, _ = self._codes
         return np.flatnonzero((nxt == cur[a]) & keep_nxt)
+
+    def follower_table(self, keep_nxt):
+        # one row per vertex: the kept next letters starting there
+        cur, nxt, nv = self._codes
+        kept = np.flatnonzero(keep_nxt)
+        by_vertex = nxt[kept]
+        cols = kept[np.argsort(by_vertex, kind="stable")]
+        return FollowerTable(cur, np.bincount(by_vertex, minlength=nv), cols)
 
     def count_followers(self, keep_nxt):
         cur, nxt, nv = self._codes
@@ -215,6 +245,11 @@ class DenseIncidence(Incidence):
 
     def followers(self, a, keep_nxt):
         return np.flatnonzero(self._mat[a] & keep_nxt)
+
+    def follower_table(self, keep_nxt):
+        rows, cols = np.nonzero(self._mat & keep_nxt)
+        counts = np.bincount(rows, minlength=self.n_cur)
+        return FollowerTable(np.arange(self.n_cur), counts, cols)
 
     def count_followers(self, keep_nxt):
         return (self._mat & keep_nxt[None, :]).sum(axis=1)
@@ -294,6 +329,7 @@ class GraphSchedule:
             )
         self.incidence = tuple(inc)
         self._validate_and_bind()
+        self._tables = {}
 
     def _validate_and_bind(self):
         for n in range(1, self.horizon + 1):
@@ -382,6 +418,16 @@ class GraphSchedule:
         if n >= self.horizon:
             return np.zeros(0, dtype=np.int64)
         return self.incidence[n].followers(a, self.kept[n + 1])
+
+    def follower_table(self, n: int) -> FollowerTable:
+        """The kept successors of every letter at time n < horizon, for
+        expanding a whole frontier; built once per step, on first use (a walk
+        that reads a few letters a step asks `followers` instead)."""
+        table = self._tables.get(n)
+        if table is None:
+            table = self.incidence[n].follower_table(self.kept[n + 1])
+            self._tables[n] = table
+        return table
 
     def step_complete(self, n: int) -> bool:
         return self.incidence[n].is_complete(self.kept[n], self.kept[n + 1])

@@ -154,8 +154,20 @@ def build_similarity_system(
     """
     if len(offsets) != len(ratios_schedule):
         raise BuildError("ratios and offsets schedules differ in length")
+    pool = {}
+
+    def similarity(r, o):
+        # one map per distinct letter; -0.0 == 0.0, so zeros are not shared
+        r, o = float(r), float(o)
+        if not (r and o):
+            return Similarity(r, (o,))
+        found = pool.get((r, o))
+        if found is None:
+            found = pool[r, o] = Similarity(r, (o,))
+        return found
+
     maps = [
-        [Similarity(float(r), (float(o),)) for r, o in zip(ratios, offs)]
+        [similarity(r, o) for r, o in zip(ratios, offs)]
         for ratios, offs in zip(ratios_schedule, offsets)
     ]
     labels = [[f"m{k}" for k in range(len(row))] for row in ratios_schedule]

@@ -7,7 +7,9 @@ incidence matrix powers.  The dense-incidence references are the original
 per-column and per-row loops and int64 matrix products.  The letter-table
 references (`per_letter_*`) ask each map object in turn for its norm,
 image, type and distortion, as the system did before it kept its letters
-as numpy columns.
+as numpy columns.  `grouped_sweep` is the frontier expansion as it was before
+the follower tables: one scan of the frontier per distinct letter, with that
+letter's followers read from its row of the kept step matrix.
 """
 
 import numpy as np
@@ -119,6 +121,38 @@ def loop_count_transfer(mat, counts_nxt):
         sum(counts_nxt[b] for b in np.flatnonzero(mat[a]))
         for a in range(mat.shape[0])
     ]
+
+
+def grouped_sweep(schedule, m, n, draws=None):
+    """[(letters, src)] per level m..n, grouping the frontier letter by letter.
+
+    Exhaustive: each distinct letter a in ascending order repeats its
+    positions once per follower and tiles its followers once per position.
+    With `draws` (rows of uniforms, one per word), word i keeps its position
+    and takes follower floor(u * k) of its k.
+    """
+    letters = schedule.kept_indices(m)
+    if draws is not None:
+        letters = letters[(draws[:, 0] * letters.size).astype(np.intp)]
+    levels = [(letters, None)]
+    for j in range(m, n):
+        step = schedule.step_matrix(j)
+        groups = []
+        for a in np.unique(letters).tolist():
+            fl = np.flatnonzero(step[a])
+            if fl.size:
+                groups.append((np.flatnonzero(letters == a), fl))
+        if draws is None:
+            src = np.concatenate([np.repeat(pos, fl.size) for pos, fl in groups])
+            letters = np.concatenate([np.tile(fl, pos.size) for pos, fl in groups])
+        else:
+            u = draws[:, j - m + 1]
+            src = np.arange(letters.size)
+            letters = np.empty_like(letters)
+            for pos, fl in groups:
+                letters[pos] = fl[(u[pos] * fl.size).astype(np.intp)]
+        levels.append((letters, src))
+    return levels
 
 
 def int64_products_positive(schedule, p):

@@ -1,6 +1,7 @@
 """Config ingestion, CLI dispatch, exit codes, emitted artifacts."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -137,6 +138,48 @@ class TestLoadConfig:
 
         stats = growth_stats(system.schedule)
         assert set(stats.g_lo) == {2} and set(stats.g_hi) == {2}
+
+
+def _similarity2(matrices):
+    return {"kind": "similarity", "horizon": 4, "matrices": matrices,
+            "ratios": {"cycle": [[0.3, 0.3]]}, "offsets": {"cycle": [[0.0, 0.6]]}}
+
+
+_TRUE_VERTEX = {
+    "kind": "gdms", "horizon": 4, "vertices": {"cycle": [["true"]]},
+    "spaces": {"true": [0, 1]}, "matrices": [[1, 1], [1, 0]],
+    "edges": {"cycle": [[
+        {"label": "a", "src": "true", "dst": "true", "ratio": 0.3, "offset": 0},
+        {"label": "b", "src": "true", "dst": "true", "ratio": 0.3, "offset": 0.6},
+    ]]},
+}
+
+# name: (system spec, whether the loader renders its matrices from arrays)
+DIGEST_SPECS = {
+    "ints": (_similarity2([[1, 1], [1, 0]]), True),
+    "bools": (_similarity2([[True, True], [True, False]]), False),
+    "bool-int-mix": (_similarity2([[1, True], [1, 0]]), False),
+    "floats": (_similarity2([[1.0, 1.0], [1.0, 0.0]]), False),
+    "per-step": (_similarity2([[[1, 1], [1, 0]], [[1, 0], [0, 1]], [[1, 1], [1, 1]]]),
+                 True),
+    "true-string": (_TRUE_VERTEX, False),
+    "bundled": ({"kind": "bundled", "name": "gdms2v"}, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_SPECS))
+def test_digest_through_the_loader_equals_one_dump(tmp_path, name):
+    # summary.json's system_sha256 is the SHA-256 of one canonical dump of
+    # the spec as written, whichever way the loader read its matrices
+    spec, from_arrays = DIGEST_SPECS[name]
+    path = write_cfg(tmp_path, "c.json", {"schema_version": 1, "system": spec})
+    cfg, _ = load_config(path)
+    assert bool(cfg.int_matrices) == from_arrays
+    out = tmp_path / "out"
+    assert main(["check", path, "--out", str(out)]) in (0, 4)
+    meta = json.loads((out / "summary.json").read_text())["meta"]
+    want = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()
+    assert meta["system_sha256"] == want
 
 
 class TestCliExitCodes:

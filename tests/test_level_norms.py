@@ -314,11 +314,12 @@ def test_cache_hit_keeps_the_budget(make, n, budget):
 
 
 def test_budget_hint_names_a_strategy_that_applies(tmp_path):
-    # digit systems cannot take matrix-exact; cf12 at horizon 22 holds
-    # 2,097,152 words at time 21, over the default budget
+    # digit systems cannot take matrix-exact, and bdp-bracket gives them the
+    # whole range; cf12 at horizon 22 holds 2,097,152 words at time 21, over
+    # the default budget
     msg = _budget_message(lambda: partition(bundled.cf12(22), 1, 22, 0.5))
     assert "2097152 words at time 21" in msg
-    assert "matrix-exact" not in msg and msg.endswith("try the bdp-bracket strategy")
+    assert "strategy" not in msg and msg.endswith("lower n_max or raise the budget")
     msg = _budget_message(
         lambda: partition(bundled.cantor3(8), 1, 8, 0.5, "enumerate-exact", budget=100)
     )
