@@ -105,7 +105,6 @@ from .thermo import (
     hypothesis_report,
     lower_bound_diagnostics,
     partition,
-    partition_by_root,
     pressure_estimate,
     system_theta,
     theta_bounds,

@@ -99,8 +99,7 @@ class SimilarityState:
 class MoebiusState:
     """(q_prev, q_cur) float continuants; sup norm = q_cur^-2."""
 
-    # no strategy both applies and gives a narrower bracket: bdp-bracket
-    # returns the whole range on cf12 at n_max 18
+    # matrix-exact needs similarity norms, so no other strategy applies here
     budget_hint = "lower n_max or raise the budget"
 
     def __init__(self, system):
@@ -275,7 +274,7 @@ def _expand(table, letters, j, u, budget, state_impl):
 def generic_norm_walk(system, m, n, on_word, budget=DEFAULT_BUDGET):
     """Word-at-a-time walk: on_word(j, word, bracket) per admissible prefix,
     each bracket composed afresh through `compose_norm`; the norm fallback for
-    ranges without a vectorized state, and `thermo.partition_by_root`'s walk."""
+    ranges without a vectorized state."""
     for count, (j, _, labels) in enumerate(walk_words(system.schedule, m, n), 1):
         if count > budget:
             raise _walk_over_budget(budget)

@@ -183,11 +183,11 @@ def cmd_check(args, cfg, system, out):
     return EXIT_OK if rep.bowen_supported else EXIT_ADVISORY
 
 
-def _pressure_rows(system, ts, window, strategy, budget):
+def _pressure_rows(system, ts, window, budget):
     rows = []
     rates = []
     for t in ts:
-        est = thermo.pressure_estimate(system, t, window, strategy, budget)
+        est = thermo.pressure_estimate(system, t, window, budget=budget)
         rows.extend(est.rows())
         rates.append(0.5 * (est.growth_rate[0] + est.growth_rate[1]))
     return rows, rates
@@ -197,8 +197,7 @@ def cmd_pressure(args, cfg, system, out):
     window = _param(args, cfg, "window") or (max(1, system.horizon // 2), system.horizon)
     t = _param(args, cfg, "t", float)
     est = thermo.pressure_estimate(
-        system, t, tuple(window), _param(args, cfg, "strategy"),
-        _param(args, cfg, "budget", int),
+        system, t, tuple(window), budget=_param(args, cfg, "budget", int)
     )
     write_csv(
         out / "pressure.csv",
@@ -236,7 +235,6 @@ def cmd_dimension(args, cfg, system, out):
         n_max,
         tol=_param(args, cfg, "tol", float),
         window=_param(args, cfg, "window"),
-        strategy=_param(args, cfg, "strategy"),
         budget=_param(args, cfg, "budget", int),
     )
     payload = {
@@ -378,7 +376,6 @@ def cmd_subsystem(args, cfg, system, out):
 
 def cmd_report(args, cfg, system, out):
     budget = _param(args, cfg, "budget", int)
-    strategy = _param(args, cfg, "strategy")
     n_max = _param(args, cfg, "n_max", int) or system.horizon
     window = _param(args, cfg, "window") or (1, n_max)
     res = thermo.bowen_dimension(
@@ -387,14 +384,13 @@ def cmd_report(args, cfg, system, out):
         n_max,
         tol=_param(args, cfg, "tol", float),
         window=tuple(window),
-        strategy=strategy,
         budget=budget,
     )
     # pressure curve across the initial bracket
     t_lo, t_hi = _t_bracket(args, cfg, system)
     n_ts = _param(args, cfg, "t_grid", int)
     ts = [t_lo + (t_hi - t_lo) * k / (n_ts - 1) for k in range(n_ts)]
-    rows, rates = _pressure_rows(system, ts, tuple(window), strategy, budget)
+    rows, rates = _pressure_rows(system, ts, tuple(window), budget)
     write_csv(
         out / "pressure.csv",
         ("n", "t", "z_lo", "z_hi", "s_n_lo", "s_n_hi"),
@@ -423,7 +419,7 @@ def cmd_report(args, cfg, system, out):
 
     theta = thermo.system_theta(system)
     trend = thermo.hausdorff_measure_trend(
-        system, res.midpoint, (max(1, n_max // 2), n_max), strategy, budget=budget
+        system, res.midpoint, (max(1, n_max // 2), n_max), budget=budget
     )
     ab = thermo.ab_dimension_bounds(system)
     payload = {
@@ -539,7 +535,6 @@ def build_parser():
     )
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--strategy", default=None, choices=thermo.STRATEGIES)
     common.add_argument("--budget", type=int, default=None)
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--n-max", type=int, default=None)

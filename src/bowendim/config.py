@@ -28,7 +28,6 @@ from .systems import (
     build_similarity_system,
     elliptic_lower_bound,
 )
-from .thermo import STRATEGIES
 
 SCHEMA_VERSION = 1
 
@@ -83,7 +82,6 @@ _PARAMS = {
     "depth": (10, *_at_least(1)),
     "max_points": (4096, *_at_least(1)),
     "seed": (0, *_at_least(0)),
-    "strategy": ("auto", *_one_of(STRATEGIES)),
     "budget": (2_000_000, *_at_least(1)),
     "scale_window": (
         [2.0**-14, 2.0**-4],

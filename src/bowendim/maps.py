@@ -26,7 +26,7 @@ class NormBracket:
 
     lo: float
     hi: float
-    method: str  # exact | continuant | interval | bdp-bracket
+    method: str  # exact | continuant | interval
 
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi):

@@ -33,7 +33,7 @@ from .symbolic import (
 )
 from .trend import EXPONENTIAL, SUBEXPONENTIAL, fit_line
 
-STRATEGIES = ("auto", "enumerate-exact", "matrix-exact", "bdp-bracket")
+STRATEGIES = ("auto", "enumerate-exact", "matrix-exact")
 
 
 # ---------------------------------------------------------------------------
@@ -63,33 +63,16 @@ def _check_t(system, t):
         raise InputError(f"t must lie in [0, {system.dim}], got {t}")
 
 
-def _resolve_strategy(system, m, n, strategy):
-    if strategy not in STRATEGIES:
-        raise InputError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    fam = _frontier._family(system, m, n)
-    if strategy == "auto":
-        return "matrix-exact" if fam == "similarity" else "enumerate-exact"
-    if strategy == "matrix-exact" and fam != "similarity":
-        raise UnsupportedError(
-            "matrix-exact needs multiplicative (similarity) norms; use"
-            " enumerate-exact or bdp-bracket here"
-        )
-    return strategy
-
-
-def _transfer_sums(system, m, n, t, which):
-    """Per-level sums of products of single-letter weights along admissible words.
-
-    `which` picks the lo (0) or hi (1) single-letter norm bracket as the
-    weight, zero outside the pruned alphabet.  Exact for similarity families,
-    the parts of the bounded-distortion bracket otherwise.
-    """
+def _transfer_sums(system, m, n, t):
+    """Per-level sums of products of single-letter weights |r|^t along
+    admissible words, zero outside the pruned alphabet; exact for similarity
+    families."""
     sched = system.schedule
     brackets = system.letter_brackets
-    u = np.where(sched.kept[m], brackets[m][which] ** t, 0.0)
+    u = np.where(sched.kept[m], brackets[m][1] ** t, 0.0)
     out = {m: float(u.sum())}
     for j in range(m, n):
-        w = brackets[j + 1][which] ** t
+        w = brackets[j + 1][1] ** t
         u = sched.incidence[j].transfer(u, w, sched.kept[j + 1])
         out[j + 1] = float(u.sum())
     return out
@@ -98,19 +81,26 @@ def _transfer_sums(system, m, n, t, which):
 def _levels(system, m, n, t, strategy, budget=_frontier.DEFAULT_BUDGET):
     """({j: (z_lo, z_hi, words)} for every j in m..n, resolved strategy).
 
-    Brackets on Z_{m,j}(t); `words` is the level's word count for
-    enumerate-exact and None for the transfer strategies.
+    The one place that maps a strategy to a computation: "auto" takes the
+    matrix-exact transfer product on similarity ranges and the enumerated
+    words (`_frontier.level_norms`) on all others.  Brackets on Z_{m,j}(t);
+    `words` is the level's word count for enumerate-exact and None for
+    matrix-exact.
     """
-    strat = _resolve_strategy(system, m, n, strategy)
-    if strat == "enumerate-exact":
-        return _frontier.level_norms(system, m, n, budget).power_sums(t), strat
-    hi = _transfer_sums(system, m, n, t, 1)
-    if strat == "matrix-exact":
-        return {j: (z, z, None) for j, z in hi.items()}, strat
-    # bdp-bracket: single-letter products with distortion correction
-    lo = _transfer_sums(system, m, n, t, 0)
-    k = system.distortion
-    return {j: (k ** (-2.0 * (j - m) * t) * lo[j], hi[j], None) for j in hi}, strat
+    if strategy not in STRATEGIES:
+        raise InputError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    similarity = _frontier._family(system, m, n) == "similarity"
+    if strategy == "auto":
+        strategy = "matrix-exact" if similarity else "enumerate-exact"
+    if strategy == "enumerate-exact":
+        return _frontier.level_norms(system, m, n, budget).power_sums(t), strategy
+    if not similarity:
+        raise UnsupportedError(
+            "matrix-exact needs multiplicative (similarity) norms; use"
+            " enumerate-exact here"
+        )
+    z = _transfer_sums(system, m, n, t)
+    return {j: (v, v, None) for j, v in z.items()}, strategy
 
 
 def partition(
@@ -130,27 +120,6 @@ def partition(
     levels, strat = _levels(system, m, n, t, strategy, budget)
     z_lo, z_hi, words = levels[n]
     return PartitionValue(m, n, t, z_lo, z_hi, strat, words)
-
-
-def partition_by_root(system, n: int, t: float, budget=_frontier.DEFAULT_BUDGET):
-    """Optional vertex-resolved breakdown: root initial vertex -> Z bracket."""
-    _check_t(system, t)
-    sums = {}
-
-    def on_word(j, word, bracket):
-        if j != n:
-            return
-        v = system.schedule.letters(word.start)[
-            system.schedule.letter_index(word.start, word.letters[0])
-        ].src
-        lo, hi = sums.setdefault(v, ([], []))
-        lo.append(bracket.lo**t)
-        hi.append(bracket.hi**t)
-
-    _frontier.generic_norm_walk(system, 1, n, on_word, budget)
-    return {
-        v: (math.fsum(lo), math.fsum(hi)) for v, (lo, hi) in sorted(sums.items())
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +270,19 @@ def bowen_dimension(
             f"n_max={n_max} beyond materialized horizon {system.horizon}"
         )
     window = window or (1, n_max)
+    if window[1] > n_max:
+        raise ConfigurationError(f"window {tuple(window)} ends past n_max={n_max}")
     t_lo, t_hi = float(t_bracket[0]), float(t_bracket[1])
     if not (0.0 <= t_lo < t_hi <= system.dim):
         raise InputError(f"invalid t bracket {t_bracket}")
     trace = []
     notes = []
+    chosen = []
 
     def rate(t):
         est = pressure_estimate(system, t, window, strategy, budget)
         trace.append((t, est.growth_rate[0], est.growth_rate[1]))
+        chosen.append(est.strategy)
         return est.growth_rate
 
     r_lo = rate(t_lo)
@@ -346,7 +319,7 @@ def bowen_dimension(
                 break
     return DimensionResult(
         (t_lo, t_hi), n_max, window, tol, tuple(trace), hypothesis_report(system),
-        _resolve_strategy(system, 1, n_max, strategy), tuple(notes),
+        chosen[0], tuple(notes),
     )
 
 
@@ -657,8 +630,7 @@ MEASURE_SLOPE_TOL = 0.02
 
 
 def hausdorff_measure_trend(
-    system, h: float, window, strategy: str = "auto",
-    budget: int = _frontier.DEFAULT_BUDGET,
+    system, h: float, window, budget: int = _frontier.DEFAULT_BUDGET
 ) -> MeasureTrendReport:
     """Advisory classifier for the h-dimensional measure via the tail of Z_n(h).
 
@@ -685,7 +657,7 @@ def hausdorff_measure_trend(
             "inapplicable", h, tuple(window), (), pre,
             f"hypotheses not met: {', '.join(missing)}",
         )
-    levels, _ = _levels(system, 1, n_hi, h, strategy, budget)
+    levels, _ = _levels(system, 1, n_hi, h, "auto", budget)
     ns = list(range(n_lo, n_hi + 1))
     zs = [0.5 * (levels[n][0] + levels[n][1]) for n in ns]
     tail = _tail(window)

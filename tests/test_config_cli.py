@@ -335,6 +335,31 @@ class TestCliExitCodes:
             ["dimension", "cantor3", "--out", str(tmp_path / "o0"), "--n-max", "12"]
         ) == 0
 
+    def test_window_past_n_max_is_2(self, tmp_path, capsys):
+        # this once summed levels up to 30 while summary.json read horizon 10
+        path = write_cfg(tmp_path, "w.json", {
+            "schema_version": 1, "system": {"kind": "bundled", "name": "cantor3"},
+            "params": {"n_max": 10, "window": [15, 30]},
+        })
+        out = tmp_path / "o"
+        assert main(["dimension", path, "--out", str(out)]) == 2
+        assert "ends past n_max=10" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_strategy_is_not_a_run_setting(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "s.json", {
+            "schema_version": 1, "system": {"kind": "bundled", "name": "cantor3"},
+            "params": {"strategy": "auto"},
+        })
+        assert main(["report", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error at params.strategy: unknown parameter\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["dimension", "cantor3", "--strategy", "auto"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+
     CF6 = {"kind": "cf", "horizon": 6, "digits": [1, 2]}
     GDMS1 = {
         "kind": "gdms", "horizon": 4, "vertices": {"cycle": [["u"]]},

@@ -314,9 +314,9 @@ def test_cache_hit_keeps_the_budget(make, n, budget):
 
 
 def test_budget_hint_names_a_strategy_that_applies(tmp_path):
-    # digit systems cannot take matrix-exact, and bdp-bracket gives them the
-    # whole range; cf12 at horizon 22 holds 2,097,152 words at time 21, over
-    # the default budget
+    # digit systems cannot take matrix-exact, so no other strategy applies;
+    # cf12 at horizon 22 holds 2,097,152 words at time 21, over the default
+    # budget
     msg = _budget_message(lambda: partition(bundled.cf12(22), 1, 22, 0.5))
     assert "2097152 words at time 21" in msg
     assert "strategy" not in msg and msg.endswith("lower n_max or raise the budget")

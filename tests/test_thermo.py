@@ -9,6 +9,7 @@ from bowendim import (
     BracketingError,
     BudgetError,
     ConfigurationError,
+    InputError,
     PSeriesTail,
     UnsupportedError,
     ab_dimension_bounds,
@@ -21,7 +22,6 @@ from bowendim import (
     hypothesis_report,
     lower_bound_diagnostics,
     partition,
-    partition_by_root,
     pressure_estimate,
     system_theta,
     theta_bounds,
@@ -62,15 +62,16 @@ class TestPartition:
     def test_strategies_agree(self, cantor):
         a = partition(cantor, 1, 6, 0.7, "enumerate-exact")
         b = partition(cantor, 1, 6, 0.7, "matrix-exact")
-        c = partition(cantor, 1, 6, 0.7, "bdp-bracket")
         assert a.value == pytest.approx(b.value, rel=1e-12)
-        assert c.lo - 1e-12 <= b.value <= c.hi + 1e-12
-        assert c.lo == pytest.approx(c.hi, rel=1e-12)  # K = 1 here
+        assert partition(cantor, 1, 6, 0.7).strategy == "matrix-exact"
 
-    def test_bdp_bracket_contains_exact_for_cf(self, cf):
-        exact = partition(cf, 1, 5, 0.6, "enumerate-exact")
-        br = partition(cf, 1, 5, 0.6, "bdp-bracket")
-        assert br.lo - 1e-12 <= exact.value <= br.hi + 1e-12
+    def test_unknown_strategy_names_the_three(self, cf):
+        with pytest.raises(InputError) as exc:
+            partition(cf, 1, 5, 0.6, "bdp-bracket")
+        assert str(exc.value) == (
+            "unknown strategy 'bdp-bracket'; choose from"
+            " ('auto', 'enumerate-exact', 'matrix-exact')"
+        )
 
     def test_matrix_on_cf_unsupported(self, cf):
         with pytest.raises(UnsupportedError):
@@ -83,13 +84,6 @@ class TestPartition:
     def test_mid_range_partition(self, cf):
         pv = partition(cf, 3, 5, 0.5)
         assert pv.m == 3 and pv.n == 5 and pv.words == 8
-
-    def test_by_root_splits_total(self, gdms):
-        per = partition_by_root(gdms, 3, 0.5)
-        total = partition(gdms, 1, 3, 0.5, "enumerate-exact")
-        assert math.fsum(v[1] for v in per.values()) == pytest.approx(
-            total.value, rel=1e-12
-        )
 
 
 class TestPressure:
@@ -121,6 +115,7 @@ class TestBowenDimension:
         res = bowen_dimension(cantor30, (0.2, 0.95), 30, tol=1e-4)
         assert res.bracket[0] <= T_STAR3 <= res.bracket[1]
         assert res.width <= 2e-4
+        assert res.strategy == "matrix-exact"
 
     def test_alternating_two_thirds(self, alt):
         res = bowen_dimension(alt, (0.2, 0.95), 30, tol=1e-4)
@@ -129,6 +124,12 @@ class TestBowenDimension:
     def test_cf_bracket_and_oracle_window(self, cf18):
         res = bowen_dimension(cf18, (0.2, 0.9), 18, tol=1e-4)
         assert 0.52 <= res.bracket[0] and res.bracket[1] <= 0.54
+        assert res.strategy == "enumerate-exact"
+
+    def test_window_past_n_max_is_configuration_error(self, cantor30):
+        # the window once ran to time 30 while the result read horizon 10
+        with pytest.raises(ConfigurationError, match="ends past n_max=10"):
+            bowen_dimension(cantor30, (0.2, 0.95), 10, window=(15, 30))
 
     def test_no_sign_change_errors(self, cantor):
         with pytest.raises(BracketingError):
