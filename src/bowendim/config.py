@@ -133,10 +133,13 @@ def _expect(cond, path, msg):
 
 def _numbers(rows, path):
     """`rows` unchanged once every row is a list of numbers."""
+    # messages are formatted only on failure: this runs once per element
     for n, row in enumerate(rows):
-        _expect(isinstance(row, list), f"{path}[{n}]", "list of numbers required")
+        if not isinstance(row, list):
+            _fail(f"{path}[{n}]", "list of numbers required")
         for k, v in enumerate(row):
-            _expect(_number(v), f"{path}[{n}][{k}]", f"number required, got {v!r}")
+            if not _number(v):
+                _fail(f"{path}[{n}][{k}]", f"number required, got {v!r}")
     return rows
 
 

@@ -363,6 +363,13 @@ def _flatten_maps(maps_seq):
     return flat
 
 
+def _continuant_sup(qc) -> float:
+    """The sup norm 1/q_cur^2 of a composed reciprocal shift on [0, 1]; 0.0
+    (below 2^-1024) once q_cur passes 2^512, where the float square would
+    overflow."""
+    return 1.0 / float(qc) ** 2 if qc < 2.0**512 else 0.0
+
+
 def _compose_bracket(maps_seq, dom: Space) -> NormBracket:
     """Certified bracket for a composition, dispatching on family."""
     maps_seq = _flatten_maps(maps_seq)
@@ -372,10 +379,8 @@ def _compose_bracket(maps_seq, dom: Space) -> NormBracket:
             v *= abs(p.ratio)
         return NormBracket(v, v, "exact")
     if all(isinstance(p, MoebiusInverse) for p in maps_seq):
-        # sup norm 1/q_cur^2, below 2^-1024 once q_cur passes 2^512, where
-        # the float square would overflow
         _, qc = continuants([p.digit for p in maps_seq])
-        sup = 1.0 / float(qc) ** 2 if qc < 2.0**512 else 0.0
+        sup = _continuant_sup(qc)
         return NormBracket(sup, sup or 2.0**-1024, "continuant")
     # generic chain: accumulate pointwise bounds right to left; the product of
     # infima lower-bounds the sup as well
@@ -458,26 +463,65 @@ class Contraction:
 def contraction_eta(system, m_max: int = 8, budget: int = 200_000) -> Contraction:
     """Smallest block length m <= m_max whose admissible m-windows all contract.
 
-    Rejects the system (CertificationError) when even length-m_max blocks
-    reach norm >= 1.
+    Windows of two reciprocal shifts take their worst norm in closed form
+    (`_moebius_pairs`); every other window is walked and composed, at
+    most `budget` of them.  Rejects the system (CertificationError) when
+    even length-m_max blocks reach norm >= 1.
     """
     sched = system.schedule
-    singles_max = max(system.c_bounds(n)[1] for n in range(1, sched.horizon + 1))
+    # the letters' hi brackets are zero outside the kept letters
+    his = [hi for _, hi in system.letter_brackets[1:]]
+    singles_max = float(np.concatenate(his).max())
     if singles_max < 1.0:
         return Contraction(1, singles_max, singles_max, singles_max)
 
+    closed, closed_worst = _moebius_pairs(system)
     counter = [0]
     for m in range(2, m_max + 1):
         if sched.horizon < m:
             break  # no window of length m exists; nothing to certify
-        worst = 0.0
+        worst = closed_worst if m == 2 else 0.0
         for j in range(1, sched.horizon - m + 2):
+            if m == 2 and j in closed:
+                continue
             worst = max(worst, _worst_window(system, j, m, budget, counter))
         if worst < 1.0:
             return Contraction(m, worst, worst ** (1.0 / m), singles_max)
     raise CertificationError(
         f"no contracting block length <= {m_max}; system rejected"
     )
+
+
+def _moebius_pairs(system):
+    """(starts, worst): the window starts j whose two times keep only
+    reciprocal shifts, and the largest sup norm over their admissible
+    2-letter windows (0.0 when there are none).
+
+    The window (a, b) composes to continuant q = d_a*d_b + 1, so the worst
+    window has the least digit product over kept allowed pairs, and its norm
+    is the one `_compose_bracket` gives.  A float product below 2^53 equals
+    the exact integer one and the float recursion alike; starts whose least
+    product reaches 2^53 are left out, for the walk.
+    """
+    tab = system.letter_table
+    sched = system.schedule
+    # moebius[n]: time n keeps only reciprocal shifts; time 0 and the pad
+    # past the horizon have no letters
+    moebius = np.ones(sched.horizon + 2, dtype=bool)
+    moebius[tab.time[tab.kept & (tab.family != MOEBIUS)]] = False
+    moebius[[0, -1]] = False
+    starts = np.flatnonzero(moebius[:-1] & moebius[1:]).tolist()
+    # per letter of each start time, its least follower digit
+    least = np.full(tab.time.size, np.inf)
+    for j in starts:
+        least[tab.span(j)] = sched.incidence[j].follower_min(
+            sched.kept[j + 1], tab.digit[tab.span(j + 1)]
+        )
+    least_prod = np.full(sched.horizon + 1, np.inf)
+    np.minimum.at(least_prod, tab.time, np.where(tab.kept, tab.digit * least, np.inf))
+    closed = [j for j in starts if least_prod[j] < 2.0**53]
+    worst = _continuant_sup(least_prod[closed].min() + 1.0) if closed else 0.0
+    return set(closed), worst
 
 
 def _worst_window(system, j, m, budget, counter):

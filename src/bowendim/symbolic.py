@@ -102,6 +102,11 @@ class Incidence:
         """Per current letter, number of allowed kept successors."""
         raise NotImplementedError
 
+    def follower_min(self, keep_nxt, values) -> np.ndarray:
+        """Per current letter, the least `values[b]` over its allowed kept
+        successors b (inf when it has none)."""
+        raise NotImplementedError
+
     def reach_next(self, cur_mask) -> np.ndarray:
         """Mask of next letters reachable from any current letter in cur_mask."""
         raise NotImplementedError
@@ -172,6 +177,13 @@ class FullIncidence(Incidence):
     def count_followers(self, keep_nxt):
         cur, nxt, nv = self._codes
         per_vertex = np.bincount(nxt[keep_nxt], minlength=nv)
+        return per_vertex[cur]
+
+    def follower_min(self, keep_nxt, values):
+        cur, nxt, nv = self._codes
+        per_vertex = np.empty(nv)
+        per_vertex.fill(np.inf)  # np.full costs twice as much here
+        np.minimum.at(per_vertex, nxt[keep_nxt], values[keep_nxt])
         return per_vertex[cur]
 
     def reach_next(self, cur_mask):
@@ -253,6 +265,13 @@ class DenseIncidence(Incidence):
 
     def count_followers(self, keep_nxt):
         return (self._mat & keep_nxt[None, :]).sum(axis=1)
+
+    def follower_min(self, keep_nxt, values):
+        # a masked row minimum over a broadcast view: no float matrix is built
+        allowed = self._mat & keep_nxt
+        return np.min(
+            np.broadcast_to(values, allowed.shape), axis=1, where=allowed, initial=np.inf
+        )
 
     def reach_next(self, cur_mask):
         return self._mat[cur_mask].any(axis=0) if cur_mask.any() else np.zeros(self.n_nxt, bool)

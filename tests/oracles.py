@@ -10,6 +10,9 @@ image, type and distortion, as the system did before it kept its letters
 as numpy columns.  `grouped_sweep` is the frontier expansion as it was before
 the follower tables: one scan of the frontier per distinct letter, with that
 letter's followers read from its row of the kept step matrix.
+`walked_contraction` certifies the contraction block as `contraction_eta`
+did before its closed form for reciprocal-shift windows: every admissible
+window walked and composed.
 """
 
 import numpy as np
@@ -214,6 +217,38 @@ def per_letter_contraction(system):
     copy = dataclasses.replace(system)
     copy.__dict__["letter_brackets"] = per_letter_brackets(system)
     return contraction_eta(copy)
+
+
+def walked_contraction(system, m_max=8, budget=200_000):
+    """The contraction certificate with every admissible m-letter window
+    walked (`walk_words`) and composed (`compose_norm`)."""
+    from bowendim.errors import CertificationError
+    from bowendim.maps import Contraction, compose_norm
+    from bowendim.symbolic import Word, walk_words
+
+    horizon = system.horizon
+    singles_max = max(system.c_bounds(n)[1] for n in range(1, horizon + 1))
+    if singles_max < 1.0:
+        return Contraction(1, singles_max, singles_max, singles_max)
+    windows = 0
+    for m in range(2, m_max + 1):
+        if horizon < m:
+            break
+        worst = 0.0
+        for j in range(1, horizon - m + 2):
+            end = j + m - 1
+            for t, _, labels in walk_words(system.schedule, j, end):
+                if t < end:
+                    continue
+                windows += 1
+                if windows > budget:
+                    raise CertificationError(
+                        f"contraction search exceeded {budget} windows"
+                    )
+                worst = max(worst, compose_norm(Word(j, labels), system, check=False).hi)
+        if worst < 1.0:
+            return Contraction(m, worst, worst ** (1.0 / m), singles_max)
+    raise CertificationError(f"no contracting block length <= {m_max}; system rejected")
 
 
 def per_letter_validate(system):

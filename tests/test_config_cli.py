@@ -65,6 +65,21 @@ class TestLoadConfig:
             load_config(path)
         assert exc.value.path == "system.kind"
 
+    @pytest.mark.parametrize(
+        "system, message",
+        [
+            ({"kind": "cf", "horizon": 3, "digits": [[1, 2], [1, "x"], [1]]},
+             "system.digits[1][1]: number required, got 'x'"),
+            ({"kind": "similarity", "horizon": 3, "ratios": [[0.5], 3, [0.2]]},
+             "system.ratios[1]: list of numbers required"),
+        ],
+    )
+    def test_number_row_messages(self, tmp_path, system, message):
+        path = write_cfg(tmp_path, "rows.json", {"schema_version": 1, "system": system})
+        with pytest.raises(SchemaError) as exc:
+            load_config(path)
+        assert str(exc.value) == message
+
     def test_wrong_version_rejected(self, tmp_path):
         path = write_cfg(
             tmp_path, "v.json", {"schema_version": 99, "system": {}}

@@ -88,6 +88,20 @@ def test_table_rows_are_the_letters_followers(name):
         ]
 
 
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_follower_min_is_the_least_over_the_followers(name):
+    make, _, n = SYSTEMS[name]
+    sched = make().schedule
+    rng = np.random.default_rng(3)
+    for j in range(1, n):
+        values = rng.random(len(sched.letters(j + 1)))
+        got = sched.incidence[j].follower_min(sched.kept[j + 1], values)
+        assert got.tolist() == [
+            min(values[sched.followers(j, a)].tolist(), default=np.inf)
+            for a in range(len(sched.letters(j)))
+        ]
+
+
 def test_mixed_degrees_exercise_pruning():
     sched = mixed_degrees().schedule
     assert not sched.kept[3][3] and sched.kept[6][3]
@@ -101,7 +115,8 @@ def test_mixed_degrees_exercise_pruning():
 
 def test_complete_step_table_is_linear_in_the_letters():
     # 2**16 letters on one vertex: a letters-by-letters matrix would take
-    # 4 GiB, the table three arrays of about one entry per letter
+    # 4 GiB, the table three arrays of about one entry per letter, and
+    # follower_min a few
     k = 1 << 16
     inc = FullIncidence().bind(["v"] * k, ["v"] * k)
     keep = np.ones(k, dtype=bool)
@@ -116,6 +131,15 @@ def test_complete_step_table_is_linear_in_the_letters():
     assert peak < 64 * k
     assert table.row.size == k and table.counts.tolist() == [keep.sum()]
     np.testing.assert_array_equal(table.cols, np.flatnonzero(keep))
+    values = np.arange(k, 0, -1, dtype=float)
+    tracemalloc.start()
+    try:
+        least = inc.follower_min(keep, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * k
+    assert least.size == k and set(least.tolist()) == {values[keep].min()}
 
 
 def test_complete_step_rows_are_vertices():
