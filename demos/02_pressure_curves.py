@@ -36,7 +36,7 @@ est = pressure_estimate(system, 2 / 3, (1, 24))
 with open(out / "alt24_pressure.csv", "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["n", "t", "z_lo", "z_hi", "s_n_lo", "s_n_hi"])
-    writer.writerows(est.rows())
+    writer.writerows(zip(*est.columns()))
 print(f"wrote {out / 'alt24_pressure.csv'}")
 
 res = bowen_dimension(system, (0.3, 0.95), n_max=30, tol=1e-4)

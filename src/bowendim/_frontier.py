@@ -421,12 +421,12 @@ def _distinct(x):
     time on a cf12 level)."""
     x = np.sort(x)
     first = np.empty(x.size, dtype=bool)
-    first[0] = True
+    first[:1] = True
     np.not_equal(x[1:], x[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     counts = np.empty_like(starts)
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = x.size - starts[-1]
+    counts[-1:] = x.size - starts[-1:]
     return x[starts], counts
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -50,23 +49,18 @@ EXIT_BUDGET = 5
 _CSV_CHUNK = 256  # rows formatted per write; bounds the text held at once
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def write_csv(path: Path, header, rows):
-    """Write equal-length `rows` under `header`, formatted a chunk at a time."""
-    rows = iter(rows)
+def write_csv(path: Path, header, columns):
+    """Write equal-length `columns` (sequences or numpy arrays) under
+    `header`, formatted a chunk of rows at a time; `str` of a float is its
+    shortest repr."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
-            cols = [
-                map(repr if set(map(type, col)) == {float} else _fmt, col)
-                for col in zip(*chunk)
+        for lo in range(0, len(columns[0]), _CSV_CHUNK):
+            parts = [col[lo : lo + _CSV_CHUNK] for col in columns]
+            cells = [
+                map(str, p.tolist() if isinstance(p, np.ndarray) else p) for p in parts
             ]
-            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(path: Path, payload):
@@ -183,14 +177,15 @@ def cmd_check(args, cfg, system, out):
     return EXIT_OK if rep.bowen_supported else EXIT_ADVISORY
 
 
-def _pressure_rows(system, ts, window, budget):
-    rows = []
+def _pressure_columns(system, ts, window, budget):
+    columns = [[] for _ in range(6)]
     rates = []
     for t in ts:
         est = thermo.pressure_estimate(system, t, window, budget=budget)
-        rows.extend(est.rows())
+        for col, part in zip(columns, est.columns()):
+            col.extend(part)
         rates.append(0.5 * (est.growth_rate[0] + est.growth_rate[1]))
-    return rows, rates
+    return columns, rates
 
 
 def cmd_pressure(args, cfg, system, out):
@@ -202,7 +197,7 @@ def cmd_pressure(args, cfg, system, out):
     write_csv(
         out / "pressure.csv",
         ("n", "t", "z_lo", "z_hi", "s_n_lo", "s_n_hi"),
-        est.rows(),
+        est.columns(),
     )
     write_json(
         out / "summary.json",
@@ -269,7 +264,7 @@ def _cloud(args, cfg, system, depth=None, with_words=True):
 
 def _write_points(out, system, cloud):
     header = ("x", "y", "radius", "word") if system.dim == 2 else ("x", "radius", "word")
-    write_csv(out / "points.csv", header, cloud.rows())
+    write_csv(out / "points.csv", header, cloud.columns())
 
 
 def cmd_sample(args, cfg, system, out):
@@ -279,7 +274,7 @@ def cmd_sample(args, cfg, system, out):
         cover = geometry.level_cover(system, min(cloud.depth, 3), budget=4096)
         bounds = ("lo", "hi") if system.dim == 1 else ("cx", "cy", "r")
         write_csv(
-            out / "cover.csv", ("word", "root") + bounds + ("diam",), cover.rows()
+            out / "cover.csv", ("word", "root") + bounds + ("diam",), cover.columns()
         )
     except BudgetError:
         pass
@@ -390,11 +385,11 @@ def cmd_report(args, cfg, system, out):
     t_lo, t_hi = _t_bracket(args, cfg, system)
     n_ts = _param(args, cfg, "t_grid", int)
     ts = [t_lo + (t_hi - t_lo) * k / (n_ts - 1) for k in range(n_ts)]
-    rows, rates = _pressure_rows(system, ts, tuple(window), budget)
+    columns, rates = _pressure_columns(system, ts, tuple(window), budget)
     write_csv(
         out / "pressure.csv",
         ("n", "t", "z_lo", "z_hi", "s_n_lo", "s_n_hi"),
-        rows,
+        columns,
     )
     pressure_svg(out / "pressure.svg", ts, rates, crossing=res.midpoint)
 

@@ -47,9 +47,9 @@ class PointCloud:
     def __len__(self):
         return self.coords.shape[0]
 
-    def rows(self):
-        """CSV rows (x[, y], radius, word) of plain Python floats."""
-        return zip(*self.coords.T.tolist(), self.radii.tolist(), self.words)
+    def columns(self):
+        """CSV columns (x[, y], radius, word)."""
+        return (*self.coords.T, self.radii, self.words)
 
 
 def _center_radius(region):
@@ -119,21 +119,29 @@ def sample_limit_set(
             f" depth {depth}; lower the depth or raise the budget"
         )
     impl = _frontier.vector_state(system, 1, depth, points=True)
-    trace = with_words or impl is None
-    levels, last = [], []
+    levels, last, words = [], [], []
 
     def on_level(j, letters, state, src):
-        if trace:
+        if impl is None:
             levels.append((letters, src))
+        if with_words:
+            # a word's label extends its parent's by its last letter's
+            tags = _labels(system, j, "" if src is None else ".")[letters]
+            words[:] = [tags if src is None else words[0][src] + tags]
         last[:] = letters, state
 
     _frontier.sweep(
         system, 1, depth, impl or _NoState(), on_level, max_points, draws
     )
-    columns = _label_columns(system, levels) if trace else None
+    columns = _label_columns(system, levels) if impl is None else None
     coords, radii = _project(system, depth, impl, *last, columns)
-    words = tuple(map(".".join, zip(*columns))) if with_words else ("",) * len(radii)
+    words = tuple(words[0].tolist()) if with_words else ("",) * len(radii)
     return PointCloud(coords, radii, words, depth, None if draws is None else seed)
+
+
+def _labels(system, j, sep=""):
+    """Object array of the time-j letters' labels after `sep`, in alphabet order."""
+    return np.array([sep + e.label for e in system.schedule.letters(j)], dtype=object)
 
 
 def _label_columns(system, levels):
@@ -142,7 +150,7 @@ def _label_columns(system, levels):
     columns, pos = [], None
     for j in range(len(levels), 0, -1):
         letters, src = levels[j - 1]
-        labels = np.array([e.label for e in system.schedule.letters(j)], dtype=object)
+        labels = _labels(system, j)
         columns.append(labels[letters if pos is None else letters[pos]].tolist())
         if src is not None:
             pos = src if pos is None else src[pos]
@@ -160,7 +168,7 @@ def _project(system, depth, impl, letters, state, columns):
         ]
         return np.array([p for p, _ in pairs]), np.array([r for _, r in pairs])
     tab = system.letter_table
-    used = np.unique(letters)
+    used = np.flatnonzero(np.bincount(letters))
     doms = tab.dom[tab.span(depth)][used] - tab.space_start[depth]
     groups = np.unique(doms).tolist()
     coords = np.empty((letters.size, system.dim))
@@ -231,7 +239,7 @@ def _boxes_at_scale(coords, radii, eps, budget=20_000_000):
         np.remainder(local, radix, out=boxes[:, k])
         boxes[:, k] += np.repeat(lo_idx[:, k], cells)
         local //= radix
-    return int(np.unique(_flat_codes(boxes)).size)
+    return _frontier._distinct(_flat_codes(boxes))[0].size
 
 
 def box_counting_dim(points, radii, scale_window=(2.0**-14, 2.0**-4)) -> BoxCountFit:
@@ -282,10 +290,11 @@ class LevelCover:
     level: int
     cells: tuple  # (word_label, root_vertex, Space)
 
-    def rows(self):
-        """CSV rows (word, root, lo/hi or cx/cy/r..., diam)."""
-        for lbl, root, region in self.cells:
-            yield (lbl, root) + tuple(region.bounds) + (region.diam,)
+    def columns(self):
+        """CSV columns (word, root, lo/hi or cx/cy/r..., diam)."""
+        labels, roots, regions = zip(*self.cells)
+        bounds = zip(*(region.bounds for region in regions))
+        return (labels, roots, *bounds, tuple(region.diam for region in regions))
 
 
 def level_cover(system, n: int, budget: int = 200_000) -> LevelCover:

@@ -83,12 +83,13 @@ def _incidences(matrices, alphabets):
     """Step incidences between consecutive alphabets (times 1..H).
 
     `matrices` is "full", "identity" (same-label successor only), one 0/1
-    array reused at every step, or a list of those, one per step.
+    matrix reused at every step (an array or a list of rows of numbers), or
+    a list of those, one per step.
     """
     steps = len(alphabets) - 1
-    per_step = (
-        list(matrices) if isinstance(matrices, (list, tuple)) else [matrices] * steps
-    )
+    # a list of rows of numbers is one matrix; other lists hold one per step
+    one = not isinstance(matrices, (list, tuple)) or np.ndim(matrices[:1]) == 2
+    per_step = [matrices] * steps if one else list(matrices)
     if len(per_step) != steps:
         raise BuildError(f"need {steps} incidence steps, got {len(per_step)}")
     out = []

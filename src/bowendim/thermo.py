@@ -155,10 +155,10 @@ class PressureEstimate:
     def flagged_oscillation(self) -> bool:
         return self.oscillation > 0.05
 
-    def rows(self):
-        """CSV rows (n, t, z_lo, z_hi, s_n_lo, s_n_hi)."""
-        for i, n in enumerate(self.ns):
-            yield (n, self.t, self.z_lo[i], self.z_hi[i], self.s_lo[i], self.s_hi[i])
+    def columns(self):
+        """CSV columns (n, t, z_lo, z_hi, s_n_lo, s_n_hi)."""
+        t = (self.t,) * len(self.ns)
+        return (self.ns, t, self.z_lo, self.z_hi, self.s_lo, self.s_hi)
 
 
 def _tail_start(window):

@@ -10,6 +10,9 @@ image, type and distortion, as the system did before it kept its letters
 as numpy columns.  `grouped_sweep` is the frontier expansion as it was before
 the follower tables: one scan of the frontier per distinct letter, with that
 letter's followers read from its row of the kept step matrix.
+`traced_words` labels a sample's words as the sampler did before it
+extended each word's label from its parent's: by tracing every final word's
+letters back through the levels and joining them.
 `walked_contraction` certifies the contraction block as `contraction_eta`
 did before its closed form for reciprocal-shift windows: every admissible
 window walked and composed.
@@ -156,6 +159,21 @@ def grouped_sweep(schedule, m, n, draws=None):
                 letters[pos] = fl[(u[pos] * fl.size).astype(np.intp)]
         levels.append((letters, src))
     return levels
+
+
+def traced_words(schedule, levels):
+    """Dot-joined labels of the last level's words, from `levels` as
+    `grouped_sweep` gives them from time 1: each word's letters traced back
+    through the parent positions, time by time, then joined."""
+    columns, pos = [], None
+    for j in range(len(levels), 0, -1):
+        letters, src = levels[j - 1]
+        labels = [e.label for e in schedule.letters(j)]
+        picked = letters if pos is None else letters[pos]
+        columns.append([labels[a] for a in picked.tolist()])
+        if src is not None:
+            pos = src if pos is None else src[pos]
+    return tuple(map(".".join, zip(*columns[::-1])))
 
 
 def int64_products_positive(schedule, p):

@@ -535,18 +535,31 @@ def _leaves(node):
 
 class TestCliArtifacts:
     def test_write_csv_equals_per_value_format(self, tmp_path):
-        # columns of floats, of ints, of strings and of mixed types, over
-        # more rows than one formatting chunk
-        rows = [
-            (k, 0.1 * k, f"w{k}", [1, 2.5, np.float64(0.3), -math.inf][k % 4])
-            for k in range(3 * cli._CSV_CHUNK + 7)
-        ]
+        # list columns of floats, of ints, of strings and of mixed types, and
+        # numpy columns of floats and of ints, over more rows than one
+        # formatting chunk; every float is written as its shortest repr
+        n = 3 * cli._CSV_CHUNK + 7
+        columns = (
+            list(range(n)),
+            [0.1 * k for k in range(n)],
+            tuple(f"w{k}" for k in range(n)),
+            [[1, 2.5, np.float64(0.3), -math.inf][k % 4] for k in range(n)],
+            np.arange(n) / 7,
+            np.arange(n, dtype=np.int64) - 5,
+        )
         path = tmp_path / "t.csv"
-        cli.write_csv(path, ("n", "x", "word", "mixed"), iter(rows))
-        expect = "n,x,word,mixed\n" + "".join(
-            ",".join(cli._fmt(v) for v in row) + "\n" for row in rows
+        cli.write_csv(path, ("n", "x", "word", "mixed", "ax", "ai"), columns)
+        expect = "n,x,word,mixed,ax,ai\n" + "".join(
+            ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+            + "\n"
+            for row in zip(*columns)
         )
         assert path.read_text() == expect
+
+    def test_write_csv_without_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, ("x", "word"), (np.empty(0), ()))
+        assert path.read_text() == "x,word\n"
 
     def test_report_outputs(self, tmp_path):
         out = tmp_path / "rep"

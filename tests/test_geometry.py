@@ -33,7 +33,7 @@ from bowendim import (
 from bowendim import _frontier, bundled
 from bowendim.geometry import _boxes_at_scale, _center_radius, diameter_diagnostics
 
-from oracles import cf_value
+from oracles import cf_value, grouped_sweep, traced_words
 
 
 class TestProjectPoint:
@@ -150,6 +150,25 @@ class TestSampling:
         for p, r, label in zip(cloud.coords, cloud.radii, cloud.words):
             lp = project_point(words[label], system)
             assert np.linalg.norm(p - lp.point) <= r + 1e-12
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "random-admissible"])
+    @pytest.mark.parametrize(
+        "name", ["cf12", "gdms2v", "cantor3", "elliptic-q2", "reblocked-cf12"]
+    )
+    def test_words_equal_traced_labels(self, name, strategy):
+        # reblocked-cf12 is projected word by word; the others by point state
+        if name == "reblocked-cf12":
+            system, depth = reblock_pinched(bundled.cf12(12), [2, 4, 6, 8, 10, 12]), 4
+        else:
+            system = bundled.BUNDLED[name]()
+            depth = {"cf12": 10, "gdms2v": 6, "cantor3": 8, "elliptic-q2": 2}[name]
+        draws = None
+        if strategy == "random-admissible":
+            draws = np.random.default_rng(5).random((3000, depth))
+        cloud = sample_limit_set(system, depth, 3000, strategy, seed=5)
+        levels = grouped_sweep(system.schedule, 1, depth, draws)
+        assert type(cloud.words) is tuple
+        assert cloud.words == traced_words(system.schedule, levels)
 
     def test_random_reproducible_and_admissible(self, gdms):
         a = sample_limit_set(gdms, 8, 4000, "random-admissible", seed=3)

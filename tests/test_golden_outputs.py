@@ -18,8 +18,12 @@ moved in the last digits, the four at n = 8 (the one level past 2^53, which
 now carries an outward bracket) and one at n = 5 (numpy's power and Python's
 `**` differ in the last bit there).  The bundled-system fingerprints were
 taken while `bundled.py` still spelled each system out in Python, before the
-packaged configs became their one definition.  A change that alters any of
-them changes the program's output and must say why.
+packaged configs became their one definition.  The `sample` hashes of
+points.csv and cover.csv were taken while both were written row by row and
+each word label was joined from letters traced back through the sweep,
+before the writer took columns and labels were extended per level.  A
+change that alters any of them changes the program's output and must say
+why.
 """
 
 import hashlib
@@ -106,6 +110,48 @@ def test_random_cf12_boxdim(tmp_path, box_counts):
     summary = json.loads((out / "summary.json").read_text())
     assert (summary["slope"], summary["stderr"]) == RANDOM_CF12_FIT
     assert box_counts == [RANDOM_CF12_BOX_COUNTS]
+
+
+# `sample` on bundled systems: points.csv, then cover.csv (the level-3
+# cells; level 2 at depth 2)
+SAMPLE_OUTPUTS = {
+    "cf12-exhaustive": (
+        ["cf12", "--depth", "12", "--max-points", "4096"],
+        "b403ebe32e2255f74d7f876b560ca53de043dcf824caff7de75bbe3367ce431f",
+        "4f27ab6af9a41116207a6ae0bf2bce05c31767fb36ea112f9c0cf05ce8a6fc8c",
+    ),
+    "cf12-random": (
+        ["cf12", "--depth", "12", "--max-points", "1024",
+         "--sample-strategy", "random-admissible", "--seed", "7"],
+        "ec61345fbc50312556aec820837835c597b60c0bc99e0b29f7d7f6656ce029be",
+        "4f27ab6af9a41116207a6ae0bf2bce05c31767fb36ea112f9c0cf05ce8a6fc8c",
+    ),
+    "gdms2v-exhaustive": (
+        ["gdms2v", "--depth", "6", "--max-points", "8192"],
+        "5cfc8efec7bf7f0668820534ce7ce6234d6b048391f5d4a42da79c8d849c939d",
+        "5d2ed85ff3047cf4b51432de533cdb4fded6fb116c0355d8a3e70673dd222a6a",
+    ),
+    "gdms2v-random": (
+        ["gdms2v", "--depth", "8", "--max-points", "512",
+         "--sample-strategy", "random-admissible", "--seed", "3"],
+        "3d895d09e28e1693174bc978696a03411a9b45360afe3e95f50d1fe0f9afc616",
+        "5d2ed85ff3047cf4b51432de533cdb4fded6fb116c0355d8a3e70673dd222a6a",
+    ),
+    "elliptic-q2-exhaustive": (
+        ["elliptic-q2", "--depth", "2", "--max-points", "8192"],
+        "581eab3bb8a288e290c653f2107a2145183bd68a44617add1659d76f5b951ebc",
+        "187b93939a18c9fe78efd3e65159950db984a0a2961e8286a5bce8f8cfb937c7",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_OUTPUTS))
+def test_sample_outputs(tmp_path, case):
+    (name, *args), points_sha, cover_sha = SAMPLE_OUTPUTS[case]
+    out = tmp_path / "out"
+    assert cli.main(["sample", name, "--out", str(out), *args]) == 0
+    assert _sha256(out / "points.csv") == points_sha
+    assert _sha256(out / "cover.csv") == cover_sha
 
 
 # Config-built systems, one per incidence form the builders accept; the

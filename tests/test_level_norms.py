@@ -76,7 +76,7 @@ def test_cached_values_equal_fresh_walk(name):
             )
             for j in range(window[0], window[1] + 1)
         ]
-        assert list(est.rows()) == expect
+        assert list(zip(*est.columns())) == expect
         pv = partition(system, 1, h, t, "enumerate-exact")
         assert (pv.lo, pv.hi) == ref[h]
     # a second range evicts the first from the one-slot memo

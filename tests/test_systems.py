@@ -167,6 +167,20 @@ class TestIncidenceSteps:
         ]
         assert counts == [[5, 8], [5, 8], [6, 6]]
 
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_nested_list_matrices(self, builder):
+        # one matrix as a list of rows is reused at every step, as its array
+        # is; a per-step list of such matrices stays one matrix per step
+        mat = np.array([[1, 1], [1, 0]], dtype=bool)
+        rows = mat.astype(int).tolist()
+
+        def steps(mats):
+            sched = self.BUILDERS[builder](mats).schedule
+            return [sched.step_matrix(j).tolist() for j in range(1, 4)]
+
+        assert steps(rows) == steps(mat) == steps([mat] * 3)
+        assert steps([rows, rows, [[1, 1], [1, 1]]]) == steps([mat, mat, "full"])
+
 
 class TestAscending:
     def test_cf_ascending_flags(self):
