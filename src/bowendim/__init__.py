@@ -58,9 +58,7 @@ from .symbolic import (
     Word,
     certify_primitivity,
     count_words,
-    enumerate_words,
     find_primitivity,
-    follower_set,
     growth_stats,
     is_admissible,
     ncifs_schedule,

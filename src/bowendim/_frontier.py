@@ -1,18 +1,20 @@
 """Vectorized breadth-first sweep over admissible words of a system.
 
-One frontier pass serves both the partition functions (norm states) and the
-limit-set samplers (point states, or no state where points are projected
-word by word): every word takes all its followers, or, for the random
-sampler, one drawn follower.  States are family-specific numpy array
-bundles.  Each step reads the schedule's follower table for that step, built
-once per schedule, and expands the whole frontier in a fixed number of numpy
-passes over its words (a stable sort by last letter, one repeat and one
-gather), with no Python loop over letters or words.  Similarity norms and
+One frontier pass lists the words for every consumer: the partition
+functions (norm states), the limit-set samplers (point states, or no state
+where points are projected word by word), and through `word_levels` the
+level covers, block alphabets, contraction windows and the word-at-a-time
+norm walk.  Every word takes all its followers, or, for the random sampler,
+one drawn follower.  States are family-specific numpy array bundles.  Each
+step reads the schedule's follower table for that step, built once per
+schedule, and expands the whole frontier in a fixed number of numpy passes
+over its words (a stable sort by last letter, one repeat and one gather),
+with no Python loop over letters or words.  Similarity norms and
 reciprocal-shift levels whose float continuants stay below 2^53 keep
 lo == hi; deeper digit levels carry an outward bracket from a stated error
 bound, so digit systems stay on the sweep at any depth (their point states
-still stop at 2^52).  For norms, tabulated, mixed and composed ranges fall
-back to a word-at-a-time walk that composes each prefix's bracket afresh.
+still stop at 2^52).  Only the per-word composition of tabulated and
+composed maps still goes word by word (`generic_norm_walk`).
 
 The words of a range (m, n) and their norms do not depend on t, so
 `level_norms` walks each (system, range) once and keeps its norms in a
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import BudgetError, UnsupportedError
 from .maps import MoebiusInverse, Similarity, compose_norm
-from .symbolic import Word, walk_words
+from .symbolic import Word, count_words
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -271,15 +273,64 @@ def _expand(table, letters, j, u, budget, state_impl):
     return np.repeat(src, degree), table.cols[pick]
 
 
+class _NoState:
+    """Sweep state of the walks that need only the words: none."""
+
+    def init(self, j, letters):
+        return ()
+
+    def extend(self, j, state, src, new_letters):
+        return ()
+
+
+def word_levels(system, m, n, on_words=None):
+    """The admissible words m..j for j = m..n, from one sweep; returns level
+    n's (rows, labels).
+
+    `on_words(j, rows, labels)` runs once per level: rows[i] holds word i's
+    letter indices and labels[i] its tuple of letter labels, in lexicographic
+    index order, the order of a depth-first walk.  Only the current level is
+    kept.  The sweep takes no budget: callers check theirs from `count_words`.
+    """
+    sched = system.schedule
+    # per level: each swept word's lexicographic rank, then the rows and
+    # labels in that order; the level before m holds the empty word
+    ranks, rows, labels = np.zeros(1, np.intp), np.zeros((1, 0), np.intp), [()]
+
+    def on_level(j, letters, state, src):
+        nonlocal ranks, rows, labels
+        names = [e.label for e in sched.letters(j)]
+        parent = ranks[np.zeros(letters.size, np.intp) if src is None else src]
+        # a word's followers sit together and ascending, so a stable sort by
+        # the parents' ranks puts the level in lexicographic order
+        order = np.argsort(parent, kind="stable")
+        parent, letters = parent[order], letters[order]
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(order.size)
+        rows = np.column_stack((rows[parent], letters))
+        labels = [
+            labels[p] + (names[a],) for p, a in zip(parent.tolist(), letters.tolist())
+        ]
+        if on_words is not None:
+            on_words(j, rows, labels)
+
+    sweep(system, m, n, _NoState(), on_level, budget=math.inf)
+    return rows, labels
+
+
 def generic_norm_walk(system, m, n, on_word, budget=DEFAULT_BUDGET):
-    """Word-at-a-time walk: on_word(j, word, bracket) per admissible prefix,
-    each bracket composed afresh through `compose_norm`; the norm fallback for
-    ranges without a vectorized state."""
-    for count, (j, _, labels) in enumerate(walk_words(system.schedule, m, n), 1):
-        if count > budget:
-            raise _walk_over_budget(budget)
-        word = Word(m, labels)
-        on_word(j, word, compose_norm(word, system, check=False))
+    """Word-at-a-time norms: on_word(j, word, bracket) per admissible prefix,
+    level by level, each bracket composed afresh through `compose_norm`; the
+    norm fallback for ranges without a vectorized state."""
+    if sum(count_words(m, j, system.schedule) for j in range(m, n + 1)) > budget:
+        raise _walk_over_budget(budget)
+
+    def on_words(j, rows, labels):
+        for letters in labels:
+            word = Word(m, letters)
+            on_word(j, word, compose_norm(word, system, check=False))
+
+    word_levels(system, m, n, on_words)
 
 
 # ---------------------------------------------------------------------------

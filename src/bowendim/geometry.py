@@ -6,10 +6,11 @@ a certified radius.  Both sampling strategies run one frontier sweep
 (`_frontier.sweep`), which keeps every follower of each word (exhaustive)
 or one drawn follower (random-admissible), and feed one projector: the
 family's vectorized point state where it has one, else each word's image
-region.  The box-counting slope is the package's independent
-oracle; a sampled point occupies every box its enclosure meets, making the
-count conservative for upper-consistency checks against the pressure-based
-dimension estimate.
+region.  Level covers take their words from the same sweep
+(`_frontier.word_levels`) and each word's image region.  The box-counting
+slope is the package's independent oracle; a sampled point occupies every
+box its enclosure meets, making the count conservative for
+upper-consistency checks against the pressure-based dimension estimate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import _frontier
 from .errors import BudgetError, ConfigurationError, InputError
 from .maps import image_region
-from .symbolic import Word, count_words, walk_words
+from .symbolic import Word, count_words
 from .trend import TrendReport, trend_report
 
 
@@ -70,16 +71,6 @@ def project_point(word_prefix: Word, system) -> LimitPoint:
 
 
 SAMPLE_STRATEGIES = ("exhaustive", "random-admissible")
-
-
-class _NoState:
-    """Sweep state of the families projected word by word: none."""
-
-    def init(self, j, letters):
-        return ()
-
-    def extend(self, j, state, src, new_letters):
-        return ()
 
 
 def sample_limit_set(
@@ -130,9 +121,8 @@ def sample_limit_set(
             words[:] = [tags if src is None else words[0][src] + tags]
         last[:] = letters, state
 
-    _frontier.sweep(
-        system, 1, depth, impl or _NoState(), on_level, max_points, draws
-    )
+    state_impl = impl or _frontier._NoState()
+    _frontier.sweep(system, 1, depth, state_impl, on_level, max_points, draws)
     columns = _label_columns(system, levels) if impl is None else None
     coords, radii = _project(system, depth, impl, *last, columns)
     words = tuple(words[0].tolist()) if with_words else ("",) * len(radii)
@@ -298,19 +288,19 @@ class LevelCover:
 
 
 def level_cover(system, n: int, budget: int = 200_000) -> LevelCover:
-    """All depth-n cells: the images of the admissible word prefixes."""
+    """All depth-n cells: the images of the admissible words 1..n, in
+    lexicographic order."""
     if n > system.horizon:
         raise ConfigurationError(f"level {n} beyond horizon {system.horizon}")
-    sched = system.schedule
+    if count_words(1, n, system.schedule) > budget:
+        raise BudgetError(f"level cover at depth {n} exceeds {budget} cells")
+    rows, labels = _frontier.word_levels(system, 1, n)
+    first = system.schedule.letters(1)
     cells = []
-    for j, idx, labels in walk_words(sched, 1, n):
-        if j < n:
-            continue
-        if len(cells) >= budget:
-            raise BudgetError(f"level cover at depth {n} exceeds {budget} cells")
-        w = Word(1, labels)
+    for a, letters in zip(rows[:, 0].tolist(), labels):
+        w = Word(1, letters)
         region = image_region(w, system, check=False)
-        cells.append((w.label(), sched.letters(1)[idx[0]].src, region))
+        cells.append((w.label(), first[a].src, region))
     return LevelCover(n, tuple(cells))
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificationError, InputError, UnsupportedError
-from .symbolic import Word, is_admissible, walk_words
+from .symbolic import Word, count_words, is_admissible
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,8 @@ class MoebiusInverse(ConformalMap):
         return 1.0 / (self.digit + x) ** 2
 
     def image(self, dom: Space) -> Space:
+        if not self.digit + dom.bounds[0] > 0:
+            raise InputError(f"domain {dom.bounds} reaches the pole at {-self.digit}")
         a = self(dom.bounds[1])  # decreasing map: endpoints swap
         b = self(dom.bounds[0])
         if not a < b:
@@ -464,9 +466,10 @@ def contraction_eta(system, m_max: int = 8, budget: int = 200_000) -> Contractio
     """Smallest block length m <= m_max whose admissible m-windows all contract.
 
     Windows of two reciprocal shifts take their worst norm in closed form
-    (`_moebius_pairs`); every other window is walked and composed, at
-    most `budget` of them.  Rejects the system (CertificationError) when
-    even length-m_max blocks reach norm >= 1.
+    (`_moebius_pairs`); every other window is listed by the frontier sweep
+    and composed, at most `budget` of them (counted exactly before any is
+    composed).  Rejects the system (CertificationError) when even
+    length-m_max blocks reach norm >= 1.
     """
     sched = system.schedule
     # the letters' hi brackets are zero outside the kept letters
@@ -476,15 +479,20 @@ def contraction_eta(system, m_max: int = 8, budget: int = 200_000) -> Contractio
         return Contraction(1, singles_max, singles_max, singles_max)
 
     closed, closed_worst = _moebius_pairs(system)
-    counter = [0]
+    windows = 0
     for m in range(2, m_max + 1):
         if sched.horizon < m:
             break  # no window of length m exists; nothing to certify
-        worst = closed_worst if m == 2 else 0.0
-        for j in range(1, sched.horizon - m + 2):
-            if m == 2 and j in closed:
-                continue
-            worst = max(worst, _worst_window(system, j, m, budget, counter))
+        starts = [
+            j for j in range(1, sched.horizon - m + 2) if m > 2 or j not in closed
+        ]
+        windows += sum(count_words(j, j + m - 1, sched) for j in starts)
+        if windows > budget:
+            raise CertificationError(f"contraction search exceeded {budget} windows")
+        worst = max(
+            [closed_worst if m == 2 else 0.0]
+            + [_worst_window(system, j, m) for j in starts]
+        )
         if worst < 1.0:
             return Contraction(m, worst, worst ** (1.0 / m), singles_max)
     raise CertificationError(
@@ -524,15 +532,9 @@ def _moebius_pairs(system):
     return set(closed), worst
 
 
-def _worst_window(system, j, m, budget, counter):
+def _worst_window(system, j, m):
     """Max sup-norm bracket hi over admissible m-letter windows starting at j."""
-    worst = 0.0
-    end = j + m - 1
-    for t, _, labels in walk_words(system.schedule, j, end):
-        if t < end:
-            continue
-        counter[0] += 1
-        if counter[0] > budget:
-            raise CertificationError(f"contraction search exceeded {budget} windows")
-        worst = max(worst, compose_norm(Word(j, labels), system, check=False).hi)
-    return worst
+    from . import _frontier  # _frontier imports this module
+
+    _, labels = _frontier.word_levels(system, j, j + m - 1)
+    return max(compose_norm(Word(j, w), system, check=False).hi for w in labels)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -503,61 +503,6 @@ def is_admissible(word: Word, schedule: GraphSchedule) -> bool:
     )
 
 
-def walk_words(
-    schedule: GraphSchedule, m: int, n: int, prev: Optional[int] = None
-) -> Iterator[tuple]:
-    """Depth-first, letter-order walk of the admissible prefixes from time m.
-
-    Yields (j, indices, labels) for every pruned admissible word m..j with
-    j <= n, each prefix before its extensions.  The first letters are the
-    kept letters at time m, or the followers of letter index `prev` at time
-    m-1.  An explicit stack keeps long words clear of the recursion limit.
-    """
-    names = [[e.label for e in schedule.letters(j)] for j in range(m, n + 1)]
-    if prev is None:
-        first = schedule.kept_indices(m)
-    else:
-        first = schedule.followers(m - 1, prev)
-    stack = [iter(first.tolist())]
-    indices, labels = [], []
-    while stack:
-        a = next(stack[-1], None)
-        if a is None:
-            stack.pop()
-            continue
-        d = len(stack) - 1
-        del indices[d:], labels[d:]
-        indices.append(a)
-        labels.append(names[d][a])
-        yield m + d, tuple(indices), tuple(labels)
-        if m + d < n:
-            stack.append(iter(schedule.followers(m + d, a).tolist()))
-
-
-def enumerate_words(
-    m: int, n: int, schedule: GraphSchedule, visitor: Optional[Callable] = None
-) -> Iterator[Word]:
-    """Depth-first, letter-order lexicographic walk of I^{m,n}.
-
-    Yields each admissible pruned word exactly once; with a `visitor` the
-    walk instead feeds the callback (early aggregation, no materialization).
-    """
-    if not (1 <= m <= n):
-        raise InputError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if n > schedule.horizon:
-        raise ConfigurationError(
-            f"requested time {n} beyond horizon {schedule.horizon}"
-        )
-    words = (
-        Word(m, labels) for j, _, labels in walk_words(schedule, m, n) if j == n
-    )
-    if visitor is None:
-        return words
-    for w in words:
-        visitor(w)
-    return iter(())
-
-
 def _word_counts(schedule: GraphSchedule, m: int, n: int) -> list:
     """Per letter at time m, the number of pruned words m..n it starts (0 for
     pruned-away letters), by exact integer transfer backward from time n."""
@@ -573,26 +518,6 @@ def count_words(m: int, n: int, schedule: GraphSchedule) -> int:
     if n > schedule.horizon:
         raise ConfigurationError(f"time {n} beyond horizon {schedule.horizon}")
     return sum(_word_counts(schedule, m, n))
-
-
-def follower_set(word: Word, depth: int, schedule: GraphSchedule):
-    """All pruned length-`depth` continuations of an admissible word."""
-    if depth < 1:
-        raise InputError("depth must be >= 1")
-    if not is_admissible(word, schedule):
-        raise InputError(f"word {word} is not admissible")
-    n = word.end
-    if n + depth > schedule.horizon:
-        raise ConfigurationError(
-            f"followers to time {n + depth} beyond horizon {schedule.horizon}"
-        )
-    last = _word_indices(word, schedule)[-1]
-    end = n + depth
-    return tuple(
-        Word(n + 1, labels)
-        for j, _, labels in walk_words(schedule, n + 1, end, prev=last)
-        if j == end
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from .symbolic import (
     Word,
     certify_primitivity,
     find_primitivity,
-    walk_words,
 )
 from .system import SystemSpec, validate_system
 from .thermo import PSeriesTail
@@ -336,13 +335,12 @@ def _compose_letter(maps_seq):
 
 
 def _block_words(system, start, length):
-    """Admissible words covering times start..start+length-1: (labels, maps,
-    letter indices)."""
-    end = start + length - 1
+    """Admissible words covering times start..start+length-1, in lexicographic
+    order: (labels, maps, letter indices)."""
+    rows, labels = _frontier.word_levels(system, start, start + length - 1)
     return [
-        (labels, [system.maps[start + k][a] for k, a in enumerate(idx)], idx)
-        for j, idx, labels in walk_words(system.schedule, start, end)
-        if j == end
+        (letters, [system.maps[start + k][a] for k, a in enumerate(idx)], idx)
+        for idx, letters in zip(rows.tolist(), labels)
     ]
 
 

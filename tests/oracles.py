@@ -15,7 +15,9 @@ extended each word's label from its parent's: by tracing every final word's
 letters back through the levels and joining them.
 `walked_contraction` certifies the contraction block as `contraction_eta`
 did before its closed form for reciprocal-shift windows: every admissible
-window walked and composed.
+window listed by a depth-first search over each letter's followers, and
+composed.  `schedule_words` runs `brute_words` on a schedule's raw alphabets
+and unpruned incidence matrices.
 """
 
 import numpy as np
@@ -102,6 +104,22 @@ def brute_words(alphabet_labels, incidence_fn, m, n, horizon):
 
     rec(m, [])
     return out
+
+
+def schedule_words(schedule, m, n):
+    """`brute_words` over a schedule's raw alphabets and unpruned incidence
+    matrices: the admissible words m..n as label tuples, in letter order."""
+    horizon = schedule.horizon
+    labels = [None] + [
+        [e.label for e in schedule.letters(j)] for j in range(1, horizon + 1)
+    ]
+    index = [None] + [{lbl: i for i, lbl in enumerate(ls)} for ls in labels[1:]]
+    mats = [None] + [schedule.incidence[j].matrix() for j in range(1, horizon)]
+
+    def incidence_fn(j, a, b):
+        return bool(mats[j][index[j][a], index[j + 1][b]])
+
+    return brute_words(labels, incidence_fn, m, n, horizon)
 
 
 def matrix_power_count(mats, start_counts):
@@ -237,12 +255,30 @@ def per_letter_contraction(system):
     return contraction_eta(copy)
 
 
+def dfs_words(schedule, m, n):
+    """Label tuples of the pruned words m..n: a depth-first search from the
+    kept letters at time m through `schedule.followers`."""
+    out = []
+
+    def visit(j, a, labels):
+        labels = labels + (schedule.letters(j)[a].label,)
+        if j == n:
+            out.append(labels)
+            return
+        for b in schedule.followers(j, a).tolist():
+            visit(j + 1, b, labels)
+
+    for a in schedule.kept_indices(m).tolist():
+        visit(m, a, ())
+    return out
+
+
 def walked_contraction(system, m_max=8, budget=200_000):
     """The contraction certificate with every admissible m-letter window
-    walked (`walk_words`) and composed (`compose_norm`)."""
+    listed (`dfs_words`) and composed (`compose_norm`)."""
     from bowendim.errors import CertificationError
     from bowendim.maps import Contraction, compose_norm
-    from bowendim.symbolic import Word, walk_words
+    from bowendim.symbolic import Word
 
     horizon = system.horizon
     singles_max = max(system.c_bounds(n)[1] for n in range(1, horizon + 1))
@@ -254,10 +290,7 @@ def walked_contraction(system, m_max=8, budget=200_000):
             break
         worst = 0.0
         for j in range(1, horizon - m + 2):
-            end = j + m - 1
-            for t, _, labels in walk_words(system.schedule, j, end):
-                if t < end:
-                    continue
+            for labels in dfs_words(system.schedule, j, j + m - 1):
                 windows += 1
                 if windows > budget:
                     raise CertificationError(

@@ -19,7 +19,6 @@ from bowendim import (
     build_cf_system,
     build_gdms,
     build_similarity_system,
-    enumerate_words,
     image_region,
     interval,
     level_cover,
@@ -33,7 +32,7 @@ from bowendim import (
 from bowendim import _frontier, bundled
 from bowendim.geometry import _boxes_at_scale, _center_radius, diameter_diagnostics
 
-from oracles import cf_value, grouped_sweep, traced_words
+from oracles import cf_value, grouped_sweep, schedule_words, traced_words
 
 
 class TestProjectPoint:
@@ -129,9 +128,10 @@ class TestSampling:
             w: (tuple(p), r)
             for w, p, r in zip(cloud.words, cloud.coords.tolist(), cloud.radii.tolist())
         }
+        words = [Word(1, lb) for lb in schedule_words(system.schedule, 1, depth)]
         want = {
             w.label(): _center_radius(image_region(w, system, check=False))
-            for w in enumerate_words(1, depth, system.schedule)
+            for w in words
         }
         assert len(cloud) == len(want) and got == want
 
@@ -146,7 +146,10 @@ class TestSampling:
             depth = {"cf12": 10, "gdms2v": 6, "elliptic-q2": 2}[name]
         assert _frontier.vector_state(system, 1, depth, points=True)
         cloud = sample_limit_set(system, depth, 3000, strategy, seed=5)
-        words = {w.label(): w for w in enumerate_words(1, depth, system.schedule)}
+        words = {
+            ".".join(lb): Word(1, lb)
+            for lb in schedule_words(system.schedule, 1, depth)
+        }
         for p, r, label in zip(cloud.coords, cloud.radii, cloud.words):
             lp = project_point(words[label], system)
             assert np.linalg.norm(p - lp.point) <= r + 1e-12
@@ -209,6 +212,41 @@ class TestSampling:
             BudgetError, match="level cover at depth 6 exceeds 63 cells"
         ):
             level_cover(cantor, 6, budget=63)
+
+    def test_cover_budget_checked_before_any_image(self, cantor, monkeypatch):
+        calls = []
+        real = image_region
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("bowendim.geometry.image_region", counted)
+        with pytest.raises(BudgetError):
+            level_cover(cantor, 6, budget=63)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["cf12", "gdms2v", "elliptic-q2", "pinched-cf12"])
+    def test_cover_equals_brute_word_images(self, name):
+        # pinched-cf12 composes its block maps; elliptic-q2 has disk cells
+        if name == "pinched-cf12":
+            system, n = reblock_pinched(bundled.cf12(12), [2, 4, 6, 8, 10, 12]), 4
+        else:
+            system = bundled.BUNDLED[name]()
+            n = {"cf12": 10, "gdms2v": 6, "elliptic-q2": 2}[name]
+        sched = system.schedule
+        want = []
+        for letters in schedule_words(sched, 1, n):
+            w = Word(1, letters)
+            root = sched.letters(1)[sched.letter_index(1, letters[0])].src
+            want.append((w.label(), root, image_region(w, system, check=False).bounds))
+        got = [
+            (label, root, region.bounds)
+            for label, root, region in level_cover(system, n).cells
+        ]
+        assert got == want
+        if name == "gdms2v":
+            assert len({root for _, root, _ in got}) == 2
 
     def test_cover_soundness(self, cantor):
         cloud = sample_limit_set(cantor, 6, 100)

@@ -194,6 +194,11 @@ def test_drawn_cf_systems(rows):
         min_size=1, max_size=5,
     ),
 )
+# a reciprocal shift of digit 1 whose domain reaches its pole at -1
+@example(
+    w_space=(-1.0, 1.0),
+    edges=[("u", "u", 0.5, 0.0, False), ("u", "w", 1e-300, 0.0, True)],
+)
 def test_drawn_two_vertex_systems(w_space, edges):
     # letters map X_dst into X_src; the two spaces differ, so a domain read
     # for a codomain shows in the images and in the verdict

@@ -398,3 +398,17 @@ def test_walk_budget_boundary():
         BudgetError, match="^enumeration exceeded budget of 9839 word extensions$"
     ):
         _walked(cf_wide(), 1, 8, budget=9839)
+
+
+def test_walk_budget_checked_before_any_composition(monkeypatch):
+    calls = []
+    real = _frontier.compose_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_frontier, "compose_norm", counted)
+    with pytest.raises(BudgetError):
+        _walked(cf_wide(), 1, 8, budget=9839)
+    assert calls == []

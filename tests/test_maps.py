@@ -20,7 +20,7 @@ from bowendim import (
     image_region,
     interval,
 )
-from bowendim import bundled
+from bowendim import bundled, maps
 
 from oracles import cf_value, dense_grid_norm, dense_grid_norm_fast
 
@@ -222,6 +222,20 @@ class TestContraction:
             CertificationError, match="contraction search exceeded 27 windows"
         ):
             contraction_eta(system, budget=27)
+
+    def test_window_budget_checked_before_any_composition(self, monkeypatch):
+        calls = []
+        real = maps.compose_norm
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        system = _tabulated_pair_system(8)
+        monkeypatch.setattr(maps, "compose_norm", counted)
+        with pytest.raises(CertificationError, match="exceeded 27 windows"):
+            contraction_eta(system, budget=27)
+        assert calls == []
 
     def test_mixed_ratios(self):
         sys_m = build_similarity_system(

@@ -1,6 +1,7 @@
 """Randomized invariant suites (hypothesis, 200+ cases per property)."""
 
 import math
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from bowendim import (
     Word,
     compose_norm,
     count_words,
-    enumerate_words,
     image_region,
     partition,
 )
@@ -18,12 +18,11 @@ from bowendim import bundled
 from bowendim.symbolic import (
     DenseIncidence,
     _follower_count_range,
-    follower_set,
     ncifs_schedule,
 )
 from bowendim.systems import system_certify
 
-from oracles import dense_grid_norm_fast
+from oracles import dense_grid_norm_fast, schedule_words
 
 CANTOR = bundled.cantor3(12)
 CF = bundled.cf12(12)
@@ -212,14 +211,17 @@ def random_schedule(draw):
 def test_enumeration_count_matches_transfer(sched, m, span):
     n = min(m + span, sched.horizon)
     m = min(m, n)
-    assert count_words(m, n, sched) == sum(1 for _ in enumerate_words(m, n, sched))
-    # the follower-count range reads the same backward transfer
+    words = schedule_words(sched, m, n)
+    assert count_words(m, n, sched) == len(words)
+    # the follower-count range reads the same backward transfer: per kept
+    # letter at time m, the words m..n it starts
     if m < n:
-        sizes = [
-            len(follower_set(Word(m, (e.label,)), n - m, sched))
-            for e, k in zip(sched.letters(m), sched.kept[m]) if k
-        ]
-        assert _follower_count_range(sched, m, n - m) == (min(sizes), max(sizes))
+        sizes = Counter(word[0] for word in words)
+        kept = {e.label for e, k in zip(sched.letters(m), sched.kept[m]) if k}
+        assert set(sizes) == kept
+        assert _follower_count_range(sched, m, n - m) == (
+            min(sizes.values()), max(sizes.values())
+        )
 
 
 @CASES

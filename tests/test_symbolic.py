@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,21 +17,18 @@ from bowendim import (
     IntegrityError,
     Word,
     count_words,
-    enumerate_words,
     find_primitivity,
-    follower_set,
     growth_stats,
     is_admissible,
     ncifs_schedule,
     subexp_diagnostic,
 )
-from bowendim import symbolic
+from bowendim import _frontier, symbolic
 from bowendim.cli import main
 from bowendim.symbolic import (
     DenseIncidence,
     GrowthStats,
     _products_positive,
-    walk_words,
 )
 from bowendim.systems import system_certify, system_primitivity
 from bowendim.thermo import hypothesis_report
@@ -41,6 +39,7 @@ from oracles import (
     loop_count_transfer,
     loop_transfer,
     matrix_power_count,
+    schedule_words,
 )
 
 
@@ -54,6 +53,22 @@ def ident_schedule(n_letters, horizon):
     eye = np.eye(n_letters, dtype=bool)
     inc = [DenseIncidence(eye) for _ in range(horizon - 1)]
     return GraphSchedule(base.vertex_sets, base.alphabets, inc)
+
+
+def swept_levels(sched, m, n):
+    """{j: (rows, labels)} of every level m..n, from one `word_levels` sweep."""
+    levels = {}
+
+    def on_words(j, rows, labels):
+        levels[j] = (rows.tolist(), labels)
+
+    _frontier.word_levels(SimpleNamespace(schedule=sched), m, n, on_words)
+    return levels
+
+
+def swept_words(sched, m, n):
+    """The label tuples of the words m..n, from `word_levels`."""
+    return _frontier.word_levels(SimpleNamespace(schedule=sched), m, n)[1]
 
 
 def crafted_deadend():
@@ -148,45 +163,51 @@ class TestAdmissibility:
 class TestEnumeration:
     def test_full_product(self):
         sched = full_ncifs(2, 5)
-        words = list(enumerate_words(1, 3, sched))
-        assert len(words) == 8
+        assert len(swept_words(sched, 1, 3)) == 8
 
     def test_identity_only_constant_words(self):
         sched = ident_schedule(2, 5)
-        words = list(enumerate_words(1, 5, sched))
-        assert sorted(w.letters for w in words) == [("a0",) * 5, ("a1",) * 5]
+        words = swept_words(sched, 1, 5)
+        assert words == schedule_words(sched, 1, 5) == [("a0",) * 5, ("a1",) * 5]
 
     def test_cyclic_count_matches_matrix_power(self):
         sched, mat = cyclic3(4)
-        words = list(enumerate_words(1, 4, sched))
+        words = swept_words(sched, 1, 4)
         expected = matrix_power_count([mat, mat, mat], [1, 1, 1])
         assert len(words) == expected == count_words(1, 4, sched)
 
     def test_lexicographic_dfs_order(self):
-        sched = full_ncifs(2, 3)
-        words = [w.letters for w in enumerate_words(1, 2, sched)]
-        assert words == [
-            ("a0", "a0"), ("a0", "a1"), ("a1", "a0"), ("a1", "a1"),
-        ]
+        # brute_words lists each level in letter order, as a depth-first walk
+        sched, _ = cyclic3(5)
+        for m in range(1, 5):
+            for j, (rows, labels) in swept_levels(sched, m, 5).items():
+                assert labels == schedule_words(sched, m, j)
+                assert rows == [
+                    [sched.letter_index(m + k, lbl) for k, lbl in enumerate(word)]
+                    for word in labels
+                ]
 
     def test_visitor_aggregation(self):
+        # the callback sees every level once, and the last level is returned
         sched = full_ncifs(3, 4)
         seen = []
-        enumerate_words(1, 2, sched, visitor=lambda w: seen.append(w))
-        assert len(seen) == 9
+        rows, labels = _frontier.word_levels(
+            SimpleNamespace(schedule=sched), 1, 2,
+            lambda j, rows, labels: seen.append((j, len(labels))),
+        )
+        assert seen == [(1, 3), (2, 9)]
+        assert rows.shape == (9, 2) and len(labels) == 9
 
     def test_horizon_exceeded(self):
         sched = full_ncifs(2, 3)
         with pytest.raises(ConfigurationError):
-            list(enumerate_words(1, 9, sched))
+            count_words(1, 9, sched)
 
     def test_counts_match_enumeration_everywhere(self):
         sched, _ = cyclic3(5)
         for m in range(1, 5):
             for n in range(m, 6):
-                assert count_words(m, n, sched) == len(
-                    list(enumerate_words(m, n, sched))
-                )
+                assert count_words(m, n, sched) == len(swept_words(sched, m, n))
 
     def test_enumeration_matches_brute_oracle_under_pruning(self):
         # the dead-end schedule prunes e7 everywhere, so raw matrix powers
@@ -200,68 +221,27 @@ class TestEnumeration:
             return bool(mat[idx[a], idx[b]])
 
         for m in range(1, 4):
-            for n in range(m, 5):
-                expect = sorted(brute_words(labels, inc_fn, m, n, 4))
-                got = sorted(w.letters for w in enumerate_words(m, n, sched))
+            for j, (_, got) in swept_levels(sched, m, 4).items():
+                expect = brute_words(labels, inc_fn, m, j, 4)
                 assert got == expect
-                assert count_words(m, n, sched) == len(expect)
-
-
-# ---------------------------------------------------------------------------
-# follower sets
-# ---------------------------------------------------------------------------
-
-
-class TestFollowers:
-    def test_full_gives_entire_alphabet(self):
-        sched = full_ncifs(3, 5)
-        out = follower_set(Word(1, ("a0", "a1")), 1, sched)
-        assert {w.letters for w in out} == {("a0",), ("a1",), ("a2",)}
-
-    def test_identity_single_continuation(self):
-        sched = ident_schedule(2, 6)
-        out = follower_set(Word(1, ("a0",)), 2, sched)
-        assert [w.letters for w in out] == [("a0", "a0")]
-
-    def test_crafted_matches_brute_filter(self):
-        sched, mat = cyclic3(5)
-        out = follower_set(Word(1, ("c0", "c1")), 2, sched)
-        idx = {"c0": 0, "c1": 1, "c2": 2}
-        brute = [
-            (x, y)
-            for x in idx
-            for y in idx
-            if mat[idx["c1"], idx[x]] and mat[idx[x], idx[y]]
-        ]
-        assert sorted(w.letters for w in out) == sorted(brute)
-
-    def test_inadmissible_word_rejected(self):
-        sched, _ = cyclic3(5)
-        with pytest.raises(InputError):
-            follower_set(Word(1, ("c0", "c2")), 1, sched)
+                assert count_words(m, j, sched) == len(expect)
 
 
 class TestWalker:
     def test_prefixes_precede_extensions(self):
         sched = full_ncifs(2, 3)
-        got = [labels for _, _, labels in walk_words(sched, 1, 2)]
-        assert got == [
-            ("a0",), ("a0", "a0"), ("a0", "a1"),
-            ("a1",), ("a1", "a0"), ("a1", "a1"),
+        levels = swept_levels(sched, 1, 2)
+        assert list(levels) == [1, 2]
+        assert levels[1][1] == [("a0",), ("a1",)]
+        assert levels[2][1] == [
+            ("a0", "a0"), ("a0", "a1"), ("a1", "a0"), ("a1", "a1"),
         ]
-
-    def test_prev_restricts_first_letters(self):
-        sched, mat = cyclic3(5)
-        got = [idx for _, idx, _ in walk_words(sched, 3, 3, prev=1)]
-        assert got == [(b,) for b in np.flatnonzero(mat[1])]
 
     def test_long_words_do_not_recurse(self):
         # one letter per time for 1200 steps: deeper than the recursion limit
         sched = ncifs_schedule([["a"]] * 1200)
-        words = list(enumerate_words(1, 1200, sched))
-        assert len(words) == 1 and len(words[0]) == 1200
-        out = follower_set(Word(1, ("a",)), 1150, sched)
-        assert len(out) == 1 and out[0].letters == ("a",) * 1150
+        assert swept_words(sched, 1, 1200) == [("a",) * 1200]
+        assert swept_words(sched, 51, 1200) == [("a",) * 1150]
 
 
 # ---------------------------------------------------------------------------

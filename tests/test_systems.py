@@ -40,6 +40,8 @@ from bowendim import (
 from bowendim import bundled, systems
 from bowendim.systems import system_certify, system_primitivity
 
+from oracles import schedule_words
+
 # (ratio, center) of each elliptic-q2 letter, the same at every time: the
 # centers of the point-by-point `math` disk packing, recorded before its
 # candidates were screened with numpy.
@@ -245,6 +247,13 @@ class TestReblockUniform:
             assert count_words(1, k, out.schedule) == count_words(
                 1, 2 * k, gdms.schedule
             )
+
+    def test_block_alphabet_in_brute_order(self, gdms):
+        for start in (1, 2, 7):
+            _, letters, _ = systems._block_alphabet(gdms, start, 2)
+            assert [e.label for e in letters] == [
+                ".".join(w) for w in schedule_words(gdms.schedule, start, start + 1)
+            ]
 
     def test_reblocked_is_one_primitive(self, gdms):
         from bowendim import certify_primitivity
