@@ -65,69 +65,6 @@ class Word:
 # ---------------------------------------------------------------------------
 
 
-class Incidence:
-    """Relation between the alphabet at time n and at time n+1.
-
-    Subclasses provide the primitives used by pruning, enumeration and
-    transfer products.  `cur`/`nxt` letter metadata is bound at schedule
-    construction via `bind`.
-    """
-
-    def bind(self, cur_dst_vertex, nxt_src_vertex):
-        self._cur_dst = np.asarray(cur_dst_vertex)
-        self._nxt_src = np.asarray(nxt_src_vertex)
-        self._check()
-        return self
-
-    def _check(self):
-        pass
-
-    @property
-    def n_cur(self):
-        return self._cur_dst.size
-
-    @property
-    def n_nxt(self):
-        return self._nxt_src.size
-
-    # -- primitives -------------------------------------------------------
-    def followers(self, a: int, keep_nxt) -> np.ndarray:
-        raise NotImplementedError
-
-    def follower_table(self, keep_nxt) -> "FollowerTable":
-        """The allowed successors in keep_nxt of every current letter."""
-        raise NotImplementedError
-
-    def count_followers(self, keep_nxt) -> np.ndarray:
-        """Per current letter, number of allowed kept successors."""
-        raise NotImplementedError
-
-    def follower_min(self, keep_nxt, values) -> np.ndarray:
-        """Per current letter, the least `values[b]` over its allowed kept
-        successors b (inf when it has none)."""
-        raise NotImplementedError
-
-    def reach_next(self, cur_mask) -> np.ndarray:
-        """Mask of next letters reachable from any current letter in cur_mask."""
-        raise NotImplementedError
-
-    def transfer(self, u, w_nxt, keep_nxt) -> np.ndarray:
-        """u'_b = w_b * sum_{a -> b} u_a, zero outside keep_nxt (float64)."""
-        raise NotImplementedError
-
-    def count_transfer(self, counts_nxt) -> list:
-        """c_a = sum over followers b of counts_nxt[b], in exact ints."""
-        raise NotImplementedError
-
-    def is_complete(self, keep_cur, keep_nxt) -> bool:
-        """True when every kept pair is allowed (the all-ones case)."""
-        raise NotImplementedError
-
-    def matrix(self, keep_cur=None, keep_nxt=None) -> np.ndarray:
-        """Dense boolean matrix, zeroed outside the keep masks."""
-        raise NotImplementedError
-
-
 class FollowerTable:
     """The allowed successors of every letter of one step, by row class.
 
@@ -140,86 +77,151 @@ class FollowerTable:
 
     def __init__(self, row, counts, cols):
         ptr = np.zeros(counts.size, dtype=np.intp)
-        np.cumsum(counts[:-1], out=ptr[1:])
+        np.add.accumulate(counts[:-1], out=ptr[1:])  # np.cumsum's wrapper costs more
         for arr in (row, counts, ptr, cols):
             arr.flags.writeable = False
         self.row, self.counts, self.ptr, self.cols = row, counts, ptr, cols
+
+    def followers(self, a: int) -> np.ndarray:
+        """The successors of letter a, ascending (a read-only view)."""
+        c = self.row[a]
+        return self.cols[self.ptr[c] : self.ptr[c] + self.counts[c]]
+
+
+class Incidence:
+    """Relation between the alphabet at time n and at time n+1.
+
+    `bind` stores the relation once, as a `FollowerTable` of every next
+    letter; a subclass says how that table is built and how a transfer
+    product runs, and every other primitive reads the table.
+    """
+
+    def bind(self, cur_dst, nxt_src, vertices):
+        """Bind the letters of both times: `cur_dst[a]` is the position in
+        `vertices` (= V_n) of current letter a's terminal vertex, and
+        `nxt_src[b]` that of next letter b's initial vertex."""
+        self._cur_dst = np.asarray(cur_dst, dtype=np.intp)
+        self._nxt_src = np.asarray(nxt_src, dtype=np.intp)
+        self._check(vertices)
+        # _entry: the row class of each entry of the table's cols
+        self._table, self._entry = self._build(len(vertices))
+        return self
+
+    def _check(self, vertices):
+        pass
+
+    def _build(self, n_vertices):
+        """(table, entry): the `FollowerTable` of every next letter, and the
+        row class of each entry of its cols."""
+        raise NotImplementedError
+
+    @property
+    def n_cur(self):
+        return self._cur_dst.size
+
+    @property
+    def n_nxt(self):
+        return self._nxt_src.size
+
+    # -- primitives -------------------------------------------------------
+    def followers(self, a: int, keep_nxt) -> np.ndarray:
+        """Allowed successors in keep_nxt of current letter a, ascending."""
+        cols = self._table.followers(a)
+        return cols[keep_nxt[cols]]
+
+    def follower_table(self, keep_nxt) -> FollowerTable:
+        """The allowed successors in keep_nxt of every current letter."""
+        table = self._table
+        on = keep_nxt[table.cols]
+        counts = np.bincount(self._entry[on], minlength=table.counts.size)
+        return FollowerTable(table.row, counts, table.cols[on])
+
+    def count_followers(self, keep_nxt) -> np.ndarray:
+        """Per current letter, number of allowed kept successors."""
+        table = self._table
+        on = keep_nxt[table.cols]
+        return np.bincount(self._entry[on], minlength=table.counts.size)[table.row]
+
+    def follower_min(self, keep_nxt, values) -> np.ndarray:
+        """Per current letter, the least `values[b]` over its allowed kept
+        successors b (inf when it has none)."""
+        table = self._table
+        on = keep_nxt[table.cols]
+        least = np.empty(table.counts.size)
+        least.fill(np.inf)  # np.full costs twice as much here
+        np.minimum.at(least, self._entry[on], values[table.cols[on]])
+        return least[table.row]
+
+    def reach_next(self, cur_mask) -> np.ndarray:
+        """Mask of next letters reachable from any current letter in cur_mask."""
+        table = self._table
+        hit = np.zeros(table.counts.size, dtype=bool)
+        hit[table.row[cur_mask]] = True
+        out = np.zeros(self.n_nxt, dtype=bool)
+        out[table.cols[hit[self._entry]]] = True
+        return out
+
+    def transfer(self, u, w_nxt, keep_nxt) -> np.ndarray:
+        """u'_b = w_b * sum_{a -> b} u_a, zero outside keep_nxt (float64)."""
+        raise NotImplementedError
+
+    def count_transfer(self, counts_nxt) -> list:
+        """c_a = sum over followers b of counts_nxt[b], in exact ints."""
+        table = self._table
+        # int64 while no prefix sum can pass 2**63 - 1, else exact ints
+        small = int(max(counts_nxt, default=0)) * max(table.cols.size, 1) < 2**63
+        counts = np.array(counts_nxt, dtype=np.int64 if small else object)
+        ends = np.zeros(table.cols.size + 1, dtype=counts.dtype)
+        np.cumsum(counts[table.cols], out=ends[1:])
+        start = table.ptr[table.row]
+        return (ends[start + table.counts[table.row]] - ends[start]).tolist()
+
+    def is_complete(self, keep_cur, keep_nxt) -> bool:
+        """True when every kept pair is allowed (the all-ones case)."""
+        kept = self.count_followers(keep_nxt)[keep_cur]
+        return bool((kept == np.count_nonzero(keep_nxt)).all())
+
+    def matrix(self, keep_cur=None, keep_nxt=None) -> np.ndarray:
+        """Dense boolean matrix, zeroed outside the keep masks."""
+        table = self._table
+        by_class = np.zeros((table.counts.size, self.n_nxt), dtype=bool)
+        by_class[self._entry, table.cols] = True
+        mat = by_class[table.row]
+        if keep_cur is not None:
+            mat &= keep_cur[:, None]
+        if keep_nxt is not None:
+            mat &= keep_nxt[None, :]
+        return mat
+
+    def same_relation(self, other: "Incidence") -> bool:
+        """True when both steps allow the same pairs of letters."""
+        mine, theirs = self._table, other._table
+        if (self.n_cur, self.n_nxt) != (other.n_cur, other.n_nxt):
+            return False
+        # letters in the same pair of row classes have the same followers
+        # on both sides, so one letter of each pair decides
+        pairs = mine.row * theirs.counts.size + theirs.row
+        _, firsts = np.unique(pairs, return_index=True)
+        return all(
+            np.array_equal(mine.followers(a), theirs.followers(a))
+            for a in firsts.tolist()
+        )
 
 
 class FullIncidence(Incidence):
     """Every composable pair allowed: A(a, b) = 1 iff t(a) = i(b)."""
 
-    def _vertex_codes(self):
-        # integer codes for dst(cur) and src(nxt) over their union
-        verts = {}
-        for v in list(self._cur_dst) + list(self._nxt_src):
-            verts.setdefault(v, len(verts))
-        cur = np.array([verts[v] for v in self._cur_dst], dtype=np.int64)
-        nxt = np.array([verts[v] for v in self._nxt_src], dtype=np.int64)
-        return cur, nxt, len(verts)
-
-    @cached_property
-    def _codes(self):
-        return self._vertex_codes()
-
-    def followers(self, a, keep_nxt):
-        cur, nxt, _ = self._codes
-        return np.flatnonzero((nxt == cur[a]) & keep_nxt)
-
-    def follower_table(self, keep_nxt):
-        # one row per vertex: the kept next letters starting there
-        cur, nxt, nv = self._codes
-        kept = np.flatnonzero(keep_nxt)
-        by_vertex = nxt[kept]
-        cols = kept[np.argsort(by_vertex, kind="stable")]
-        return FollowerTable(cur, np.bincount(by_vertex, minlength=nv), cols)
-
-    def count_followers(self, keep_nxt):
-        cur, nxt, nv = self._codes
-        per_vertex = np.bincount(nxt[keep_nxt], minlength=nv)
-        return per_vertex[cur]
-
-    def follower_min(self, keep_nxt, values):
-        cur, nxt, nv = self._codes
-        per_vertex = np.empty(nv)
-        per_vertex.fill(np.inf)  # np.full costs twice as much here
-        np.minimum.at(per_vertex, nxt[keep_nxt], values[keep_nxt])
-        return per_vertex[cur]
-
-    def reach_next(self, cur_mask):
-        cur, nxt, nv = self._codes
-        hit = np.zeros(nv, dtype=bool)
-        hit[cur[cur_mask]] = True
-        return hit[nxt]
+    def _build(self, n_vertices):
+        # one row class per vertex: the next letters starting there
+        cols = np.argsort(self._nxt_src, kind="stable")
+        counts = np.bincount(self._nxt_src, minlength=n_vertices)
+        return FollowerTable(self._cur_dst, counts, cols), self._nxt_src[cols]
 
     def transfer(self, u, w_nxt, keep_nxt):
-        cur, nxt, nv = self._codes
-        sums = np.bincount(cur, weights=u, minlength=nv)
-        out = w_nxt * sums[nxt]
+        sums = np.bincount(self._cur_dst, weights=u, minlength=self._table.counts.size)
+        out = w_nxt * sums[self._nxt_src]
         out[~keep_nxt] = 0.0
         return out
-
-    def count_transfer(self, counts_nxt):
-        cur, nxt, nv = self._codes
-        sums = [0] * nv
-        for b, c in enumerate(counts_nxt):
-            sums[nxt[b]] += c
-        return [sums[cur[a]] for a in range(self.n_cur)]
-
-    def is_complete(self, keep_cur, keep_nxt):
-        cur, nxt, _ = self._codes
-        cs = set(cur[keep_cur].tolist())
-        ns = set(nxt[keep_nxt].tolist())
-        return len(cs) <= 1 and cs == ns if cs else True
-
-    def matrix(self, keep_cur=None, keep_nxt=None):
-        cur, nxt, _ = self._codes
-        mat = cur[:, None] == nxt[None, :]
-        if keep_cur is not None:
-            mat = mat & keep_cur[:, None]
-        if keep_nxt is not None:
-            mat = mat & keep_nxt[None, :]
-        return mat
 
 
 def _by_degree(mat):
@@ -241,7 +243,7 @@ class DenseIncidence(Incidence):
     def __init__(self, mat):
         self._mat = np.asarray(mat, dtype=bool)
 
-    def _check(self):
+    def _check(self, vertices):
         if self._mat.shape != (self.n_cur, self.n_nxt):
             raise IntegrityError(
                 f"incidence shape {self._mat.shape} != ({self.n_cur}, {self.n_nxt})"
@@ -251,38 +253,20 @@ class DenseIncidence(Incidence):
         if bad.any():
             a, b = np.argwhere(bad)[0]
             raise IntegrityError(
-                f"incidence allows letters {a}->{b} with t(a)={self._cur_dst[a]!r}"
-                f" != i(b)={self._nxt_src[b]!r}"
+                f"incidence allows letters {a}->{b} with"
+                f" t(a)={vertices[self._cur_dst[a]]!r}"
+                f" != i(b)={vertices[self._nxt_src[b]]!r}"
             )
 
-    def followers(self, a, keep_nxt):
-        return np.flatnonzero(self._mat[a] & keep_nxt)
-
-    def follower_table(self, keep_nxt):
-        rows, cols = np.nonzero(self._mat & keep_nxt)
+    def _build(self, n_vertices):
+        # one row class per letter
+        rows, cols = np.nonzero(self._mat)
         counts = np.bincount(rows, minlength=self.n_cur)
-        return FollowerTable(np.arange(self.n_cur), counts, cols)
-
-    def count_followers(self, keep_nxt):
-        return (self._mat & keep_nxt[None, :]).sum(axis=1)
-
-    def follower_min(self, keep_nxt, values):
-        # a masked row minimum over a broadcast view: no float matrix is built
-        allowed = self._mat & keep_nxt
-        return np.min(
-            np.broadcast_to(values, allowed.shape), axis=1, where=allowed, initial=np.inf
-        )
-
-    def reach_next(self, cur_mask):
-        return self._mat[cur_mask].any(axis=0) if cur_mask.any() else np.zeros(self.n_nxt, bool)
+        return FollowerTable(np.arange(self.n_cur), counts, cols), rows
 
     @cached_property
     def _columns(self):
         return _by_degree(self._mat.T)
-
-    @cached_property
-    def _rows(self):
-        return _by_degree(self._mat)
 
     def transfer(self, u, w_nxt, keep_nxt):
         # u[rows].sum(axis=1) adds each column's entries in ascending row
@@ -292,28 +276,6 @@ class DenseIncidence(Incidence):
             out[cols] = u[rows].sum(axis=1)
         out[~keep_nxt] = 0.0
         return out * np.where(keep_nxt, w_nxt, 0.0)
-
-    def count_transfer(self, counts_nxt):
-        # int64 while no count or row sum can pass 2**63 - 1, else exact ints
-        widest = max((r.shape[1] for _, r in self._rows), default=0)
-        small = int(max(counts_nxt, default=0)) * max(widest, 1) < 2**63
-        counts = np.array(counts_nxt, dtype=np.int64 if small else object)
-        out = np.zeros(self.n_cur, dtype=counts.dtype)
-        for rows, cols in self._rows:
-            out[rows] = counts[cols].sum(axis=1)
-        return out.tolist()
-
-    def is_complete(self, keep_cur, keep_nxt):
-        sub = self._mat[keep_cur][:, keep_nxt]
-        return bool(sub.all()) if sub.size else True
-
-    def matrix(self, keep_cur=None, keep_nxt=None):
-        mat = self._mat.copy()
-        if keep_cur is not None:
-            mat &= keep_cur[:, None]
-        if keep_nxt is not None:
-            mat &= keep_nxt[None, :]
-        return mat
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +288,10 @@ class GraphSchedule:
 
     `vertex_sets[n]` lists vertices of V_n; `alphabets[n]` the letters of
     I^(n) for n >= 1 (index 0 is an empty placeholder); `incidence[n]`
-    relates I^(n) to I^(n+1) for 1 <= n <= horizon-1.
+    relates I^(n) to I^(n+1) for 1 <= n <= horizon-1.  Vertices are coded by
+    position: `vertex_index[n]` maps each vertex of V_n to it, and for the
+    letters of I^(n), `src_index[n]` holds their initial vertices' positions
+    in V_{n-1} and `dst_index[n]` their terminal vertices' in V_n.
     """
 
     def __init__(self, vertex_sets, alphabets, incidence):
@@ -351,28 +316,34 @@ class GraphSchedule:
         self._tables = {}
 
     def _validate_and_bind(self):
+        self.vertex_index = tuple(
+            {v: i for i, v in enumerate(vs)} for vs in self.vertex_sets
+        )
+        src, dst = [None], [None]
         for n in range(1, self.horizon + 1):
-            vs_prev = set(self.vertex_sets[n - 1])
-            vs_cur = set(self.vertex_sets[n])
             seen = set()
+            src_n, dst_n = [], []
             for e in self.alphabets[n]:
                 if e.label in seen:
                     raise IntegrityError(f"duplicate letter {e.label!r} at time {n}")
                 seen.add(e.label)
-                if e.src not in vs_prev:
+                i = self.vertex_index[n - 1].get(e.src)
+                t = self.vertex_index[n].get(e.dst)
+                if i is None:
                     raise IntegrityError(
                         f"letter {e.label!r} at time {n}: src {e.src!r} not in V_{n-1}"
                     )
-                if e.dst not in vs_cur:
+                if t is None:
                     raise IntegrityError(
                         f"letter {e.label!r} at time {n}: dst {e.dst!r} not in V_{n}"
                     )
+                src_n.append(i)
+                dst_n.append(t)
+            src.append(np.array(src_n, dtype=np.intp))
+            dst.append(np.array(dst_n, dtype=np.intp))
+        self.src_index, self.dst_index = tuple(src), tuple(dst)
         for n in range(1, self.horizon):
-            cur = self.alphabets[n]
-            nxt = self.alphabets[n + 1]
-            self.incidence[n].bind(
-                [e.dst for e in cur], [e.src for e in nxt]
-            )
+            self.incidence[n].bind(dst[n], src[n + 1], self.vertex_sets[n])
 
     # -- lookups ----------------------------------------------------------
     @cached_property
@@ -404,18 +375,18 @@ class GraphSchedule:
             np.ones(len(self.alphabets[n]), dtype=bool)
             for n in range(1, self.horizon + 1)
         ]
+        # each pass only drops letters, so a mask changed iff its count did
         changed = True
         while changed:
             changed = False
             for n in range(self.horizon - 1, 0, -1):
-                ok = self.incidence[n].count_followers(keep[n + 1]) > 0
-                new = keep[n] & ok
-                if not np.array_equal(new, keep[n]):
+                new = keep[n] & (self.incidence[n].count_followers(keep[n + 1]) > 0)
+                if np.count_nonzero(new) < np.count_nonzero(keep[n]):
                     keep[n] = new
                     changed = True
             for n in range(1, self.horizon):
                 new = keep[n + 1] & self.incidence[n].reach_next(keep[n])
-                if not np.array_equal(new, keep[n + 1]):
+                if np.count_nonzero(new) < np.count_nonzero(keep[n + 1]):
                     keep[n + 1] = new
                     changed = True
         for n in range(1, self.horizon + 1):
@@ -440,8 +411,7 @@ class GraphSchedule:
 
     def follower_table(self, n: int) -> FollowerTable:
         """The kept successors of every letter at time n < horizon, for
-        expanding a whole frontier; built once per step, on first use (a walk
-        that reads a few letters a step asks `followers` instead)."""
+        expanding a whole frontier; built once per step, on first use."""
         table = self._tables.get(n)
         if table is None:
             table = self.incidence[n].follower_table(self.kept[n + 1])
@@ -515,8 +485,10 @@ def _word_counts(schedule: GraphSchedule, m: int, n: int) -> list:
 
 def count_words(m: int, n: int, schedule: GraphSchedule) -> int:
     """#I^{m,n} over pruned letters, by exact integer transfer."""
-    if n > schedule.horizon:
-        raise ConfigurationError(f"time {n} beyond horizon {schedule.horizon}")
+    if not 1 <= m <= n <= schedule.horizon:
+        raise ConfigurationError(
+            f"need 1 <= m <= n <= horizon={schedule.horizon}, got ({m}, {n})"
+        )
     return sum(_word_counts(schedule, m, n))
 
 

@@ -75,12 +75,6 @@ class LetterTable:
         return n, i - self.start[n]
 
 
-def _space_indices(vertex_index, base, letters, end):
-    """Per letter, the space-column index of its `end` ("src" or "dst")
-    vertex, whose time's spaces start at `base`."""
-    return [base + vertex_index[getattr(e, end)] for e in letters]
-
-
 def _letter_table(system) -> LetterTable:
     """The system's letters and spaces as columns, in one pass over each."""
     sched = system.schedule
@@ -89,9 +83,9 @@ def _letter_table(system) -> LetterTable:
     spaces = [s for row in system.spaces for s in row]
     interval = [s.kind == "interval" for s in spaces]
     bounds = [s.bounds if iv else (np.nan, np.nan) for s, iv in zip(spaces, interval)]
-    vertex_index = system._vertex_index
-    family, ratio, offset, digit, dom, cod = [], [], [], [], [], []  # offset: flat
-    for n in range(1, system.horizon + 1):
+    times = range(1, system.horizon + 1)
+    family, ratio, offset, digit = [], [], [], []  # offset: flat
+    for n in times:
         for p in system.maps[n]:
             kind = type(p)
             if kind is Similarity and p.dim == system.dim:
@@ -109,10 +103,7 @@ def _letter_table(system) -> LetterTable:
             # a Similarity of another dim keeps its ratio for the sweep
             ratio.append(p.ratio if kind is Similarity else 0.0)
             offset += blank
-        letters = sched.letters(n)
-        dom += _space_indices(vertex_index[n], space_start[n], letters, "dst")
-        cod += _space_indices(vertex_index[n - 1], space_start[n - 1], letters, "src")
-    sizes = [0] + [len(sched.letters(n)) for n in range(1, system.horizon + 1)]
+    sizes = [0] + [len(sched.letters(n)) for n in times]
     space_lo, space_hi = np.array(bounds, dtype=float).reshape(-1, 2).T
     return LetterTable(
         start=tuple(accumulate([0] + sizes)),
@@ -122,8 +113,8 @@ def _letter_table(system) -> LetterTable:
         offset=np.array(offset, dtype=float).reshape(-1, system.dim).T.copy(),
         digit=np.array(digit, dtype=float),
         kept=np.concatenate(sched.kept[1:]),
-        dom=np.array(dom, dtype=np.intp),
-        cod=np.array(cod, dtype=np.intp),
+        dom=np.concatenate([space_start[n] + sched.dst_index[n] for n in times]),
+        cod=np.concatenate([space_start[n - 1] + sched.src_index[n] for n in times]),
         space_start=space_start,
         space_lo=space_lo,
         space_hi=space_hi,
@@ -159,14 +150,8 @@ class SystemSpec:
     def horizon(self) -> int:
         return self.schedule.horizon
 
-    @cached_property
-    def _vertex_index(self):
-        return tuple(
-            {v: i for i, v in enumerate(vs)} for vs in self.schedule.vertex_sets
-        )
-
     def space_for(self, n: int, vertex) -> Space:
-        idx = self._vertex_index[n].get(vertex)
+        idx = self.schedule.vertex_index[n].get(vertex)
         if idx is None:
             raise InputError(f"unknown vertex {vertex!r} at time {n}")
         return self.spaces[n][idx]
@@ -175,13 +160,13 @@ class SystemSpec:
         return self.maps[n][self.schedule.letter_index(n, label)]
 
     def domain_space_idx(self, n: int, idx: int) -> Space:
-        return self.space_for(n, self.schedule.letters(n)[idx].dst)
+        return self.spaces[n][self.schedule.dst_index[n][idx]]
 
     def domain_space(self, n: int, label) -> Space:
         return self.domain_space_idx(n, self.schedule.letter_index(n, label))
 
     def codomain_space_idx(self, n: int, idx: int) -> Space:
-        return self.space_for(n - 1, self.schedule.letters(n)[idx].src)
+        return self.spaces[n - 1][self.schedule.src_index[n][idx]]
 
     # -- the letter table ----------------------------------------------------
     @cached_property
@@ -285,12 +270,8 @@ class SystemSpec:
             return False
         if any(self.maps[n] != self.maps[1] for n in range(2, self.horizon + 1)):
             return False
-        for n in range(2, self.horizon):
-            a = self.schedule.incidence[1].matrix()
-            b = self.schedule.incidence[n].matrix()
-            if a.shape != b.shape or not np.array_equal(a, b):
-                return False
-        return True
+        inc = self.schedule.incidence
+        return all(inc[n].same_relation(inc[1]) for n in range(2, self.horizon))
 
 
 def _closed_form_clears(system: SystemSpec) -> np.ndarray:

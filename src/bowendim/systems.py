@@ -388,14 +388,10 @@ def reblock_one_primitive(system: SystemSpec, cert: PrimitivityCertificate) -> S
     rows = [_block_alphabet(system, (n - 1) * p + 1, p) for n in range(1, blocks + 1)]
     incidence = []
     for n in range(1, blocks):
-        cur, nxt = rows[n - 1][0], rows[n][0]
-        step = sched.incidence[n * p]
-        keep_all = np.ones(len(sched.letters(n * p + 1)), dtype=bool)
-        firsts = np.array([idx[0] for _, _, idx in nxt])
-        mat = np.zeros((len(cur), len(nxt)), dtype=bool)
-        for i, (_, _, idx) in enumerate(cur):
-            mat[i] = np.isin(firsts, step.followers(idx[-1], keep_all))
-        incidence.append(mat)
+        # block a may precede block b iff a's last letter may precede b's first
+        lasts = [idx[-1] for _, _, idx in rows[n - 1][0]]
+        firsts = [idx[0] for _, _, idx in rows[n][0]]
+        incidence.append(sched.incidence[n * p].matrix()[np.ix_(lasts, firsts)])
     out = _assemble(
         [sched.vertex_sets[n * p] for n in range(blocks + 1)],
         [letters for _, letters, _ in rows],

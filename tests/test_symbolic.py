@@ -27,7 +27,9 @@ from bowendim import _frontier, symbolic
 from bowendim.cli import main
 from bowendim.symbolic import (
     DenseIncidence,
+    FullIncidence,
     GrowthStats,
+    Letter,
     _products_positive,
 )
 from bowendim.systems import system_certify, system_primitivity
@@ -202,6 +204,12 @@ class TestEnumeration:
         sched = full_ncifs(2, 3)
         with pytest.raises(ConfigurationError):
             count_words(1, 9, sched)
+
+    @pytest.mark.parametrize("m, n", [(0, 2), (-1, 2), (4, 2), (3, 2), (2, 4)])
+    def test_range_outside_one_to_horizon(self, m, n):
+        sched = full_ncifs(2, 3)
+        with pytest.raises(ConfigurationError, match="need 1 <= m <= n <= horizon=3"):
+            count_words(m, n, sched)
 
     def test_counts_match_enumeration_everywhere(self):
         sched, _ = cyclic3(5)
@@ -455,7 +463,7 @@ def irregular_incidence(draw, max_cur=40, max_nxt=12):
         if regime != "none":
             k = draw(st.integers(1 if regime == "few" else min(8, n_cur), k))
         mat[rng.choice(n_cur, size=k, replace=False), b] = True
-    inc = DenseIncidence(mat).bind(["v"] * n_cur, ["v"] * n_nxt)
+    inc = DenseIncidence(mat).bind([0] * n_cur, [0] * n_nxt, ("v",))
     return inc, mat
 
 
@@ -488,11 +496,11 @@ class TestDensePrimitives:
 
     def test_count_transfer_at_the_int64_edge(self):
         mat = np.ones((1, 2), dtype=bool)
-        inc = DenseIncidence(mat).bind(["v"], ["v", "v"])
+        inc = DenseIncidence(mat).bind([0], [0, 0], ("v",))
         assert inc.count_transfer([2**62 - 1] * 2) == [2**63 - 2]
         assert inc.count_transfer([2**62] * 2) == [2**63]
         # rows without ones still must not squeeze a huge count into int64
-        empty = DenseIncidence(np.zeros((1, 2), dtype=bool)).bind(["v"], ["v", "v"])
+        empty = DenseIncidence(np.zeros((1, 2), dtype=bool)).bind([0], [0, 0], ("v",))
         assert empty.count_transfer([2**80, 1]) == [0]
 
     @settings(max_examples=60, deadline=None)
@@ -515,3 +523,116 @@ class TestDensePrimitives:
             assume(False)
         for p in range(1, 5):
             assert _products_positive(sched, p) == int64_products_positive(sched, p)
+
+
+# ---------------------------------------------------------------------------
+# the shared incidence primitives against loops over the 0/1 matrix
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def multi_vertex_schedules(draw):
+    """A schedule over one to three vertices a time whose steps are complete
+    or a drawn subset of the composable pairs, and each step's 0/1 matrix
+    from the definition: A(a, b) = 1 iff t(a) = i(b) on a complete step, and
+    iff (a, b) is in the drawn subset otherwise."""
+    horizon = draw(st.integers(2, 4))
+    vertex_sets = [
+        tuple(f"v{n}.{k}" for k in range(draw(st.integers(1, 3))))
+        for n in range(horizon + 1)
+    ]
+    alphabets = [()]
+    for n in range(1, horizon + 1):
+        size = draw(st.integers(1, 8))
+        alphabets.append(tuple(
+            Letter(
+                f"e{k}",
+                draw(st.sampled_from(vertex_sets[n - 1])),
+                draw(st.sampled_from(vertex_sets[n])),
+            )
+            for k in range(size)
+        ))
+    steps, mats = [], []
+    for n in range(1, horizon):
+        cur, nxt = alphabets[n], alphabets[n + 1]
+        mat = np.array([[a.dst == b.src for b in nxt] for a in cur], dtype=bool)
+        if draw(st.booleans()):
+            steps.append(FullIncidence())
+        else:
+            mat &= draw(arrays(np.bool_, mat.shape))
+            steps.append(DenseIncidence(mat))
+        mats.append(mat)
+    return GraphSchedule(vertex_sets, alphabets, steps), [None] + mats
+
+
+def table_followers(table, a):
+    """Letter a's successors, read from the table's arrays."""
+    start, k = table.ptr[table.row[a]], table.counts[table.row[a]]
+    return table.cols[start : start + k].tolist()
+
+
+def assert_primitives_match_matrix(data, inc, mat):
+    n_cur, n_nxt = mat.shape
+    keep_cur = data.draw(arrays(np.bool_, n_cur))
+    keep_nxt = data.draw(arrays(np.bool_, n_nxt))
+    values = data.draw(arrays(np.float64, n_nxt, elements=st.floats(0.0, 1e3)))
+    top = data.draw(st.sampled_from([2**20, 2**62, 2**80]))
+    counts = data.draw(st.lists(st.integers(0, top), min_size=n_nxt, max_size=n_nxt))
+
+    np.testing.assert_array_equal(inc.matrix(), mat)
+    masked = mat & keep_cur[:, None] & keep_nxt[None, :]
+    np.testing.assert_array_equal(inc.matrix(keep_cur, keep_nxt), masked)
+    table = inc.follower_table(keep_nxt)
+    for a in range(n_cur):
+        want = [b for b in range(n_nxt) if mat[a, b] and keep_nxt[b]]
+        assert inc.followers(a, keep_nxt).tolist() == want
+        assert table_followers(table, a) == want
+        assert inc.count_followers(keep_nxt)[a] == len(want)
+        least = min((values[b] for b in want), default=np.inf)
+        assert inc.follower_min(keep_nxt, values)[a] == least
+    reach = [any(mat[a, b] for a in range(n_cur) if keep_cur[a]) for b in range(n_nxt)]
+    assert inc.reach_next(keep_cur).tolist() == reach
+    got = inc.count_transfer(counts)
+    assert got == [sum(counts[b] for b in range(n_nxt) if mat[a, b]) for a in range(n_cur)]
+    assert all(type(c) is int for c in got)
+    complete = all(
+        mat[a, b] for a in range(n_cur) for b in range(n_nxt) if keep_cur[a] and keep_nxt[b]
+    )
+    assert inc.is_complete(keep_cur, keep_nxt) == complete
+
+
+class TestSharedPrimitives:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), drawn=multi_vertex_schedules())
+    def test_primitives_equal_matrix_loops(self, data, drawn):
+        sched, mats = drawn
+        for n in range(1, sched.horizon):
+            assert_primitives_match_matrix(data, sched.incidence[n], mats[n])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), drawn=multi_vertex_schedules())
+    def test_complete_step_equals_dense_of_its_matrix(self, data, drawn):
+        sched, _ = drawn
+        full = [FullIncidence() for _ in range(sched.horizon - 1)]
+        full_sched = GraphSchedule(sched.vertex_sets, sched.alphabets, full)
+        dense = [DenseIncidence(inc.matrix()) for inc in full_sched.incidence[1:]]
+        dense_sched = GraphSchedule(sched.vertex_sets, sched.alphabets, dense)
+        for n in range(1, sched.horizon):
+            f, d = full_sched.incidence[n], dense_sched.incidence[n]
+            mat = f.matrix()
+            assert_primitives_match_matrix(data, d, mat)
+            assert_primitives_match_matrix(data, f, mat)
+            assert f.same_relation(d) and d.same_relation(f)
+            u = data.draw(arrays(np.float64, mat.shape[0], elements=st.floats(0.0, 1e3)))
+            w = data.draw(arrays(np.float64, mat.shape[1], elements=st.floats(0.0, 1e3)))
+            keep = data.draw(arrays(np.bool_, mat.shape[1]))
+            np.testing.assert_allclose(f.transfer(u, w, keep), d.transfer(u, w, keep))
+            if mat.any():
+                # one pair fewer is another relation
+                fewer = mat.copy()
+                fewer[tuple(np.argwhere(mat)[0])] = False
+                steps = list(dense_sched.incidence[1:])
+                steps[n - 1] = DenseIncidence(fewer)
+                other = GraphSchedule(sched.vertex_sets, sched.alphabets, steps)
+                assert not f.same_relation(other.incidence[n])
+                assert not other.incidence[n].same_relation(f)

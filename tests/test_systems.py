@@ -37,7 +37,7 @@ from bowendim import (
     sample_limit_set,
     verify_osc,
 )
-from bowendim import bundled, systems
+from bowendim import bundled, symbolic, systems
 from bowendim.systems import system_certify, system_primitivity
 
 from oracles import schedule_words
@@ -182,6 +182,32 @@ class TestIncidenceSteps:
 
         assert steps(rows) == steps(mat) == steps([mat] * 3)
         assert steps([rows, rows, [[1, 1], [1, 1]]]) == steps([mat, mat, "full"])
+
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_autonomy_compares_the_allowed_pairs(self, builder):
+        # a complete step and the all-ones matrix allow the same pairs; one
+        # pair fewer is another step
+        ones = np.ones((2, 2), dtype=bool)
+        fewer = np.array([[1, 1], [1, 0]], dtype=bool)
+        build = self.BUILDERS[builder]
+        assert build(["full", ones, "full"]).is_autonomous
+        assert build([ones, "full", ones]).is_autonomous
+        assert not build(["full", fewer, "full"]).is_autonomous
+        assert not build([fewer, "full", fewer]).is_autonomous
+        assert not build([ones, ones, fewer]).is_autonomous
+
+    def test_autonomy_builds_no_matrix(self, monkeypatch):
+        # 300 digits a time: the check compares follower tables, not
+        # letters-by-letters matrices
+        system = build_cf_system([list(range(1, 301))] * 8)
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("matrix built")
+
+        for cls in (symbolic.Incidence, symbolic.FullIncidence, symbolic.DenseIncidence):
+            monkeypatch.setattr(cls, "matrix", no_matrix)
+        assert system.is_autonomous
 
 
 class TestAscending:
