@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BudgetError, SchemaError
 from .geometry import SAMPLE_STRATEGIES
 from .maps import MoebiusInverse, Similarity, interval
+from .symbolic import _shared_rows
 from .systems import (
     AscendingSpec,
     EdgeSpec,
@@ -173,7 +174,9 @@ def _rows(spec, horizon, path):
         return [list(r) for r in _numbers(spec, path)]
     if isinstance(spec, dict) and "cycle" in spec:
         cyc = _numbers(_cycle(spec["cycle"], f"{path}.cycle"), f"{path}.cycle")
-        return [list(cyc[(n - 1) % len(cyc)]) for n in range(1, horizon + 1)]
+        # each row of the cycle stays one object, so builders make it once
+        cyc = [list(r) for r in cyc]
+        return [cyc[(n - 1) % len(cyc)] for n in range(1, horizon + 1)]
     if isinstance(spec, dict) and "powers" in spec:
         pw = spec["powers"]
         rb = pw.get("ratio_base")
@@ -233,32 +236,60 @@ def _matrices(spec, counts, path, int_matrices=None):
     _fail(path, "expected 'full', 'identity', a 0/1 array, arrays per step, or a rule")
 
 
-def _zero_one(rows, path, int_matrices=None):
-    """A rectangular list of 0/1 (or boolean) rows as a boolean array; with
-    `int_matrices`, one parsed as integers is kept there by id."""
+def _bytes_zero_one(rows):
+    """`rows` as a boolean array, read in one C pass, when it is a nonempty
+    list of equally long nonempty lists of 0/1 ints or bools; else None."""
+    if not (type(rows) is list and rows and type(rows[0]) is list and rows[0]):
+        return None
+    width = len(rows[0])
+    # bytes(3) is three zero bytes, so every row is checked before the join
+    if not all(type(row) is list and len(row) == width for row in rows):
+        return None
     try:
-        arr = np.asarray(rows)
-        regular = arr.ndim == 2 and arr.dtype.kind in "biuf"
-    except ValueError:  # ragged rows
-        regular = False
-    if not regular:  # find the first offending field
-        _expect(isinstance(rows, list) and rows, path, "nonempty list of rows required")
-        for i, row in enumerate(rows):
-            _expect(isinstance(row, list), f"{path}[{i}]", "row of 0/1 entries required")
-            _expect(
-                len(row) == len(rows[0]),
-                f"{path}[{i}]",
-                f"row of {len(rows[0])} entries required, got {len(row)}",
-            )
-            for j, v in enumerate(row):
-                _expect(_number(v) or isinstance(v, bool), f"{path}[{i}][{j}]",
-                        f"0 or 1 required, got {v!r}")
-    bad = np.argwhere((arr != 0) & (arr != 1))
-    if bad.size:
-        i, j = bad[0].tolist()
-        _fail(f"{path}[{i}][{j}]", f"0 or 1 required, got {rows[i][j]!r}")
-    mat = arr.astype(bool)
-    if int_matrices is not None and arr.dtype.kind == "i":
+        flat = np.frombuffer(b"".join(map(bytes, rows)), dtype=np.uint8)
+    except (TypeError, ValueError):  # a float, string, None or list, or an int outside 0..255
+        return None
+    if flat.max() > 1:
+        return None
+    return flat.astype(bool).reshape(len(rows), width)
+
+
+def _zero_one(rows, path, int_matrices=None):
+    """A rectangular list of 0/1 (or boolean) rows, as parsed from JSON, as a
+    boolean array; with `int_matrices`, one parsed as integers is kept there
+    by id."""
+    mat = _bytes_zero_one(rows)
+    if mat is not None:
+        # bytes() took ints and bools alone, which numpy reads as ints unless
+        # every entry is a bool
+        ints = int_matrices is not None and not all(
+            type(v) is bool for row in rows for v in row
+        )
+    else:
+        try:
+            arr = np.asarray(rows)
+            regular = arr.ndim == 2 and arr.dtype.kind in "biuf"
+        except ValueError:  # ragged rows
+            regular = False
+        if not regular:  # find the first offending field
+            _expect(isinstance(rows, list) and rows, path, "nonempty list of rows required")
+            for i, row in enumerate(rows):
+                _expect(isinstance(row, list), f"{path}[{i}]", "row of 0/1 entries required")
+                _expect(
+                    len(row) == len(rows[0]),
+                    f"{path}[{i}]",
+                    f"row of {len(rows[0])} entries required, got {len(row)}",
+                )
+                for j, v in enumerate(row):
+                    _expect(_number(v) or isinstance(v, bool), f"{path}[{i}][{j}]",
+                            f"0 or 1 required, got {v!r}")
+        bad = np.argwhere((arr != 0) & (arr != 1))
+        if bad.size:
+            i, j = bad[0].tolist()
+            _fail(f"{path}[{i}][{j}]", f"0 or 1 required, got {rows[i][j]!r}")
+        mat = arr.astype(bool)
+        ints = arr.dtype.kind == "i"
+    if int_matrices is not None and ints:
         int_matrices[id(rows)] = (rows, mat)
     return mat
 
@@ -270,10 +301,8 @@ def _build_similarity(spec, path, int_matrices):
     offsets_spec = spec.get("offsets", {"packed": True})
     offsets = _rows(offsets_spec, horizon, f"{path}.offsets")
     if offsets == "packed":
-        offsets = []
-        for row in ratios:
-            k = len(row)
-            offsets.append([j / k for j in range(k)])
+        packed = {k: [j / k for j in range(k)] for k in {len(row) for row in ratios}}
+        offsets = [packed[len(row)] for row in ratios]
     for n, (rr, oo) in enumerate(zip(ratios, offsets), start=1):
         _expect(
             len(rr) == len(oo),
@@ -301,7 +330,7 @@ def _build_cf(spec, path, int_matrices):
     else:
         rows = _rows(digits, horizon, f"{path}.digits")
         _expect(rows != "packed", f"{path}.digits", "digit rows required")
-    rows = [list(r) for r in _numbers(rows, f"{path}.digits")]
+    rows = _numbers(rows, f"{path}.digits")
     counts = [len(r) for r in rows]
     mat = _matrices(
         spec.get("matrices", "full"), counts, f"{path}.matrices", int_matrices
@@ -407,7 +436,7 @@ def _ascending_spec(spec, path="system") -> AscendingSpec:
     return AscendingSpec(
         base_maps=base,
         # labels are strings, as the keys of the base family are
-        include=[[str(lbl) for lbl in row] for row in include],
+        include=_shared_rows(include, lambda row: [str(lbl) for lbl in row]),
         infinite_family=bool(spec.get("infinite_family", False)),
     )
 

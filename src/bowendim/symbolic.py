@@ -10,6 +10,7 @@ forward to the horizon and are reachable from time 1.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -60,6 +61,20 @@ class Word:
         return ".".join(str(c) for c in self.letters)
 
 
+def _shared_rows(rows, make, key=id):
+    """[make(row) for row in rows], with `make` called once per distinct
+    key(row): rows that repeat under a cycle rule are one object, so by
+    default each repeat shares the first one's result."""
+    made = {}  # key -> (row, result); holding the row keeps its id unused
+    out = []
+    for row in rows:
+        k = key(row)
+        if k not in made:
+            made[k] = row, make(row)
+        out.append(made[k][1])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # incidence rules
 # ---------------------------------------------------------------------------
@@ -88,6 +103,29 @@ class FollowerTable:
         return self.cols[self.ptr[c] : self.ptr[c] + self.counts[c]]
 
 
+def _grouped(keys, values, n):
+    """[(ids, members)]: the ids 0..n-1 grouped by how many entries have
+    them as key; members[i] lists, in entry order, the values of the
+    entries with key ids[i]."""
+    values = values[np.argsort(keys, kind="stable")]
+    deg = np.bincount(keys, minlength=n)
+    starts = np.cumsum(deg) - deg
+    groups = []
+    for k in np.unique(deg).tolist():
+        ids = np.flatnonzero(deg == k)
+        groups.append((ids, values[starts[ids, None] + np.arange(k)]))
+    return groups
+
+
+def _any_of(groups, rows, n):
+    """Row i of the result: the OR of rows[m] over the members m of id i in
+    `groups` (from `_grouped`)."""
+    out = np.empty((n,) + rows.shape[1:], dtype=bool)
+    for ids, members in groups:
+        out[ids] = rows[members].any(axis=1)
+    return out
+
+
 class Incidence:
     """Relation between the alphabet at time n and at time n+1.
 
@@ -99,9 +137,27 @@ class Incidence:
     def bind(self, cur_dst, nxt_src, vertices):
         """Bind the letters of both times: `cur_dst[a]` is the position in
         `vertices` (= V_n) of current letter a's terminal vertex, and
-        `nxt_src[b]` that of next letter b's initial vertex."""
-        self._cur_dst = np.asarray(cur_dst, dtype=np.intp)
-        self._nxt_src = np.asarray(nxt_src, dtype=np.intp)
+        `nxt_src[b]` that of next letter b's initial vertex.
+
+        Returns the bound incidence.  One that is bound already returns
+        itself when the codes and the vertex count are the same, so the
+        steps of a schedule that reuse one incidence share its table, and
+        a bound copy of itself otherwise."""
+        cur_dst = np.asarray(cur_dst, dtype=np.intp)
+        nxt_src = np.asarray(nxt_src, dtype=np.intp)
+        if hasattr(self, "_table"):  # bound already
+            if (
+                self._n_vertices == len(vertices)
+                and np.array_equal(self._cur_dst, cur_dst)
+                and np.array_equal(self._nxt_src, nxt_src)
+            ):
+                return self
+            self = copy.copy(self)
+            # the copy drops what was derived from the old table
+            for derived in ("_predecessors", "_class_letters"):
+                vars(self).pop(derived, None)
+        self._cur_dst, self._nxt_src = cur_dst, nxt_src
+        self._n_vertices = len(vertices)
         self._check(vertices)
         # _entry: the row class of each entry of the table's cols
         self._table, self._entry = self._build(len(vertices))
@@ -114,6 +170,19 @@ class Incidence:
         """(table, entry): the `FollowerTable` of every next letter, and the
         row class of each entry of its cols."""
         raise NotImplementedError
+
+    @cached_property
+    def _predecessors(self):
+        """The next letters grouped by how many row classes lead to them,
+        with those classes in ascending order (see `_grouped`)."""
+        return _grouped(self._table.cols, self._entry, self.n_nxt)
+
+    @cached_property
+    def _class_letters(self):
+        """The row classes grouped by their number of current letters, with
+        those letters in ascending order (see `_grouped`)."""
+        table = self._table
+        return _grouped(table.row, np.arange(self.n_cur), table.counts.size)
 
     @property
     def n_cur(self):
@@ -161,6 +230,14 @@ class Incidence:
         out[table.cols[hit[self._entry]]] = True
         return out
 
+    def reach(self, rows) -> np.ndarray:
+        """The boolean product through this step: row b of the result is
+        the OR of rows[a] over the current letters a -> b.  `rows` is a
+        boolean array with one row per current letter; no sum is formed,
+        so the result is exact."""
+        by_class = _any_of(self._class_letters, rows, self._table.counts.size)
+        return _any_of(self._predecessors, by_class, self.n_nxt)
+
     def transfer(self, u, w_nxt, keep_nxt) -> np.ndarray:
         """u'_b = w_b * sum_{a -> b} u_a, zero outside keep_nxt (float64)."""
         raise NotImplementedError
@@ -195,6 +272,8 @@ class Incidence:
 
     def same_relation(self, other: "Incidence") -> bool:
         """True when both steps allow the same pairs of letters."""
+        if other is self:
+            return True
         mine, theirs = self._table, other._table
         if (self.n_cur, self.n_nxt) != (other.n_cur, other.n_nxt):
             return False
@@ -224,19 +303,6 @@ class FullIncidence(Incidence):
         return out
 
 
-def _by_degree(mat):
-    """[(idx, nbrs)]: the rows of a 0/1 matrix grouped by their number of
-    ones; nbrs[i] lists the columns of row idx[i]'s ones in ascending order."""
-    deg = mat.sum(axis=1)
-    _, cols = np.nonzero(mat)
-    starts = np.cumsum(deg) - deg
-    groups = []
-    for k in np.unique(deg).tolist():
-        idx = np.flatnonzero(deg == k)
-        groups.append((idx, cols[starts[idx, None] + np.arange(k)]))
-    return groups
-
-
 class DenseIncidence(Incidence):
     """Explicit 0/1 matrix (also the compiled form of identity/banded rules)."""
 
@@ -264,15 +330,12 @@ class DenseIncidence(Incidence):
         counts = np.bincount(rows, minlength=self.n_cur)
         return FollowerTable(np.arange(self.n_cur), counts, cols), rows
 
-    @cached_property
-    def _columns(self):
-        return _by_degree(self._mat.T)
-
     def transfer(self, u, w_nxt, keep_nxt):
-        # u[rows].sum(axis=1) adds each column's entries in ascending row
-        # order, exactly as a 1-D sum over u[mat[:, b]] does
+        # each letter is its own row class, so u[rows].sum(axis=1) adds each
+        # column's entries in ascending row order, exactly as a 1-D sum over
+        # u[mat[:, b]] does
         out = np.empty(self.n_nxt, dtype=float)
-        for cols, rows in self._columns:
+        for cols, rows in self._predecessors:
             out[cols] = u[rows].sum(axis=1)
         out[~keep_nxt] = 0.0
         return out * np.where(keep_nxt, w_nxt, 0.0)
@@ -295,8 +358,9 @@ class GraphSchedule:
     """
 
     def __init__(self, vertex_sets, alphabets, incidence):
-        self.vertex_sets = tuple(tuple(vs) for vs in vertex_sets)
-        self.alphabets = tuple(tuple(al) for al in alphabets)
+        # a row that repeats (one object at several times) stays one tuple
+        self.vertex_sets = tuple(_shared_rows(vertex_sets, tuple))
+        self.alphabets = tuple(_shared_rows(alphabets, tuple))
         self.horizon = len(self.alphabets) - 1
         if len(self.vertex_sets) != self.horizon + 1:
             raise IntegrityError(
@@ -317,33 +381,45 @@ class GraphSchedule:
 
     def _validate_and_bind(self):
         self.vertex_index = tuple(
-            {v: i for i, v in enumerate(vs)} for vs in self.vertex_sets
+            _shared_rows(self.vertex_sets, lambda vs: {v: i for i, v in enumerate(vs)})
         )
-        src, dst = [None], [None]
+        # each distinct (I^(n), V_{n-1}, V_n) is checked and coded once, at
+        # its first time, so a repeated step also binds its incidence once
+        coded, src, dst = {}, [None], [None]
         for n in range(1, self.horizon + 1):
-            seen = set()
-            src_n, dst_n = [], []
-            for e in self.alphabets[n]:
-                if e.label in seen:
-                    raise IntegrityError(f"duplicate letter {e.label!r} at time {n}")
-                seen.add(e.label)
-                i = self.vertex_index[n - 1].get(e.src)
-                t = self.vertex_index[n].get(e.dst)
-                if i is None:
-                    raise IntegrityError(
-                        f"letter {e.label!r} at time {n}: src {e.src!r} not in V_{n-1}"
-                    )
-                if t is None:
-                    raise IntegrityError(
-                        f"letter {e.label!r} at time {n}: dst {e.dst!r} not in V_{n}"
-                    )
-                src_n.append(i)
-                dst_n.append(t)
-            src.append(np.array(src_n, dtype=np.intp))
-            dst.append(np.array(dst_n, dtype=np.intp))
+            key = id(self.alphabets[n]), id(self.vertex_sets[n - 1]), id(self.vertex_sets[n])
+            if key not in coded:
+                coded[key] = self._code(n)
+            src.append(coded[key][0])
+            dst.append(coded[key][1])
         self.src_index, self.dst_index = tuple(src), tuple(dst)
-        for n in range(1, self.horizon):
+        self.incidence = (None,) + tuple(
             self.incidence[n].bind(dst[n], src[n + 1], self.vertex_sets[n])
+            for n in range(1, self.horizon)
+        )
+
+    def _code(self, n):
+        """(src, dst): the positions in V_{n-1} of the initial vertices and
+        in V_n of the terminal vertices of the letters of time n."""
+        seen = set()
+        src, dst = [], []
+        for e in self.alphabets[n]:
+            if e.label in seen:
+                raise IntegrityError(f"duplicate letter {e.label!r} at time {n}")
+            seen.add(e.label)
+            i = self.vertex_index[n - 1].get(e.src)
+            t = self.vertex_index[n].get(e.dst)
+            if i is None:
+                raise IntegrityError(
+                    f"letter {e.label!r} at time {n}: src {e.src!r} not in V_{n-1}"
+                )
+            if t is None:
+                raise IntegrityError(
+                    f"letter {e.label!r} at time {n}: dst {e.dst!r} not in V_{n}"
+                )
+            src.append(i)
+            dst.append(t)
+        return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
 
     # -- lookups ----------------------------------------------------------
     @cached_property
@@ -421,7 +497,9 @@ class GraphSchedule:
     def step_complete(self, n: int) -> bool:
         return self.incidence[n].is_complete(self.kept[n], self.kept[n + 1])
 
-    def step_matrix(self, n: int) -> np.ndarray:
+    def _capped_step(self, n: int) -> Incidence:
+        """incidence[n], for a product of explicit steps: BudgetError when it
+        is a complete step with more than DENSE_LETTER_CAP letters a side."""
         inc = self.incidence[n]
         if max(inc.n_cur, inc.n_nxt) > DENSE_LETTER_CAP and isinstance(
             inc, FullIncidence
@@ -429,7 +507,10 @@ class GraphSchedule:
             raise BudgetError(
                 f"step {n} too large to materialize ({inc.n_cur}x{inc.n_nxt})"
             )
-        return inc.matrix(self.kept[n], self.kept[n + 1])
+        return inc
+
+    def step_matrix(self, n: int) -> np.ndarray:
+        return self._capped_step(n).matrix(self.kept[n], self.kept[n + 1])
 
 
 def ncifs_schedule(letter_labels_per_time, vertex="v"):
@@ -624,19 +705,26 @@ class PrimitivityCertificate:
     horizon_checked: int
 
 
-def _products_positive(schedule, p):
+def _products_positive(schedule, p, chains=None):
     """All p-matrix products A^(n)...A^(n+p-1) entrywise positive on kept letters.
 
-    The products are boolean: each step multiplies 0/1 matrices in float32
-    and keeps only `> 0`.  A sum of non-negative terms is positive exactly
-    when one term is, whatever the rounding, so the test is exact.
+    Each product is boolean and kept transposed: row b of the one from time
+    n says which letters of time n reach letter b of time n+p on kept
+    letters.  It grows one step at a time through `Incidence.reach`, an OR
+    with no sum, so the test is exact.  `chains` maps each start time n to
+    its longest product so far, as (number of steps, product); a caller that
+    asks for p = 1, 2, ... in turn passes one dict, so each start time's
+    product of p matrices extends its product of p-1 by one step.
     """
+    chains = {} if chains is None else chains
+    kept = schedule.kept
     for n in range(1, schedule.horizon - p + 1):
-        prod = schedule.step_matrix(n)
-        for j in range(n + 1, n + p):
-            step = schedule.step_matrix(j).astype(np.float32)
-            prod = (prod.astype(np.float32) @ step) > 0
-        prod = prod[schedule.kept[n]][:, schedule.kept[n + p]]
+        k, prod = chains.get(n) or (1, schedule.step_matrix(n).T)
+        for j in range(n + k, n + p):
+            prod = schedule._capped_step(j).reach(prod)
+            prod[~kept[j + 1]] = False
+        chains[n] = (p, prod)
+        prod = prod[kept[n + p]][:, kept[n]]
         if prod.size == 0 or not prod.all():
             return False
     return True
@@ -713,6 +801,8 @@ def find_primitivity(schedule: GraphSchedule, p_max: int):
     otherwise the smallest p >= 1 whose p-matrix products are all entrywise
     positive.  With pruned alphabets this implies the connector definition at
     the same p; no connector words are built.  None when no p <= p_max works.
+    The search over p keeps each start time's product and extends it by one
+    step for the next p, so it forms each product of consecutive steps once.
     """
     if schedule.horizon < p_max + 2:
         raise ConfigurationError(
@@ -721,7 +811,8 @@ def find_primitivity(schedule: GraphSchedule, p_max: int):
         )
     if all(schedule.step_complete(n) for n in range(1, schedule.horizon)):
         return PrimitivityCertificate(0, {}, 1.0, schedule.horizon)
+    chains = {}
     for p in range(1, p_max + 1):
-        if _products_positive(schedule, p):
+        if _products_positive(schedule, p, chains):
             return PrimitivityCertificate(p, {}, None, schedule.horizon)
     return None

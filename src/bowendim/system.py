@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from .maps import (
     Similarity,
     Space,
 )
-from .symbolic import GraphSchedule
+from .symbolic import GraphSchedule, _shared_rows
 
 
 @dataclass(frozen=True)
@@ -75,34 +75,46 @@ class LetterTable:
         return n, i - self.start[n]
 
 
+def _map_columns(maps, dim):
+    """(family, ratio, offset, digit) lists of one time's maps, as the
+    letter table's columns take them (offset flat)."""
+    blank = (0.0,) * dim
+    family, ratio, offset, digit = [], [], [], []  # offset: flat
+    for p in maps:
+        kind = type(p)
+        if kind is Similarity and p.dim == dim:
+            family.append(SIMILARITY)
+            ratio.append(p.ratio)
+            offset += p.offset
+            digit.append(1.0)
+            continue
+        if kind is MoebiusInverse:
+            family.append(MOEBIUS)
+            digit.append(p.digit)
+        else:
+            family.append(OTHER)
+            digit.append(1.0)
+        # a Similarity of another dim keeps its ratio for the sweep
+        ratio.append(p.ratio if kind is Similarity else 0.0)
+        offset += blank
+    return family, ratio, offset, digit
+
+
 def _letter_table(system) -> LetterTable:
-    """The system's letters and spaces as columns, in one pass over each."""
+    """The system's letters and spaces as columns, in one pass over each
+    distinct row of maps (rows that repeat under a cycle rule are one)."""
     sched = system.schedule
-    blank = (0.0,) * system.dim
     space_start = tuple(accumulate([0] + [len(row) for row in system.spaces]))
     spaces = [s for row in system.spaces for s in row]
     interval = [s.kind == "interval" for s in spaces]
     bounds = [s.bounds if iv else (np.nan, np.nan) for s, iv in zip(spaces, interval)]
     times = range(1, system.horizon + 1)
-    family, ratio, offset, digit = [], [], [], []  # offset: flat
-    for n in times:
-        for p in system.maps[n]:
-            kind = type(p)
-            if kind is Similarity and p.dim == system.dim:
-                family.append(SIMILARITY)
-                ratio.append(p.ratio)
-                offset += p.offset
-                digit.append(1.0)
-                continue
-            if kind is MoebiusInverse:
-                family.append(MOEBIUS)
-                digit.append(p.digit)
-            else:
-                family.append(OTHER)
-                digit.append(1.0)
-            # a Similarity of another dim keeps its ratio for the sweep
-            ratio.append(p.ratio if kind is Similarity else 0.0)
-            offset += blank
+    family, ratio, offset, digit = (
+        list(chain.from_iterable(column))
+        for column in zip(*_shared_rows(
+            (system.maps[n] for n in times), lambda maps: _map_columns(maps, system.dim)
+        ))
+    )
     sizes = [0] + [len(sched.letters(n)) for n in times]
     space_lo, space_hi = np.array(bounds, dtype=float).reshape(-1, 2).T
     return LetterTable(

@@ -48,6 +48,7 @@ from .symbolic import (
     Word,
     certify_primitivity,
     find_primitivity,
+    _shared_rows,
 )
 from .system import SystemSpec, validate_system
 from .thermo import PSeriesTail
@@ -91,17 +92,24 @@ def _incidences(matrices, alphabets):
     per_step = [matrices] * steps if one else list(matrices)
     if len(per_step) != steps:
         raise BuildError(f"need {steps} incidence steps, got {len(per_step)}")
-    out = []
-    for cur, nxt, spec in zip(alphabets, alphabets[1:], per_step):
+
+    def incidence(step):
+        cur, nxt, spec = step
         if isinstance(spec, str):
             if spec == "full":
-                out.append(FullIncidence())
-                continue
+                return FullIncidence()
             if spec != "identity":
                 raise BuildError(f"unknown incidence rule {spec!r}")
             spec = [[a.label == b.label for b in nxt] for a in cur]
-        out.append(DenseIncidence(np.asarray(spec, dtype=bool)))
-    return out
+        return DenseIncidence(np.asarray(spec, dtype=bool))
+
+    # steps that reuse one spec on one pair of alphabets share one incidence,
+    # which the schedule then binds once
+    return _shared_rows(
+        zip(alphabets, alphabets[1:], per_step),
+        incidence,
+        key=lambda step: tuple(map(id, step)),
+    )
 
 
 def _assemble(vertex_sets, alphabets, maps, spaces, matrices="full", **fields):
@@ -113,21 +121,23 @@ def _assemble(vertex_sets, alphabets, maps, spaces, matrices="full", **fields):
     )
     system = SystemSpec(
         schedule=schedule,
-        spaces=tuple(tuple(row) for row in spaces),
-        maps=((),) + tuple(tuple(row) for row in maps),
+        spaces=tuple(_shared_rows(spaces, tuple)),
+        maps=((),) + tuple(_shared_rows(maps, tuple)),
         **fields,
     )
     return validate_system(system)
 
 
 def _one_vertex(labels, maps, space, matrices="full", **fields):
-    """The one-vertex case: every letter a loop at "v" on the same space."""
+    """The one-vertex case: every letter a loop at "v" on the same space;
+    a label row that repeats (one object at several times) gives one row of
+    letters."""
     horizon = len(labels)
     # letters are immutable: one object per label serves every time
     pool = {lbl: Letter(lbl, "v", "v") for lbl in set(chain.from_iterable(labels))}
     return _assemble(
         [("v",)] * (horizon + 1),
-        [[pool[lbl] for lbl in row] for row in labels],
+        _shared_rows(labels, lambda row: tuple(pool[lbl] for lbl in row)),
         maps,
         [(space,)] * (horizon + 1),
         matrices,
@@ -166,11 +176,15 @@ def build_similarity_system(
             found = pool[r, o] = Similarity(r, (o,))
         return found
 
-    maps = [
-        [similarity(r, o) for r, o in zip(ratios, offs)]
-        for ratios, offs in zip(ratios_schedule, offsets)
-    ]
-    labels = [[f"m{k}" for k in range(len(row))] for row in ratios_schedule]
+    # one row of maps per distinct pair of rows, one of labels per row length
+    maps = _shared_rows(
+        zip(ratios_schedule, offsets),
+        lambda rows: tuple(similarity(r, o) for r, o in zip(*rows)),
+        key=lambda rows: tuple(map(id, rows)),
+    )
+    labels = _shared_rows(
+        ratios_schedule, lambda row: tuple(f"m{k}" for k in range(len(row))), key=len
+    )
     return _one_vertex(
         labels, maps, interval(0.0, 1.0), matrices, provenance=provenance
     )
@@ -187,8 +201,10 @@ def build_cf_system(
         if any(b < 1 for b in digits):
             raise BuildError(f"digit < 1 at time {n}; branches would expand")
     return _one_vertex(
-        [[str(b) for b in digits] for digits in digit_schedule],
-        [[MoebiusInverse(float(b)) for b in digits] for digits in digit_schedule],
+        _shared_rows(digit_schedule, lambda digits: tuple(str(b) for b in digits)),
+        _shared_rows(
+            digit_schedule, lambda digits: tuple(MoebiusInverse(float(b)) for b in digits)
+        ),
         interval(0.0, 1.0),
         matrix_rule,
         tail_rule=tail_rule,
@@ -280,7 +296,9 @@ def build_ascending(spec: AscendingSpec) -> SystemSpec:
     spec.validate()
     return _one_vertex(
         spec.include,
-        [[spec.base_maps[lbl] for lbl in labels] for labels in spec.include],
+        _shared_rows(
+            spec.include, lambda labels: tuple(spec.base_maps[lbl] for lbl in labels)
+        ),
         interval(0.0, 1.0),
         tail_rule=spec.tail_rule,
         flags=frozenset({"ascending"}),

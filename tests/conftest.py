@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bowendim import bundled
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**extra):
+    """The environment for a child interpreter: this one's, with the package
+    sources first on PYTHONPATH (pytest's own `pythonpath` setting does not
+    reach a child) and `extra` set."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,14 @@ letters back through the levels and joining them.
 did before its closed form for reciprocal-shift windows: every admissible
 window listed by a depth-first search over each letter's followers, and
 composed.  `schedule_words` runs `brute_words` on a schedule's raw alphabets
-and unpruned incidence matrices.
+and unpruned incidence matrices.  `asarray_zero_one` is the config loader's
+0/1 matrix read as it was before rows of ints were joined as bytes: one
+`np.asarray`, then a walk to the first offending field.
 """
 
 import numpy as np
+
+from bowendim.config import _expect, _fail, _number
 
 
 def dense_grid_norm(maps_seq, domain, n_grid=100_000):
@@ -353,3 +357,33 @@ def per_letter_evenly_varying(system, cap=100.0):
         for v in vs:
             c = max(c, v / eta[lbl], eta[lbl] / v)
     return c <= cap, c, eta
+
+
+def asarray_zero_one(rows, path, int_matrices=None):
+    """A rectangular list of 0/1 (or boolean) rows as a boolean array; with
+    `int_matrices`, one parsed as integers is kept there by id."""
+    try:
+        arr = np.asarray(rows)
+        regular = arr.ndim == 2 and arr.dtype.kind in "biuf"
+    except ValueError:  # ragged rows
+        regular = False
+    if not regular:  # find the first offending field
+        _expect(isinstance(rows, list) and rows, path, "nonempty list of rows required")
+        for i, row in enumerate(rows):
+            _expect(isinstance(row, list), f"{path}[{i}]", "row of 0/1 entries required")
+            _expect(
+                len(row) == len(rows[0]),
+                f"{path}[{i}]",
+                f"row of {len(rows[0])} entries required, got {len(row)}",
+            )
+            for j, v in enumerate(row):
+                _expect(_number(v) or isinstance(v, bool), f"{path}[{i}][{j}]",
+                        f"0 or 1 required, got {v!r}")
+    bad = np.argwhere((arr != 0) & (arr != 1))
+    if bad.size:
+        i, j = bad[0].tolist()
+        _fail(f"{path}[{i}][{j}]", f"0 or 1 required, got {rows[i][j]!r}")
+    mat = arr.astype(bool)
+    if int_matrices is not None and arr.dtype.kind == "i":
+        int_matrices[id(rows)] = (rows, mat)
+    return mat

@@ -4,7 +4,6 @@ Each criterion runs at its stated tolerance; pytest -s shows the lines.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -27,6 +26,7 @@ from bowendim.systems import (
     system_certify,
     system_primitivity,
 )
+from conftest import child_env
 
 T_STAR3 = math.log(2) / math.log(3)
 # dim E_{1,2}, continued fractions with digits 1 and 2 (Jenkinson-Pollicott 2001)
@@ -275,7 +275,7 @@ def test_criterion_10_determinism(tmp_path):
     for name, threads in (("n1", "1"), ("n4", "4")):
         for run in ("a", "b"):
             out = tmp_path / f"{name}{run}"
-            env = dict(os.environ, BOWENDIM_THREADS=threads)
+            env = child_env(BOWENDIM_THREADS=threads)
             subprocess.run(
                 [sys.executable, "-m", "bowendim.cli", "report", "cf12",
                  "--out", str(out), "--n-max", "12", "--depth", "10",

@@ -4,7 +4,6 @@ import copy
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +15,9 @@ from hypothesis import strategies as st
 
 from bowendim import SchemaError, cli, count_words, sample_limit_set
 from bowendim.cli import main
-from bowendim.config import load_config
+from bowendim.config import _zero_one, load_config
+from conftest import child_env
+from oracles import asarray_zero_one
 
 T_STAR3 = math.log(2) / math.log(3)
 
@@ -197,6 +198,84 @@ def test_digest_through_the_loader_equals_one_dump(tmp_path, name):
     assert meta["system_sha256"] == want
 
 
+# entries of every kind a JSON matrix can hold
+_ODD = [0.0, 1.0, 0.5, 2, -1, 256, 2**70, "1", "x", None]
+
+
+@st.composite
+def _matrix_like(draw):
+    """Nested lists as JSON gives them: rectangular rows of 0/1 ints, of
+    bools or of both, with drawn odd entries and drawn ragged, empty, nested
+    and non-list rows, or no list at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([3, "rows", None, 1.0, []]))
+    pool = draw(st.sampled_from([[0, 1], [0, 1, True, False], [True, False]]))
+    entry = st.sampled_from(pool)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.sampled_from(_ODD))
+    width = draw(st.integers(1, 5))
+    shapes = ["row"] * 12 + ["ragged", "empty", "nested", "scalar"]
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(shapes))
+        if kind == "row":
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+        elif kind == "ragged":
+            rows.append(draw(st.lists(entry, max_size=6)))
+        elif kind == "empty":
+            rows.append([])
+        elif kind == "nested":
+            rows.append([[0]] * width)
+        else:
+            rows.append(draw(st.sampled_from([width, 0, 1.0, True, "ab", None, {}])))
+    return rows
+
+
+def _read(read, rows, int_matrices):
+    """What one 0/1 matrix reader makes of `rows`: its array, or its
+    SchemaError's path and message, and what it put in `int_matrices`."""
+    try:
+        mat = read(rows, "system.matrices", int_matrices)
+    except SchemaError as exc:
+        got = ("error", exc.path, str(exc))
+    else:
+        got = ("ok", mat.dtype, mat.shape, mat.tolist())
+    kept = int_matrices and {
+        key: (rows_kept is rows, mat_kept.dtype, mat_kept.tolist())
+        for key, (rows_kept, mat_kept) in int_matrices.items()
+    }
+    return got, kept
+
+
+class TestZeroOneRead:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=_matrix_like(), collect=st.booleans())
+    def test_bytes_read_equals_asarray_read(self, rows, collect):
+        # the one-pass bytes read gives the array, the first offending
+        # field's path and message, and the int_matrices entry of np.asarray
+        want = _read(asarray_zero_one, rows, {} if collect else None)
+        assert _read(_zero_one, rows, {} if collect else None) == want
+
+    def test_transfer_config_digest(self, tmp_path):
+        # a 300-letter, degree-3 matrix reused at every step: summary.json's
+        # system_sha256 as the np.asarray read gave it
+        n = 300
+        spec = {
+            "kind": "similarity", "horizon": 6,
+            "ratios": {"cycle": [[0.5 / n] * n, [0.25 / n] * n]},
+            "matrices": [[int((b - 7 * a) % n < 3) for b in range(n)] for a in range(n)],
+        }
+        path = write_cfg(tmp_path, "t.json", {"schema_version": 1, "system": spec})
+        cfg, _ = load_config(path)
+        assert len(cfg.int_matrices) == 1
+        out = tmp_path / "out"
+        assert main(["check", path, "--out", str(out)]) == 4
+        meta = json.loads((out / "summary.json").read_text())["meta"]
+        assert meta["system_sha256"] == (
+            "dd0baf399767da6cdcf9c4b5b7ea03442ed4f6a2b80d182a3fef010ae7228e2b"
+        )
+
+
 class TestCliExitCodes:
     def test_parse_error_is_2(self, tmp_path):
         path = write_cfg(tmp_path, "bad.json", {"schema_version": 1, "system": {"kind": "similarity", "horizon": 4, "ratios": 5}})
@@ -257,7 +336,7 @@ class TestCliExitCodes:
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "bowendim.cli", command, path,
              "--out", str(tmp_path / "o")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode in (0, 4)
         assert "Traceback" not in proc.stderr
@@ -339,7 +418,7 @@ class TestCliExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "bowendim.cli", "subsystem", name,
              "--out", str(tmp_path / "o")] + flags,
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -611,7 +690,7 @@ class TestCliArtifacts:
         outs = []
         for name, threads in (("t1", "1"), ("t4", "4")):
             out = tmp_path / name
-            env = dict(os.environ, BOWENDIM_THREADS=threads)
+            env = child_env(BOWENDIM_THREADS=threads)
             subprocess.run(
                 [sys.executable, "-m", "bowendim.cli", "report", "cf12",
                  "--out", str(out), "--n-max", "10", "--depth", "8",

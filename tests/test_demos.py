@@ -1,11 +1,11 @@
 """Every demo script runs to completion and prints something."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -16,7 +16,7 @@ def test_demo_runs(demo, tmp_path):
     # argv[1] is the output directory of demos that write files
     proc = subprocess.run(
         [sys.executable, str(demo), str(tmp_path)],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=tmp_path, env=child_env(),
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

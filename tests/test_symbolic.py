@@ -16,6 +16,7 @@ from bowendim import (
     InputError,
     IntegrityError,
     Word,
+    certify_primitivity,
     count_words,
     find_primitivity,
     growth_stats,
@@ -32,7 +33,11 @@ from bowendim.symbolic import (
     Letter,
     _products_positive,
 )
-from bowendim.systems import system_certify, system_primitivity
+from bowendim.systems import (
+    build_similarity_system,
+    system_certify,
+    system_primitivity,
+)
 from bowendim.thermo import hypothesis_report
 
 from oracles import (
@@ -636,3 +641,111 @@ class TestSharedPrimitives:
                 other = GraphSchedule(sched.vertex_sets, sched.alphabets, steps)
                 assert not f.same_relation(other.incidence[n])
                 assert not other.incidence[n].same_relation(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=multi_vertex_schedules())
+    def test_one_object_at_every_step(self, drawn):
+        # one complete-step object passed for every step binds as itself
+        # where the vertex codes repeat and as a bound copy where they differ
+        sched, _ = drawn
+        steps = sched.horizon - 1
+        fresh = GraphSchedule(
+            sched.vertex_sets, sched.alphabets, [FullIncidence() for _ in range(steps)]
+        )
+        # an object bound, and read, at one step of another schedule first
+        used = fresh.incidence[steps]
+        used.reach(np.ones(used.n_cur, dtype=bool))
+        for one in (FullIncidence(), used):
+            shared = GraphSchedule(sched.vertex_sets, sched.alphabets, [one] * steps)
+            for n in range(1, sched.horizon):
+                mine, theirs = shared.incidence[n], fresh.incidence[n]
+                np.testing.assert_array_equal(mine.matrix(), theirs.matrix())
+                ones = np.ones(mine.n_cur, dtype=bool)
+                assert mine.reach(ones).tolist() == theirs.reach(ones).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the primitivity search against an int64 scan
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def primitivity_schedules(draw):
+    """A schedule over one or two vertices a time, long enough for p up to
+    five, whose steps are complete or a dense drawn subset of the
+    composable pairs, so that some letters are pruned and some products
+    turn positive."""
+    horizon = draw(st.integers(3, 7))
+    vertex_sets = [
+        tuple(f"v{k}" for k in range(draw(st.integers(1, 2))))
+        for _ in range(horizon + 1)
+    ]
+    alphabets = [()]
+    for n in range(1, horizon + 1):
+        alphabets.append(tuple(
+            Letter(
+                f"e{k}",
+                draw(st.sampled_from(vertex_sets[n - 1])),
+                draw(st.sampled_from(vertex_sets[n])),
+            )
+            for k in range(draw(st.integers(1, 5)))
+        ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.5, 0.8, 0.95]))
+    steps = []
+    for n in range(1, horizon):
+        if draw(st.integers(0, 3)) == 0:
+            steps.append(FullIncidence())
+            continue
+        cur, nxt = alphabets[n], alphabets[n + 1]
+        mat = np.array([[a.dst == b.src for b in nxt] for a in cur], dtype=bool)
+        steps.append(DenseIncidence(mat & (rng.random(mat.shape) < density)))
+    sched = GraphSchedule(vertex_sets, alphabets, steps)
+    try:
+        sched.kept
+    except IntegrityError:  # pruning emptied an alphabet
+        assume(False)
+    return sched
+
+
+def scanned_primitivity(sched, p_max):
+    """The least p <= p_max of the positivity criterion, p by p in int64."""
+    if all(sched.step_complete(n) for n in range(1, sched.horizon)):
+        return 0
+    return next(
+        (p for p in range(1, p_max + 1) if int64_products_positive(sched, p)), None
+    )
+
+
+class TestChainedPrimitivity:
+    @settings(max_examples=200, deadline=None)
+    @given(sched=primitivity_schedules())
+    def test_search_equals_int64_scan(self, sched):
+        p_max = sched.horizon - 2
+        cert = find_primitivity(sched, p_max)
+        assert (None if cert is None else cert.p) == scanned_primitivity(sched, p_max)
+        for p in range(p_max + 1):
+            want = (
+                all(sched.step_complete(n) for n in range(1, sched.horizon))
+                if p == 0
+                else int64_products_positive(sched, p + 1)
+            )
+            assert (certify_primitivity(sched, p) is not None) == want
+
+    def test_search_extends_each_product_by_one_step(self, monkeypatch):
+        # 300 letters of degree 3 and horizon 6: no p <= 4 works, and the
+        # search forms A(1)A(2), then extends it by A(3) and by A(4)
+        n, horizon = 300, 6
+        mat = (np.arange(n)[None, :] - 7 * np.arange(n)[:, None]) % n < 3
+        ratios, offsets = [0.5 / n] * n, [k / n for k in range(n)]
+        system = build_similarity_system([ratios] * horizon, [offsets] * horizon, mat)
+        reach = symbolic.Incidence.reach
+        calls = []
+
+        def counted(inc, rows):
+            calls.append(rows.shape)
+            return reach(inc, rows)
+
+        monkeypatch.setattr(symbolic.Incidence, "reach", counted)
+        assert find_primitivity(system.schedule, 4) is None
+        assert len(calls) <= 3

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bowendim import (
@@ -13,6 +13,7 @@ from bowendim import (
     BuildError,
     EdgeSpec,
     InputError,
+    IntegrityError,
     MoebiusInverse,
     Similarity,
     Word,
@@ -38,6 +39,7 @@ from bowendim import (
     verify_osc,
 )
 from bowendim import bundled, symbolic, systems
+from bowendim.config import _PACKAGED, build_from_spec, load_config
 from bowendim.systems import system_certify, system_primitivity
 
 from oracles import schedule_words
@@ -196,6 +198,70 @@ class TestIncidenceSteps:
         assert not build(["full", fewer, "full"]).is_autonomous
         assert not build([fewer, "full", fewer]).is_autonomous
         assert not build([ones, ones, fewer]).is_autonomous
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(1, 6),
+        horizon=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reused_array_is_one_bound_step(self, size, horizon, seed):
+        # one array at every step of a one-vertex schedule binds one
+        # incidence; its tables and transfers are those of per-step copies
+        rng = np.random.default_rng(seed)
+        mat = rng.random((size, size)) < 0.6
+        ratios = [1.0 / (2 * size)] * size
+        offsets = [k / size for k in range(size)]
+
+        def build(mats):
+            return build_similarity_system([ratios] * horizon, [offsets] * horizon, mats)
+
+        try:
+            shared = build(mat).schedule
+        except IntegrityError:  # pruning emptied an alphabet
+            assume(False)
+        copies = build([mat.copy() for _ in range(horizon - 1)]).schedule
+        assert len({id(inc) for inc in shared.incidence[1:]}) == 1
+        assert len({id(inc) for inc in copies.incidence[1:]}) == horizon - 1
+        for n in range(1, horizon):
+            mine, theirs = shared.follower_table(n), copies.follower_table(n)
+            for field in ("row", "counts", "ptr", "cols"):
+                assert np.array_equal(getattr(mine, field), getattr(theirs, field))
+            u, w = rng.random(size), rng.random(size)
+            keep = rng.random(size) < 0.7
+            counts = rng.integers(0, 2**40, size).tolist()
+            a, b = shared.incidence[n], copies.incidence[n]
+            assert a.transfer(u, w, keep).tobytes() == b.transfer(u, w, keep).tobytes()
+            assert a.count_transfer(counts) == b.count_transfer(counts)
+
+    def test_reused_matrix_with_other_vertex_codes_raises(self):
+        # one matrix at every step of a gdms config: step 2 allows a pair
+        # whose vertices differ, and says so as per-step matrices did
+        def edge(label, src, dst, offset):
+            return {"label": label, "src": src, "dst": dst, "ratio": 0.2, "offset": offset}
+
+        spec = {
+            "kind": "gdms", "horizon": 4,
+            "vertices": {"cycle": [["a", "b"]]},
+            "spaces": {"a": [0, 1], "b": [0, 1]},
+            "edges": {"cycle": [
+                [edge("e0", "a", "a", 0.0), edge("e1", "b", "b", 0.5)],
+                [edge("f0", "a", "b", 0.0), edge("f1", "b", "a", 0.5)],
+            ]},
+            "matrices": [[1, 0], [0, 1]],
+        }
+        with pytest.raises(IntegrityError) as exc:
+            build_from_spec(spec)
+        assert str(exc.value) == "incidence allows letters 0->0 with t(a)='b' != i(b)='a'"
+
+    def test_autonomy_verdicts_of_the_bundled_systems(self):
+        # the verdicts before steps that reuse one relation shared one object
+        verdicts = {name: load_config(name)[1].is_autonomous for name in sorted(_PACKAGED)}
+        assert verdicts == {
+            "ab-half": False, "alt24": False, "ascend-cf12": False, "cantor3": True,
+            "cf12": True, "elliptic-q2": True, "gdms2v": True, "interval2": True,
+            "perm2": True, "pinch2": False,
+        }
 
     def test_autonomy_builds_no_matrix(self, monkeypatch):
         # 300 digits a time: the check compares follower tables, not
