@@ -20,11 +20,12 @@ The words of a range (m, n) and their norms do not depend on t, so
 `level_norms` walks each (system, range) once and keeps its norms in a
 one-slot memo on the system; every evaluation at a t (bisection, the t grid,
 the measure trend, the lower-bound diagnostics) sums powers of those cached
-norms.  Swept ranges keep one table: each level's distinct norm bounds, with
-how many words share each, so an evaluation raises every distinct norm to t
-once (a word and its reversal share a continuant, so digit levels repeat
-most norms) and sums all levels in one count-weighted pass.  Level sums are
-correctly rounded: `exact_sum` equals `math.fsum`.
+norms.  Every range, swept or walked, keeps one table: each level's
+distinct norm bounds, with how many words share each, so an evaluation
+raises every distinct norm to t once (a word and its reversal share a
+continuant, so digit levels repeat most norms) and sums all levels in one
+count-weighted pass.  Level sums are correctly rounded: `exact_sum` equals
+`math.fsum`.
 """
 
 from __future__ import annotations
@@ -34,17 +35,19 @@ import math
 import numpy as np
 
 from .errors import BudgetError, UnsupportedError
-from .maps import MoebiusInverse, Similarity, compose_norm
+from .maps import compose_norm
 from .symbolic import Word, count_words
 
 DEFAULT_BUDGET = 2_000_000
 
 
 def _family(system, m, n):
-    kinds = frozenset().union(*system._map_types[m : n + 1])
-    if kinds <= {Similarity}:
+    """The map family of the kept letters of times m..n ("similarity",
+    "moebius" or "generic"), from the system's per-time family counts."""
+    sim, moebius, other = system._family_counts[m : n + 1].sum(axis=0).tolist()
+    if not (moebius or other):
         return "similarity"
-    if kinds <= {MoebiusInverse}:
+    if not (sim or other):
         return "moebius"
     return "generic"
 
@@ -62,18 +65,22 @@ def _moebius_float_safe(system, m, n) -> bool:
 
 
 def vector_state(system, m, n, points=False):
-    """The vectorized state for the range m..n (point states for the samplers),
-    or None when only the word-at-a-time walk applies."""
+    """The vectorized state for the range m..n, or None when only the
+    word-at-a-time walk applies.  Similarity states place points too; digit
+    ranges take the continuant quadruple for the samplers (`points`), while
+    their continuants stay below 2^52."""
     fam = _family(system, m, n)
     if fam == "similarity":
-        return (SimilarityPointState if points else SimilarityState)(system)
+        return SimilarityState(system)
     if fam == "moebius" and (not points or _moebius_float_safe(system, m, n)):
         return (MoebiusPointState if points else MoebiusState)(system)
     return None
 
 
 class SimilarityState:
-    """norms[i] = exact |D phi_w| of frontier word i (product of |ratio|)."""
+    """Affine composition (scale, offset...) of each frontier word: the
+    norm |D phi_w| = |scale| (exact, as rounding is sign-symmetric, so it
+    equals the product of |ratio|) and the point samplers' images."""
 
     # what a BudgetError from a sweep with this state suggests instead
     budget_hint = "try the matrix-exact strategy"
@@ -82,20 +89,38 @@ class SimilarityState:
         self.system = system
 
     def init(self, j, letters):
-        ratios = self._ratios(j)
-        return (ratios[letters],)
+        return self._columns(j, letters)
 
     def extend(self, j, state, src, new_letters):
-        (norms,) = state
-        return (norms[src] * self._ratios(j)[new_letters],)
+        scale, *off = state
+        nscale, *noffs = self._columns(j, new_letters)
+        out_scale = scale[src] * nscale
+        out_offs = [scale[src] * no + o[src] for o, no in zip(off, noffs)]
+        return (out_scale, *out_offs)
 
-    def _ratios(self, j):
+    def _columns(self, j, letters):
+        """(ratio, offset...) of the given letters of time j."""
         tab = self.system.letter_table
-        return np.abs(tab.ratio[tab.span(j)])
+        sp = tab.span(j)
+        return (tab.ratio[sp][letters],) + tuple(tab.offset[:, sp][:, letters])
 
     def norm_bounds(self, state, k):
-        (norms,) = state
+        norms = np.abs(state[0])
         return norms, norms
+
+    def region(self, state, dom):
+        """Per-word (center..., radius) of the image of the domain space."""
+        scale, *off = state
+        if self.system.dim == 1:
+            lo, hi = dom.bounds
+            a = scale * lo + off[0]
+            b = scale * hi + off[0]
+            return (0.5 * (a + b),), 0.5 * np.abs(b - a)
+        cx, cy, r = dom.bounds
+        return (
+            (scale * cx + off[0], scale * cy + off[1]),
+            np.abs(scale) * r,
+        )
 
 
 class MoebiusState:
@@ -143,40 +168,6 @@ class MoebiusState:
         rel = width / (1.0 - width)
         lo = np.maximum(v * (1.0 - rel) - 2.0**-1072, 0.0)
         return lo, v * (1.0 + rel) + 2.0**-1072
-
-
-class SimilarityPointState(SimilarityState):
-    """Affine composition (scale, offset / offset2d) for point sampling."""
-
-    def init(self, j, letters):
-        return self._columns(j, letters)
-
-    def extend(self, j, state, src, new_letters):
-        scale, *off = state
-        nscale, *noffs = self._columns(j, new_letters)
-        out_scale = scale[src] * nscale
-        out_offs = [scale[src] * no + o[src] for o, no in zip(off, noffs)]
-        return (out_scale, *out_offs)
-
-    def _columns(self, j, letters):
-        """(ratio, offset...) of the given letters of time j."""
-        tab = self.system.letter_table
-        sp = tab.span(j)
-        return (tab.ratio[sp][letters],) + tuple(tab.offset[:, sp][:, letters])
-
-    def region(self, state, dom):
-        """Per-word (center..., radius) of the image of the domain space."""
-        scale, *off = state
-        if self.system.dim == 1:
-            lo, hi = dom.bounds
-            a = scale * lo + off[0]
-            b = scale * hi + off[0]
-            return (0.5 * (a + b),), 0.5 * np.abs(b - a)
-        cx, cy, r = dom.bounds
-        return (
-            (scale * cx + off[0], scale * cy + off[1]),
-            np.abs(scale) * r,
-        )
 
 
 class MoebiusPointState(MoebiusState):
@@ -398,28 +389,21 @@ def _segment_sums(x, counts, cuts):
 class LevelNorms:
     """Norm bounds of the admissible words of one range (m, n), level by level.
 
-    Nothing here depends on t.  Swept levels (they carry their state's
-    `budget_hint`) are kept as one table, one segment per level and side:
-    `values` holds the distinct sorted lo bounds of each level, and its
-    distinct hi bounds where the state gives hi apart from lo, segment after
-    segment, and `counts[i]` is how many of the segment's words share
-    values[i].  Equal floats have equal powers, so each t takes one numpy
-    power and one weighted `_segment_sums` pass over every level.  Walked
-    levels (budget_hint None) keep per-word lists of bracket floats in
-    `walked`.  `sizes[j - m]` is the word count at time j.
+    Nothing here depends on t.  The levels are kept as one table, one
+    segment per level and side: `values` holds the distinct sorted lo bounds
+    of each level, and its distinct hi bounds where they differ from lo,
+    segment after segment, and `counts[i]` is how many of the segment's
+    words share values[i].  Equal floats have equal powers, so each t takes
+    one numpy power and one weighted `_segment_sums` pass over every level.
+    `sizes[j - m]` is the word count at time j, and `budget_hint` is the
+    sweep state's (None for levels of the word-at-a-time walk).
     """
 
     def __init__(self, m, levels, budget_hint=None):
-        """`levels[j - m]` is the (lo, hi) pair at time j: lists of floats for
-        walked levels, `_distinct` (values, counts) pairs for swept ones (hi
-        is lo where the state keeps the norms as exact)."""
+        """`levels[j - m]` is the `_distinct` (values, counts) pair of lo and
+        of hi at time j (hi is lo where the two are equal)."""
         self.m = m
-        self.vectorized = budget_hint is not None
         self.budget_hint = budget_hint
-        if not self.vectorized:
-            self.walked = levels
-            self.sizes = [len(lo) for lo, _ in levels]
-            return
         segments = []
         self._sides = []
         for lo, hi in levels:
@@ -435,7 +419,7 @@ class LevelNorms:
 
     def check_budget(self, budget):
         """Raise the BudgetError a fresh walk of this range would raise."""
-        if not self.vectorized:
+        if self.budget_hint is None:
             if sum(self.sizes) > budget:
                 raise _walk_over_budget(budget)
             return
@@ -444,21 +428,7 @@ class LevelNorms:
                 raise _frontier_over_budget(size, j, budget, self.budget_hint)
 
     def power_sums(self, t):
-        """{j: (Z_lo, Z_hi, words)}: sums of norm**t per level, correctly rounded.
-
-        The swept levels take numpy's power; the walked ones keep Python's
-        `**` and math.fsum, whose power can differ from numpy's in the last
-        bit.
-        """
-        if not self.vectorized:
-            return {
-                j: (
-                    math.fsum([x**t for x in lo]),
-                    math.fsum([x**t for x in hi]),
-                    len(lo),
-                )
-                for j, (lo, hi) in enumerate(self.walked, self.m)
-            }
+        """{j: (Z_lo, Z_hi, words)}: sums of norm**t per level, correctly rounded."""
         sums = _segment_sums(self.values**t, self.counts, self._cuts)
         return {
             j: (sums[a], sums[b], size)
@@ -483,26 +453,31 @@ def _distinct(x):
 
 def _walk_levels(system, m, n, budget):
     impl = vector_state(system, m, n)
+    levels = []
+
+    def add(lo, hi):
+        lo_table = _distinct(lo)
+        levels.append((lo_table, lo_table if hi is lo else _distinct(hi)))
+
     if impl is not None:
-        levels = []
 
         def on_level(j, letters, state, src):
-            lo, hi = impl.norm_bounds(state, j - m + 1)
-            lo_table = _distinct(lo)
-            hi_table = lo_table if hi is lo else _distinct(hi)
-            levels.append((lo_table, hi_table))
+            add(*impl.norm_bounds(state, j - m + 1))
 
         sweep(system, m, n, impl, on_level, budget)
         return LevelNorms(m, levels, impl.budget_hint)
-    lows = [[] for _ in range(m, n + 1)]
-    highs = [[] for _ in range(m, n + 1)]
+    brackets = [([], []) for _ in range(m, n + 1)]
 
     def on_word(j, word, bracket):
-        lows[j - m].append(bracket.lo)
-        highs[j - m].append(bracket.hi)
+        lows, highs = brackets[j - m]
+        lows.append(bracket.lo)
+        highs.append(bracket.hi)
 
     generic_norm_walk(system, m, n, on_word, budget)
-    return LevelNorms(m, tuple(zip(lows, highs)))
+    for lows, highs in brackets:
+        lo = np.array(lows, dtype=float)
+        add(lo, lo if lows == highs else np.array(highs, dtype=float))
+    return LevelNorms(m, levels)
 
 
 def level_norms(system, m, n, budget=DEFAULT_BUDGET) -> LevelNorms:

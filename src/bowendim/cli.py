@@ -316,9 +316,10 @@ def cmd_subsystem(args, cfg, system, out):
     mode = _param(args, cfg, "mode")
     t = _param(args, cfg, "t", float)
     if mode == "blocks":
-        cert = system_certify(system, args.p if args.p is not None else 1)
+        p = args.p if args.p is not None else 1
+        cert = system_certify(system, p)
         if cert is None:
-            raise CertificationError(f"no connector certificate at p={args.p}")
+            raise CertificationError(f"no connector certificate at p={p}")
         sub = extract_subsystem_g_bounded(system, cert, _param(args, cfg, "ell", int), t)
         payload = {
             "command": "subsystem",

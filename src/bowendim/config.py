@@ -324,6 +324,9 @@ def _build_cf(spec, path, int_matrices):
         then = digits.get("then")
         _expect(isinstance(then, list), f"{path}.digits.then", "constant tail list required")
         _expect(isinstance(prefix, list), f"{path}.digits.prefix", "list of rows required")
+        _expect(
+            len(prefix) <= horizon, f"{path}.digits.prefix", f"need at most {horizon} rows"
+        )
         rows = prefix + [then] * (horizon - len(prefix))
     elif isinstance(digits, list) and digits and not isinstance(digits[0], list):
         rows = [digits] * horizon
@@ -422,6 +425,9 @@ def _ascending_spec(spec, path="system") -> AscendingSpec:
     if isinstance(inc, dict) and "prefix" in inc:
         prefix = inc.get("prefix", [])
         _expect(isinstance(prefix, list), f"{path}.include.prefix", "list of rows required")
+        _expect(
+            len(prefix) <= horizon, f"{path}.include.prefix", f"need at most {horizon} rows"
+        )
         prefix = _lists(prefix, f"{path}.include.prefix")
         then = inc.get("then")
         _expect(isinstance(then, list), f"{path}.include.then", "constant tail required")

@@ -3,11 +3,11 @@
 Besides the per-letter maps, a system keeps one letter table: numpy columns,
 time after time, of each letter's family, similarity ratio and offset or
 reciprocal-shift digit, and domain and codomain space indices.  Validation,
-the letter norm brackets, the distortion constant and the vectorized
-frontier states read these columns, so the images and norms of similarity
-and reciprocal-shift letters are computed for every time at once;
-tabulated and composed letters, and disk spaces, keep the per-letter
-`image` and `norm_on`.
+the letter norm brackets, the distortion constant, the vectorized frontier
+states and each range's map family read these columns, so the images and
+norms of similarity and reciprocal-shift letters are computed for every
+time at once; tabulated and composed letters, and disk spaces, keep the
+per-letter `image` and `norm_on`.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class LetterTable:
     time in alphabet order: letter idx of time n sits at start[n] + idx.
 
     `family` is SIMILARITY (a `Similarity` of the system's dim), MOEBIUS (a
-    `MoebiusInverse`) or OTHER; `ratio` holds every `Similarity`'s ratio and
-    `offset` (dim x letters) a SIMILARITY letter's offset, 0 elsewhere;
+    `MoebiusInverse`) or OTHER; `ratio` and `offset` (dim x letters) hold a
+    SIMILARITY letter's ratio and offset, 0 elsewhere;
     `digit` a MOEBIUS letter's digit, 1 elsewhere; `kept` the schedule's
     pruning mask and `time` each letter's time.  `dom` and `cod` index the
     letter's domain space (its terminal vertex, at time n) and codomain
@@ -88,14 +88,10 @@ def _map_columns(maps, dim):
             offset += p.offset
             digit.append(1.0)
             continue
-        if kind is MoebiusInverse:
-            family.append(MOEBIUS)
-            digit.append(p.digit)
-        else:
-            family.append(OTHER)
-            digit.append(1.0)
-        # a Similarity of another dim keeps its ratio for the sweep
-        ratio.append(p.ratio if kind is Similarity else 0.0)
+        moebius = kind is MoebiusInverse
+        family.append(MOEBIUS if moebius else OTHER)
+        digit.append(p.digit if moebius else 1.0)
+        ratio.append(0.0)
         offset += blank
     return family, ratio, offset, digit
 
@@ -187,13 +183,12 @@ class SystemSpec:
         return _letter_table(self)
 
     @cached_property
-    def _map_types(self) -> tuple:
-        """Per time n, the frozenset of map types of the kept letters."""
-        return tuple(
-            frozenset(type(self.maps[n][idx]) for idx in self.schedule.kept_indices(n))
-            if n else frozenset()
-            for n in range(self.horizon + 1)
-        )
+    def _family_counts(self) -> np.ndarray:
+        """(H + 1, 3) int array: row n counts time n's kept letters per
+        family code (SIMILARITY, MOEBIUS, OTHER); row 0 is zero."""
+        tab = self.letter_table
+        codes = tab.time[tab.kept] * 3 + tab.family[tab.kept]
+        return np.bincount(codes, minlength=3 * (self.horizon + 1)).reshape(-1, 3)
 
     @cached_property
     def _level_memo(self) -> dict:

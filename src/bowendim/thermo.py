@@ -24,7 +24,6 @@ from .errors import (
     InputError,
     UnsupportedError,
 )
-from .maps import Similarity
 from .symbolic import (
     PrimitivityCertificate,
     find_primitivity,
@@ -330,16 +329,13 @@ def bowen_dimension(
 
 class PSeriesTail:
     """Single-time sums comparable to sum_k |k|^(-c t) over a D-dimensional
-    lattice: converges iff c*t > D."""
+    lattice: converges iff t > threshold = D / c."""
 
     def __init__(self, coefficient: float, lattice_dim: int = 1):
         if coefficient <= 0:
             raise InputError("coefficient must be positive")
         self.coefficient = float(coefficient)
         self.lattice_dim = int(lattice_dim)
-
-    def converges(self, t: float) -> bool:
-        return self.coefficient * t > self.lattice_dim
 
     @property
     def threshold(self) -> float:
@@ -353,32 +349,21 @@ class ThetaBounds:
     method: str
 
 
-def theta_bounds(family_rule, tol: float = 1e-9, t_cap: float = 8.0) -> ThetaBounds:
-    """Finiteness threshold of the single-time sums, by bisection on the
-    convergence test; finite alphabets sit at zero."""
+def theta_bounds(family_rule) -> ThetaBounds:
+    """Finiteness threshold of the single-time sums, in closed form from the
+    tail rule; finite alphabets sit at zero."""
     if family_rule is None:
         return ThetaBounds(0.0, 0.0, "finite-alphabet")
-    if not hasattr(family_rule, "converges"):
+    if not hasattr(family_rule, "threshold"):
         raise ConfigurationError(
-            "infinite parametric alphabets need a tail rule with a"
-            " converges(t) test"
+            "infinite parametric alphabets need a tail rule with a threshold"
         )
-    lo, hi = 0.0, t_cap
-    if family_rule.converges(lo):
-        return ThetaBounds(0.0, 0.0, "tail-rule")
-    if not family_rule.converges(hi):
-        raise ConfigurationError(f"tail sums diverge for every t <= {t_cap}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if family_rule.converges(mid):
-            hi = mid
-        else:
-            lo = mid
-    return ThetaBounds(0.5 * (lo + hi), 0.5 * (lo + hi), "tail-rule")
+    theta = float(family_rule.threshold)
+    return ThetaBounds(theta, theta, "tail-rule")
 
 
 def system_theta(system) -> ThetaBounds:
-    return theta_bounds(system.tail_rule, t_cap=float(max(8, 4 * system.dim)))
+    return theta_bounds(system.tail_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +536,7 @@ def classify_rho(
 
 def balancing_class(system) -> BalancingReport:
     rho_seq = [system.rho(n) for n in range(1, system.horizon + 1)]
-    all_sim = frozenset().union(*system._map_types[1:]) <= {Similarity}
+    all_sim = _frontier._family(system, 1, system.horizon) == "similarity"
     return classify_rho(rho_seq, all_similarity=all_sim)
 
 

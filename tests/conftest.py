@@ -6,7 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bowendim import bundled
+from bowendim import TabulatedInterval, bundled, interval
+from bowendim.symbolic import ncifs_schedule
+from bowendim.system import SystemSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -17,6 +19,24 @@ def child_env(**extra):
     reach a child) and `extra` set."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def tabulated_pair_system(horizon):
+    """Two tabulated letters per time on [0, 1].  Each has sup |D phi| = 1,
+    but maps [0, 1] into [0, 0.45], inside the cell of slopes <= 0.15, so
+    every 2-letter window contracts."""
+
+    def tab(v1):
+        return TabulatedInterval(
+            nodes=(0.0, 0.5, 1.0), values=(0.0, v1, 0.45),
+            deriv_lo=(0.05, 0.7), deriv_hi=(0.15, 1.0), distortion=20.0,
+        )
+
+    return SystemSpec(
+        schedule=ncifs_schedule([["t0", "t1"]] * horizon),
+        spaces=tuple((interval(0.0, 1.0),) for _ in range(horizon + 1)),
+        maps=((),) + ((tab(0.05), tab(0.04)),) * horizon,
+    )
 
 
 @pytest.fixture(scope="session")

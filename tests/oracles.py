@@ -7,8 +7,9 @@ incidence matrix powers.  The dense-incidence references are the original
 per-column and per-row loops and int64 matrix products.  The letter-table
 references (`per_letter_*`) ask each map object in turn for its norm,
 image, type and distortion, as the system did before it kept its letters
-as numpy columns.  `grouped_sweep` is the frontier expansion as it was before
-the follower tables: one scan of the frontier per distinct letter, with that
+as numpy columns; `per_letter_family` sorts a range's letters by type.
+`grouped_sweep` is the frontier expansion as it was before the follower
+tables: one scan of the frontier per distinct letter, with that
 letter's followers read from its row of the kept step matrix.
 `traced_words` labels a sample's words as the sampler did before it
 extended each word's label from its parent's: by tracing every final word's
@@ -245,6 +246,24 @@ def per_letter_distortion(system):
         for idx in system.schedule.kept_indices(n):
             k = max(k, _map_distortion(system.maps[n][idx]))
     return k
+
+
+def per_letter_family(system, m, n):
+    """The map family of the kept letters of times m..n by their Python
+    types, as the system classified its range before the letter table's
+    family counts: "similarity", "moebius" or "generic"."""
+    from bowendim.maps import MoebiusInverse, Similarity
+
+    kinds = {
+        type(system.maps[j][idx])
+        for j in range(m, n + 1)
+        for idx in system.schedule.kept_indices(j).tolist()
+    }
+    if kinds <= {Similarity}:
+        return "similarity"
+    if kinds <= {MoebiusInverse}:
+        return "moebius"
+    return "generic"
 
 
 def per_letter_contraction(system):

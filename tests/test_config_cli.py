@@ -424,6 +424,32 @@ class TestCliExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "system, where",
+        [
+            ({"kind": "cf", "horizon": 3,
+              "digits": {"prefix": [[1, 2]] * 5, "then": [1, 2]}}, "digits"),
+            ({"kind": "ascending", "family": "cf", "horizon": 3,
+              "base": {"1": 1, "2": 2},
+              "include": {"prefix": [["1", "2"]] * 5, "then": ["1", "2"]}}, "include"),
+        ],
+        ids=["cf", "ascending"],
+    )
+    def test_prefix_past_the_horizon_is_2(self, tmp_path, capsys, system, where):
+        # a 5-row prefix once loaded as horizon 5 under "horizon": 3
+        path = write_cfg(tmp_path, "p.json", {"schema_version": 1, "system": system})
+        assert main(["check", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error at system.{where}.prefix: need at most 3 rows\n"
+        )
+
+    def test_blocks_without_p_names_the_p_it_tried(self, tmp_path, capsys):
+        args = ["subsystem", "perm2", "--mode", "blocks", "--out", str(tmp_path / "o")]
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            "semantic error: no connector certificate at p=1\n"
+        )
+
     def test_ok_is_0(self, tmp_path):
         assert main(
             ["dimension", "cantor3", "--out", str(tmp_path / "o0"), "--n-max", "12"]

@@ -1,11 +1,11 @@
 """The per-time letter table against the per-letter map objects.
 
 Every quantity the table feeds (letter brackets, the distortion constant,
-the contraction certificate, the evenly-varying check and the
-image-validation verdict) must equal, bit for bit, what asking each map
-object in turn gives
-(`oracles.per_letter_*`), on the bundled systems, re-blocked and block
-subsystems, and drawn similarity, continued-fraction and two-vertex systems.
+the contraction certificate, the evenly-varying check, the image-validation
+verdict and each range's map family) must equal, bit for bit, what asking
+each map object in turn gives (`oracles.per_letter_*`), on the bundled
+systems, re-blocked and block subsystems, drawn similarity,
+continued-fraction and two-vertex systems, and a tabulated and a mixed one.
 """
 
 import json
@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import tabulated_pair_system
 from bowendim import (
     BuildError,
     MoebiusInverse,
@@ -28,6 +29,7 @@ from bowendim import (
     reblock_one_primitive,
     reblock_pinched,
 )
+from bowendim import _frontier
 from bowendim.config import load_config
 from bowendim.errors import BowendimError
 from bowendim.symbolic import FullIncidence, GraphSchedule, Letter
@@ -74,6 +76,7 @@ def closed_form_applies(system, n, idx):
 
 
 def assert_table_matches(system):
+    assert_family_matches(system)
     assert validate_message(system) == oracles.per_letter_validate(system)
     # the closed form clears exactly the letters that fit, wherever it applies
     clears = _closed_form_clears(system)
@@ -100,6 +103,14 @@ def assert_table_matches(system):
     assert outcome(lambda: system.contraction) == outcome(
         lambda: oracles.per_letter_contraction(system)
     )
+
+
+def assert_family_matches(system):
+    h = system.horizon
+    for m in range(1, h + 1):
+        for n in range(m, h + 1):
+            expect = oracles.per_letter_family(system, m, n)
+            assert _frontier._family(system, m, n) == expect, (m, n)
 
 
 def raw_system(vertex_sets, alphabets, map_rows, space_rows):
@@ -218,6 +229,18 @@ def test_drawn_two_vertex_systems(w_space, edges):
     except BowendimError:
         return  # pruning emptied an alphabet: no system to compare
     assert_table_matches(system)
+
+
+def test_tabulated_and_mixed_families():
+    # similarity, reciprocal-shift, mixed and tabulated times, so ranges of
+    # every family occur
+    tab = tabulated_pair_system(2).maps[1][0]
+    sim, moeb = Similarity(0.3, (0.0,)), MoebiusInverse(2.0)
+    mixed = one_vertex([[sim, sim], [moeb, moeb], [sim, moeb], [tab, tab], [moeb]])
+    for system in (tabulated_pair_system(4), mixed):
+        assert_family_matches(system)
+    got = {_frontier._family(mixed, m, n) for m in range(1, 6) for n in range(m, 6)}
+    assert got == {"similarity", "moebius", "generic"}
 
 
 def _transfer_config(tmp_path, letters=300, degree=3, horizon=6):

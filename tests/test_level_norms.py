@@ -19,10 +19,12 @@ from bowendim import (
     cli,
     partition,
     pressure_estimate,
+    reblock_pinched,
 )
 from bowendim import _frontier, maps
 from bowendim._frontier import exact_sum
 from bowendim.maps import compose_norm
+from conftest import tabulated_pair_system
 
 
 def cf_wide(horizon=8):
@@ -126,9 +128,16 @@ def test_exact_sum_sorted_level():
 
 
 def _swept_words(system, n):
-    """{j: (lo, hi)}: the per-word norm bounds of a fresh sweep over (1, n)."""
+    """{j: (lo, hi)}: the per-word norm bounds of a fresh sweep over (1, n),
+    or of the word walk where no sweep state applies."""
     impl = _frontier.vector_state(system, 1, n)
     out = {}
+    if impl is None:
+        brackets = {j: [] for j in range(1, n + 1)}
+        _frontier.generic_norm_walk(
+            system, 1, n, lambda j, w, b: brackets[j].append((b.lo, b.hi))
+        )
+        return {j: tuple(np.array(b).T) for j, b in brackets.items()}
 
     def on_level(j, letters, state, src):
         lo, hi = impl.norm_bounds(state, j)
@@ -143,7 +152,16 @@ TABLE_SYSTEMS = {
     "ascend-cf12": lambda: bundled.ascend_cf12(12),
     "cf-wide": cf_wide,  # lo and hi part past 2^53, at time 8
     "gdms2v": lambda: bundled.gdms2v(10),
+    # walked: composed digit blocks, and tabulated letters
+    "pinched-cf12": lambda: reblock_pinched(bundled.cf12(12), [2, 4, 6, 8, 10, 12]),
+    "tabulated-pair": lambda: tabulated_pair_system(8),
 }
+
+
+def _segments(norms):
+    """The table's (values, counts) segments, in order."""
+    cuts = norms._cuts.tolist()[1:]
+    return list(zip(np.split(norms.values, cuts), np.split(norms.counts, cuts)))
 
 
 @pytest.fixture(scope="module", params=sorted(TABLE_SYSTEMS))
@@ -152,7 +170,11 @@ def table_and_words(request):
     system = make()
     n = system.horizon
     norms = _frontier.level_norms(system, 1, n)
-    assert norms.vectorized
+    # each level's sides hold its distinct norms ascending, counted once each
+    segments = _segments(norms)
+    for (a, b), size in zip(norms._sides, norms.sizes):
+        for values, counts in segments[a : b + 1]:
+            assert np.all(values[1:] > values[:-1]) and counts.sum() == size
     return norms, _swept_words(make(), n)
 
 
@@ -299,7 +321,12 @@ def _budget_message(fn):
 
 @pytest.mark.parametrize(
     "make, n, budget",
-    [(lambda: bundled.cf12(18), 18, 100), (cf_wide, 8, 500)],
+    [
+        (lambda: bundled.cf12(18), 18, 100),
+        (cf_wide, 8, 500),
+        # walked: the budget counts every composed word of the range
+        (TABLE_SYSTEMS["pinched-cf12"], 6, 100),
+    ],
 )
 def test_cache_hit_keeps_the_budget(make, n, budget):
     fresh = _budget_message(

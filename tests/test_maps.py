@@ -22,6 +22,7 @@ from bowendim import (
 )
 from bowendim import bundled, maps
 
+from conftest import tabulated_pair_system
 from oracles import cf_value, dense_grid_norm, dense_grid_norm_fast
 
 
@@ -182,26 +183,6 @@ def _tabulated_system(tab):
     )
 
 
-def _tabulated_pair_system(horizon):
-    """Two tabulated letters per time on [0, 1].  Each has sup |D phi| = 1,
-    but maps [0, 1] into [0, 0.45], inside the cell of slopes <= 0.15, so
-    every 2-letter window contracts."""
-    from bowendim.system import SystemSpec
-    from bowendim.symbolic import ncifs_schedule
-
-    def tab(v1):
-        return TabulatedInterval(
-            nodes=(0.0, 0.5, 1.0), values=(0.0, v1, 0.45),
-            deriv_lo=(0.05, 0.7), deriv_hi=(0.15, 1.0), distortion=20.0,
-        )
-
-    return SystemSpec(
-        schedule=ncifs_schedule([["t0", "t1"]] * horizon),
-        spaces=tuple((interval(0.0, 1.0),) for _ in range(horizon + 1)),
-        maps=((),) + ((tab(0.05), tab(0.04)),) * horizon,
-    )
-
-
 class TestContraction:
     def test_middle_thirds(self, cantor8):
         c = contraction_eta(cantor8)
@@ -216,7 +197,7 @@ class TestContraction:
     def test_window_budget_boundary(self):
         # tabulated windows are walked: block 2 is certified after all 4
         # windows at each of 7 start times
-        system = _tabulated_pair_system(8)
+        system = tabulated_pair_system(8)
         assert contraction_eta(system, budget=28).block == 2
         with pytest.raises(
             CertificationError, match="contraction search exceeded 27 windows"
@@ -231,7 +212,7 @@ class TestContraction:
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        system = _tabulated_pair_system(8)
+        system = tabulated_pair_system(8)
         monkeypatch.setattr(maps, "compose_norm", counted)
         with pytest.raises(CertificationError, match="exceeded 27 windows"):
             contraction_eta(system, budget=27)

@@ -151,16 +151,16 @@ class TestBowenDimension:
 
 class TestTheta:
     def test_cf_full_alphabet_half(self):
-        tb = theta_bounds(PSeriesTail(2.0, 1), tol=1e-9)
-        assert tb.theta_n == pytest.approx(0.5, abs=1e-6)
+        tb = theta_bounds(PSeriesTail(2.0, 1))
+        assert tb.theta_n == tb.theta_phi_lower == 0.5
 
     def test_finite_alphabet_zero(self, cantor):
         assert system_theta(cantor).theta_n == 0.0
 
     def test_elliptic_exponent_threshold(self):
         q = 2
-        tb = theta_bounds(PSeriesTail((q + 1) / q, 2), tol=1e-9)
-        assert tb.theta_n == pytest.approx(2 * q / (q + 1), abs=1e-6)
+        tb = theta_bounds(PSeriesTail((q + 1) / q, 2))
+        assert tb.theta_n == tb.theta_phi_lower == 2 * q / (q + 1)
 
     def test_missing_rule_is_configuration_error(self):
         with pytest.raises(ConfigurationError):
