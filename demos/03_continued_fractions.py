@@ -15,7 +15,7 @@ from bowendim import (
     box_counting_dim,
     compose_norm,
     contraction_eta,
-    project_point,
+    image_region,
     sample_limit_set,
 )
 from bowendim.bundled import cf12
@@ -35,9 +35,9 @@ print(
 )
 
 golden = (math.sqrt(5) - 1) / 2
-lp = project_point(Word(1, ("1",) * 20), system)
-print(f"\nperiodic word 111...: point {lp.point[0]:.9f} vs (sqrt5-1)/2 = {golden:.9f}")
-print(f"  enclosure radius {lp.radius:.2e}")
+lo, hi = image_region(Word(1, ("1",) * 20), system).bounds
+print(f"\nperiodic word 111...: point {(lo + hi) / 2:.9f} vs (sqrt5-1)/2 = {golden:.9f}")
+print(f"  enclosure radius {(hi - lo) / 2:.2e}")
 
 res = bowen_dimension(system, (0.2, 0.9), n_max=18, tol=1e-4)
 print(f"\ndimension bracket: [{res.bracket[0]:.6f}, {res.bracket[1]:.6f}]")

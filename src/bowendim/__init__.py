@@ -2,10 +2,13 @@
 
 The package estimates the Hausdorff dimension of the limit set of a
 schedule of conformal contractions along a time-indexed multigraph: it
-evaluates partition functions over admissible words, brackets the
-zero-crossing of the finite-horizon pressure in the exponent t, checks the
-structural hypotheses under which that crossing equals the dimension, and
-cross-validates against an independent box-counting estimate.
+evaluates partition functions over admissible words as float brackets (not
+yet rounded outward on every path), brackets the zero-crossing of the
+finite-horizon pressure in the exponent t, and reports finite-horizon checks
+of the structural hypotheses under which that crossing equals the dimension
+(fitted tail rates; the open set condition at time 1 only).  A box-counting
+slope of a limit-set sample, with its regression stderr, is reported beside
+the bracket; nothing compares the two.
 """
 
 from .errors import (
@@ -24,13 +27,11 @@ from .geometry import (
     BoxCountFit,
     DiameterReport,
     LevelCover,
-    LimitPoint,
     OscReport,
     PointCloud,
     box_counting_dim,
     diameter_diagnostics,
     level_cover,
-    project_point,
     sample_limit_set,
     verify_osc,
 )
@@ -61,7 +62,6 @@ from .symbolic import (
     find_primitivity,
     growth_stats,
     is_admissible,
-    ncifs_schedule,
     subexp_diagnostic,
 )
 from .system import SystemSpec, validate_system
@@ -88,7 +88,6 @@ from .thermo import (
     BalancingReport,
     DimensionResult,
     HypothesisReport,
-    LowerBoundDiagnostics,
     MeasureTrendReport,
     PartitionValue,
     PressureEstimate,
@@ -101,7 +100,6 @@ from .thermo import (
     evenly_varying_check,
     hausdorff_measure_trend,
     hypothesis_report,
-    lower_bound_diagnostics,
     partition,
     pressure_estimate,
     system_theta,

@@ -19,12 +19,11 @@ composed maps still goes word by word (`generic_norm_walk`).
 The words of a range (m, n) and their norms do not depend on t, so
 `level_norms` walks each (system, range) once and keeps its norms in a
 one-slot memo on the system; every evaluation at a t (bisection, the t grid,
-the measure trend, the lower-bound diagnostics) sums powers of those cached
-norms.  Every range, swept or walked, keeps one table: each level's
-distinct norm bounds, with how many words share each, so an evaluation
-raises every distinct norm to t once (a word and its reversal share a
-continuant, so digit levels repeat most norms) and sums all levels in one
-count-weighted pass.  Level sums are correctly rounded: `exact_sum` equals
+the measure trend) sums powers of those cached norms.  Every range, swept or
+walked, keeps one table: each level's distinct norm bounds, with how many
+words share each, so an evaluation raises every distinct norm to t once (a
+word and its reversal share a continuant, so digit levels repeat most norms)
+and sums all levels in one count-weighted pass.  Level sums are correctly rounded: `exact_sum` equals
 `math.fsum`.
 """
 

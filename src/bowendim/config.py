@@ -32,6 +32,9 @@ from .systems import (
 
 SCHEMA_VERSION = 1
 
+#: levels of the elliptic model's growth check (`elliptic_lower_bound`'s n_check)
+_ELLIPTIC_CHECK_STEPS = 5
+
 # the bundled systems: one packaged config per name, the only definition of each
 _PACKAGED = {
     path.stem: path for path in sorted((Path(__file__).parent / "configs").glob("*.json"))
@@ -179,15 +182,16 @@ def _rows(spec, horizon, path):
         return [cyc[(n - 1) % len(cyc)] for n in range(1, horizon + 1)]
     if isinstance(spec, dict) and "powers" in spec:
         pw = spec["powers"]
+        _expect(isinstance(pw, dict), f"{path}.powers", "object required")
         rb = pw.get("ratio_base")
         cb = pw.get("count_base")
         _expect(
-            isinstance(rb, (int, float)) and 0 < rb < 1,
+            _number(rb) and 0 < rb < 1,
             f"{path}.powers.ratio_base",
             "ratio_base in (0, 1) required",
         )
         _expect(
-            isinstance(cb, int) and cb >= 1,
+            _integer(cb) and cb >= 1,
             f"{path}.powers.count_base",
             "integer count_base >= 1 required",
         )
@@ -213,7 +217,7 @@ def _matrices(spec, counts, path, int_matrices=None):
         _expect(spec["rule"] == "banded", f"{path}.rule", "known rules: banded")
         offs = spec.get("offsets")
         _expect(
-            isinstance(offs, list) and all(isinstance(o, int) for o in offs),
+            isinstance(offs, list) and all(map(_integer, offs)),
             f"{path}.offsets",
             "list of integer offsets required",
         )
@@ -453,7 +457,13 @@ def _build_ascending(spec, path, int_matrices):
 
 def _build_elliptic(spec, path, int_matrices):
     q = spec.get("q")
-    _expect(isinstance(q, int) and q >= 1, f"{path}.q", "integer q >= 1 required")
+    _expect(_integer(q) and q >= 1, f"{path}.q", "integer q >= 1 required")
+    horizon = _horizon(spec.get("horizon", 6), f"{path}.horizon")
+    k = _ELLIPTIC_CHECK_STEPS
+    _expect(
+        horizon >= k, f"{path}.horizon",
+        f"horizon >= {k} required by the model's {k}-step growth check",
+    )
     comparability = _num(spec.get("comparability", 1.0), f"{path}.comparability")
     _expect(comparability >= 1, f"{path}.comparability", "a distortion constant is >= 1")
     norm_const = _num(spec.get("norm_const", 1.0), f"{path}.norm_const")
@@ -461,6 +471,7 @@ def _build_elliptic(spec, path, int_matrices):
     t_star = _num(spec.get("t_star", 1.2), f"{path}.t_star")
     _expect(t_star > 0, f"{path}.t_star", "t_star must be > 0")
     lat = spec.get("lattice", {})
+    _expect(isinstance(lat, dict), f"{path}.lattice", "object required")
     r_min = _num(lat.get("r_min", 3.0), f"{path}.lattice.r_min")
     r_max = _num(lat.get("r_max", 10.0), f"{path}.lattice.r_max")
     _expect(0 < r_min < r_max, f"{path}.lattice", "need 0 < r_min < r_max")
@@ -476,7 +487,8 @@ def _build_elliptic(spec, path, int_matrices):
         comparability_K=comparability,
         Q_const=norm_const,
         t_grid=(t_star,),
-        horizon=_horizon(spec.get("horizon", 6), f"{path}.horizon"),
+        n_check=_ELLIPTIC_CHECK_STEPS,
+        horizon=horizon,
         build=True,
     )
     _expect(report.system is not None, path, "model instantiation found no feasible pole set")

@@ -1,4 +1,4 @@
-"""Limit-set sampling, level covers, box-counting oracle, geometric checks.
+"""Limit-set sampling, level covers, box counting, geometric checks.
 
 Points are sampled through finite word prefixes: the nested image of a
 prefix's domain space encloses the true limit point, so every sample carries
@@ -7,10 +7,10 @@ a certified radius.  Both sampling strategies run one frontier sweep
 or one drawn follower (random-admissible), and feed one projector: the
 family's vectorized point state where it has one, else each word's image
 region.  Level covers take their words from the same sweep
-(`_frontier.word_levels`) and each word's image region.  The box-counting
-slope is the package's independent oracle; a sampled point occupies every
-box its enclosure meets, making the count conservative for
-upper-consistency checks against the pressure-based dimension estimate.
+(`_frontier.word_levels`) and each word's image region.  In box counting a
+sampled point occupies every box its enclosure meets, so the count
+over-counts rather than misses mass; the slope is reported beside the
+dimension bracket and compared with nothing.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ from .errors import BudgetError, ConfigurationError, InputError
 from .maps import image_region
 from .symbolic import Word, count_words
 from .trend import TrendReport, trend_report
-
-
-@dataclass(frozen=True)
-class LimitPoint:
-    point: tuple
-    radius: float
-    word: Word
 
 
 @dataclass(frozen=True)
@@ -60,14 +53,6 @@ def _center_radius(region):
         return (0.5 * (lo + hi),), 0.5 * (hi - lo)
     cx, cy, r = region.bounds
     return (cx, cy), r
-
-
-def project_point(word_prefix: Word, system) -> LimitPoint:
-    """Midpoint of the prefix's nested image with certified enclosure radius."""
-    if len(word_prefix) < 1:
-        raise InputError("need a nonempty prefix")
-    point, radius = _center_radius(image_region(word_prefix, system))
-    return LimitPoint(point, radius, word_prefix)
 
 
 SAMPLE_STRATEGIES = ("exhaustive", "random-admissible")
@@ -184,14 +169,6 @@ class BoxCountFit:
     stderr: float
     scales: tuple
     counts: tuple
-
-    def as_dict(self):
-        return {
-            "slope": self.slope,
-            "stderr": self.stderr,
-            "scales": list(self.scales),
-            "counts": list(self.counts),
-        }
 
 
 def _flat_codes(idx):
@@ -349,8 +326,6 @@ def verify_osc(system, n: int, budget: int = 200_000) -> OscReport:
 
 @dataclass(frozen=True)
 class DiameterReport:
-    d_lo: tuple
-    d_hi: tuple
     upper_trend: TrendReport
     ratio_trend: TrendReport
     vertex_trend: TrendReport
@@ -365,20 +340,10 @@ class DiameterReport:
             for t in (self.upper_trend, self.ratio_trend, self.vertex_trend)
         )
 
-    def as_dict(self):
-        return {
-            "d_lo": list(self.d_lo),
-            "d_hi": list(self.d_hi),
-            "upper": self.upper_trend.as_dict(),
-            "ratio": self.ratio_trend.as_dict(),
-            "vertices": self.vertex_trend.as_dict(),
-            "satisfied": self.satisfied,
-        }
-
 
 def diameter_diagnostics(system) -> DiameterReport:
-    """Space-diameter sequences with fitted rates for both diameter limits
-    and for the vertex-count growth."""
+    """Fitted rates of both space-diameter limits and of the vertex-count
+    growth."""
     h = system.horizon
     d_lo, d_hi = [], []
     for n in range(0, h + 1):
@@ -386,7 +351,7 @@ def diameter_diagnostics(system) -> DiameterReport:
         d_lo.append(lo)
         d_hi.append(hi)
     ns = list(range(1, h + 1))
-    upper = trend_report("diam_hi", ns, values=d_hi[1:])
+    upper = trend_report(ns, values=d_hi[1:])
     # second limit: y_n = (1/n) sup_{k >= 0} log(d_hi[k+n] / d_lo[k])
     ratio_vals = []
     for n in ns:
@@ -394,7 +359,7 @@ def diameter_diagnostics(system) -> DiameterReport:
             math.log(d_hi[k + n] / d_lo[k]) for k in range(0, h - n + 1)
         )
         ratio_vals.append(sup)
-    ratio = trend_report("diam_ratio", ns, log_values=ratio_vals)
+    ratio = trend_report(ns, log_values=ratio_vals)
     nverts = [len(system.schedule.vertex_sets[n]) for n in ns]
-    verts = trend_report("#V", ns, values=nverts)
-    return DiameterReport(tuple(d_lo), tuple(d_hi), upper, ratio, verts)
+    verts = trend_report(ns, values=nverts)
+    return DiameterReport(upper, ratio, verts)

@@ -513,17 +513,6 @@ class GraphSchedule:
         return self._capped_step(n).matrix(self.kept[n], self.kept[n + 1])
 
 
-def ncifs_schedule(letter_labels_per_time, vertex="v"):
-    """Single vertex per time, complete incidence: the iterated-function case."""
-    horizon = len(letter_labels_per_time)
-    vs = [(vertex,)] * (horizon + 1)
-    alphabets = [()]
-    for labels in letter_labels_per_time:
-        alphabets.append(tuple(Letter(lbl, vertex, vertex) for lbl in labels))
-    inc = [FullIncidence() for _ in range(horizon - 1)]
-    return GraphSchedule(vs, alphabets, inc)
-
-
 # ---------------------------------------------------------------------------
 # words
 # ---------------------------------------------------------------------------
@@ -594,11 +583,11 @@ class GrowthStats:
     horizon: int
 
     def count_trend(self) -> TrendReport:
-        return trend_report("#I", self.times, values=self.counts)
+        return trend_report(self.times, values=self.counts)
 
     def follower_trend(self) -> TrendReport:
         ns = self.times[: len(self.g_hi)]
-        return trend_report("G_hi", ns, values=self.g_hi)
+        return trend_report(ns, values=self.g_hi)
 
 
 def _follower_count_range(schedule, n, depth):
@@ -678,13 +667,6 @@ class SubexpReport:
     def verdict(self) -> str:
         return self.count_trend.label
 
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "alphabet": self.count_trend.as_dict(),
-            "followers": self.follower_trend.as_dict(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # finite primitivity
@@ -702,7 +684,6 @@ class PrimitivityCertificate:
     p: int
     connectors: Mapping  # time n -> {(a_label, b_label): Word}
     Q: Optional[float]
-    horizon_checked: int
 
 
 def _products_positive(schedule, p, chains=None):
@@ -788,10 +769,10 @@ def certify_primitivity(schedule: GraphSchedule, p: int):
     if p == 0:
         if not all(schedule.step_complete(n) for n in range(1, schedule.horizon)):
             return None
-        return PrimitivityCertificate(0, {}, 1.0, schedule.horizon)
+        return PrimitivityCertificate(0, {}, 1.0)
     if not _products_positive(schedule, p + 1):
         return None
-    return PrimitivityCertificate(p, {}, None, schedule.horizon)
+    return PrimitivityCertificate(p, {}, None)
 
 
 def find_primitivity(schedule: GraphSchedule, p_max: int):
@@ -810,9 +791,9 @@ def find_primitivity(schedule: GraphSchedule, p_max: int):
             f" have {schedule.horizon}"
         )
     if all(schedule.step_complete(n) for n in range(1, schedule.horizon)):
-        return PrimitivityCertificate(0, {}, 1.0, schedule.horizon)
+        return PrimitivityCertificate(0, {}, 1.0)
     chains = {}
     for p in range(1, p_max + 1):
         if _products_positive(schedule, p, chains):
-            return PrimitivityCertificate(p, {}, None, schedule.horizon)
+            return PrimitivityCertificate(p, {}, None)
     return None

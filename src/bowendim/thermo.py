@@ -367,112 +367,6 @@ def system_theta(system) -> ThetaBounds:
 
 
 # ---------------------------------------------------------------------------
-# general lower-bound diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LowerBoundDiagnostics:
-    """Finite-horizon proxies for the mass-distribution lower bound.
-
-    For each n in the window: the single-letter norm extremes c_lo/c_hi, their
-    ratio rho, the least follower count, space-diameter extremes, the damped
-    partition value Ztilde_n(t) = Z_{n-1}(t) * G_lo^{t/d} * c_lo^t * d_lo^t
-    and the rate kappa_n of Ztilde against its oscillation denominator.  The
-    verdict compares the fitted follower growth delta against
-    kappa/(p^2 + p + 1).
-    """
-
-    t: float
-    window: tuple
-    ns: tuple
-    rho: tuple
-    c_lo: tuple
-    c_hi: tuple
-    g_lo: tuple
-    d_lo: tuple
-    d_hi: tuple
-    z_tilde: tuple
-    kappa_seq: tuple
-    kappa_proxy: float
-    delta_proxy: float
-    p: int
-    certified: bool
-
-    def as_dict(self):
-        return {
-            "t": self.t,
-            "kappa_proxy": self.kappa_proxy,
-            "delta_proxy": self.delta_proxy,
-            "p": self.p,
-            "threshold": self.kappa_proxy / (self.p**2 + self.p + 1),
-            "certified_above_t": self.certified,
-        }
-
-
-def lower_bound_diagnostics(system, t: float, window) -> LowerBoundDiagnostics:
-    _check_t(system, t)
-    cert = find_primitivity(system.schedule, p_max=4)
-    if cert is None:
-        raise ConfigurationError(
-            "lower-bound diagnostics need a primitivity certificate"
-        )
-    n_lo, n_hi = window
-    if not (2 <= n_lo < n_hi <= system.horizon):
-        raise ConfigurationError(f"window {window} outside [2, horizon]")
-    levels, _ = _levels(system, 1, n_hi, t, "auto")
-    stats = growth_stats(system.schedule)
-    d = float(system.dim)
-
-    ns, rho, c_lo_seq, c_hi_seq, g_lo_seq, d_lo_seq, d_hi_seq = (
-        [], [], [], [], [], [], [],
-    )
-    z_tilde, kappa_seq = [], []
-    rho_all = [system.rho(j) for j in range(1, n_hi + 1)]
-    diam_all = [system.diam_bounds(j) for j in range(0, n_hi + 1)]
-    for n in range(n_lo, n_hi + 1):
-        c_lo, c_hi = system.c_bounds(n)
-        g_lo = stats.g_lo[n - 2]  # G_lo at time n-1
-        d_lo_n, d_hi_n = diam_all[n]
-        z_prev = 0.5 * (levels[n - 1][0] + levels[n - 1][1])
-        zt = z_prev * g_lo ** (t / d) * c_lo**t * d_lo_n**t
-        # oscillation denominator: 1 + log max rho + sup_k log(d_hi[n+k]/d_lo[n])
-        max_rho = max(rho_all[: min(n + 1, len(rho_all))])
-        sup_ratio = max(
-            math.log(diam_all[k][1] / d_lo_n) for k in range(n, n_hi + 1)
-        )
-        denom = 1.0 + math.log(max_rho) + max(sup_ratio, 0.0)
-        kappa_n = math.log(zt / denom) / n if zt > 0 else -math.inf
-        ns.append(n)
-        rho.append(system.rho(n))
-        c_lo_seq.append(c_lo)
-        c_hi_seq.append(c_hi)
-        g_lo_seq.append(g_lo)
-        d_lo_seq.append(d_lo_n)
-        d_hi_seq.append(d_hi_n)
-        z_tilde.append(zt)
-        kappa_seq.append(kappa_n)
-
-    kappa_proxy = min(kappa_seq[i] for i in _tail(window))
-    ghi_ns = stats.times[: len(stats.g_hi)]
-    tail_g = _tail((1, len(ghi_ns)))
-    delta_proxy, _, _ = fit_line(
-        [ghi_ns[i] for i in tail_g],
-        [math.log(stats.g_hi[i]) for i in tail_g],
-    )
-    delta_proxy = max(delta_proxy, 0.0)
-    p = cert.p
-    certified = delta_proxy * (p**2 + p + 1) < kappa_proxy
-    return LowerBoundDiagnostics(
-        t=t, window=(n_lo, n_hi), ns=tuple(ns), rho=tuple(rho),
-        c_lo=tuple(c_lo_seq), c_hi=tuple(c_hi_seq), g_lo=tuple(g_lo_seq),
-        d_lo=tuple(d_lo_seq), d_hi=tuple(d_hi_seq), z_tilde=tuple(z_tilde),
-        kappa_seq=tuple(kappa_seq), kappa_proxy=kappa_proxy,
-        delta_proxy=delta_proxy, p=p, certified=certified,
-    )
-
-
-# ---------------------------------------------------------------------------
 # balancing classes
 # ---------------------------------------------------------------------------
 

@@ -49,18 +49,11 @@ def tail_indices(n_points):
 
 @dataclass(frozen=True)
 class TrendReport:
-    """Fitted growth diagnosis of a positive sequence v_n.
+    """Fitted growth diagnosis of a positive sequence v_n: `slope` is the
+    least-squares slope of log v_n against n over the tail half of the
+    horizon."""
 
-    `per_n` is the sequence (1/n) log v_n; `slope` the least-squares slope of
-    log v_n against n over the tail half of the horizon.
-    """
-
-    name: str
-    ns: tuple
-    log_values: tuple
-    per_n: tuple
     slope: float
-    slope_stderr: float
     verdict: str
     rate: float | None = None
 
@@ -70,18 +63,8 @@ class TrendReport:
             return f"exponential-rate≈{self.rate:.4g}"
         return self.verdict
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "ns": list(self.ns),
-            "per_n": list(self.per_n),
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "verdict": self.label,
-        }
 
-
-def trend_report(name, ns, values=None, log_values=None):
+def trend_report(ns, values=None, log_values=None):
     """Classify growth of v_n as subexponential / exponential / inconclusive.
 
     Verdict rule: |tail slope| <= SLOPE_TOL reads as consistent with
@@ -98,7 +81,7 @@ def trend_report(name, ns, values=None, log_values=None):
     idx = list(tail_indices(len(ns)))
     txs = [ns[i] for i in idx]
     tys = [log_values[i] for i in idx]
-    slope, _, stderr = fit_line(txs, tys)
+    slope, _, _ = fit_line(txs, tys)
 
     verdict = INCONCLUSIVE
     rate = None
@@ -111,14 +94,4 @@ def trend_report(name, ns, values=None, log_values=None):
         if abs(s1 - s2) <= 0.25 * max(abs(s1), abs(s2), SLOPE_TOL):
             verdict = EXPONENTIAL
             rate = slope
-    per_n = tuple(lv / n if n else 0.0 for n, lv in zip(ns, log_values))
-    return TrendReport(
-        name=name,
-        ns=tuple(ns),
-        log_values=tuple(log_values),
-        per_n=per_n,
-        slope=slope,
-        slope_stderr=stderr,
-        verdict=verdict,
-        rate=rate,
-    )
+    return TrendReport(slope=slope, verdict=verdict, rate=rate)

@@ -7,8 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bowendim import TabulatedInterval, bundled, interval
-from bowendim.symbolic import ncifs_schedule
 from bowendim.system import SystemSpec
+from oracles import ncifs_schedule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

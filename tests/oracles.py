@@ -20,12 +20,26 @@ window listed by a depth-first search over each letter's followers, and
 composed.  `schedule_words` runs `brute_words` on a schedule's raw alphabets
 and unpruned incidence matrices.  `asarray_zero_one` is the config loader's
 0/1 matrix read as it was before rows of ints were joined as bytes: one
-`np.asarray`, then a walk to the first offending field.
+`np.asarray`, then a walk to the first offending field.  `ncifs_schedule`
+builds the iterated-function schedule (one vertex a time, complete
+incidence) that many tests start from.
 """
 
 import numpy as np
 
 from bowendim.config import _expect, _fail, _number
+from bowendim.symbolic import FullIncidence, GraphSchedule, Letter
+
+
+def ncifs_schedule(letter_labels_per_time, vertex="v"):
+    """Single vertex per time, complete incidence: the iterated-function case."""
+    horizon = len(letter_labels_per_time)
+    vs = [(vertex,)] * (horizon + 1)
+    alphabets = [()]
+    for labels in letter_labels_per_time:
+        alphabets.append(tuple(Letter(lbl, vertex, vertex) for lbl in labels))
+    inc = [FullIncidence() for _ in range(horizon - 1)]
+    return GraphSchedule(vs, alphabets, inc)
 
 
 def dense_grid_norm(maps_seq, domain, n_grid=100_000):

@@ -380,6 +380,8 @@ class TestCliExitCodes:
             ("pinch2", {"horizon": 13}, 4),
             # above the threshold 4/3 no finite pole set is selected
             ("elliptic-q2", {"t_star": 1.5}, 2),
+            # shorter than the model's 5-step growth check
+            ("elliptic-q2", {"horizon": 4}, 2),
         ],
     )
     def test_bundled_overrides(self, tmp_path, name, overrides, code):
@@ -557,7 +559,8 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize(
         "change, code, message",
-        [({"horizon": 1e308}, 2, "error"), ({"horizon": 4}, 3, "error"),
+        [({"horizon": 1e308}, 2, "error"),
+         ({"horizon": 4}, 2, "at system.horizon: horizon >= 5 required"),
          ({"lattice": {"r_min": 3.0, "r_max": 1e308}}, 2, "error"),
          ({"comparability": 1e308}, 2, "error"),
          ({"comparability": -1}, 2, "at system.comparability:"),
@@ -578,6 +581,36 @@ class TestCliExitCodes:
         })
         assert main(["check", path, "--out", str(tmp_path / "o")]) == code
         assert message in capsys.readouterr().err
+
+    SIM4 = {"kind": "similarity", "horizon": 4, "ratios": {"cycle": [[0.3, 0.3]]}}
+    POWERS = {"ratio_base": 0.5, "count_base": 2}
+
+    @pytest.mark.parametrize(
+        "system, where",
+        [
+            (dict(SIM4, ratios={"powers": [0.5, 2]}), "ratios.powers"),
+            (dict(SIM4, offsets={"powers": [0.5, 2]}), "offsets.powers"),
+            ({"kind": "cf", "horizon": 4, "digits": {"powers": [0.5, 2]}},
+             "digits.powers"),
+            (dict(ELLIPTIC, lattice=[3.0, 10.0]), "lattice"),
+            (dict(ELLIPTIC, q=True), "q"),
+            (dict(SIM4, ratios={"powers": dict(POWERS, count_base=True)}),
+             "ratios.powers.count_base"),
+            (dict(SIM4, ratios={"powers": dict(POWERS, ratio_base=True)}),
+             "ratios.powers.ratio_base"),
+            (dict(SIM4, matrices={"rule": "banded", "offsets": [0, True]}),
+             "matrices.offsets"),
+        ],
+        ids=["ratios-powers-list", "offsets-powers-list", "digits-powers-list",
+             "lattice-list", "q-true", "count_base-true", "ratio_base-true",
+             "banded-offset-true"],
+    )
+    def test_schema_hole_is_2_at_its_field(self, tmp_path, capsys, system, where):
+        # non-object powers and lattice once raised AttributeError (exit 1),
+        # and a JSON true once passed for the integers q, count_base and offsets
+        path = write_cfg(tmp_path, "h.json", {"schema_version": 1, "system": system})
+        assert main(["check", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error at system.{where}: ")
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo script runs to completion, with warnings raised as errors as in
+the test suite, and prints something."""
 
 import subprocess
 import sys
@@ -16,7 +17,7 @@ def test_demo_runs(demo, tmp_path):
     # argv[1] is the output directory of demos that write files
     proc = subprocess.run(
         [sys.executable, str(demo), str(tmp_path)],
-        cwd=tmp_path, env=child_env(),
+        cwd=tmp_path, env=child_env(PYTHONWARNINGS="error"),
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

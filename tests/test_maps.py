@@ -23,7 +23,7 @@ from bowendim import (
 from bowendim import bundled, maps
 
 from conftest import tabulated_pair_system
-from oracles import cf_value, dense_grid_norm, dense_grid_norm_fast
+from oracles import cf_value, dense_grid_norm, dense_grid_norm_fast, ncifs_schedule
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,6 @@ def _all_words(depth, digits=(1, 2)):
 
 def _tabulated_system(tab):
     from bowendim.system import SystemSpec
-    from bowendim.symbolic import ncifs_schedule
 
     sched = ncifs_schedule([["t0"]] * 4)
     return SystemSpec(
@@ -226,8 +225,7 @@ class TestContraction:
 
     def test_expanding_system_rejected(self):
         from bowendim.system import SystemSpec
-        from bowendim.symbolic import ncifs_schedule
-
+    
         tab = TabulatedInterval(
             nodes=(0.0, 1.0), values=(0.0, 1.0), deriv_lo=(1.0,), deriv_hi=(1.0,),
             distortion=1.0,

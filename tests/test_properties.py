@@ -18,11 +18,10 @@ from bowendim import bundled
 from bowendim.symbolic import (
     DenseIncidence,
     _follower_count_range,
-    ncifs_schedule,
 )
 from bowendim.systems import system_certify
 
-from oracles import dense_grid_norm_fast, schedule_words
+from oracles import dense_grid_norm_fast, ncifs_schedule, schedule_words
 
 CANTOR = bundled.cantor3(12)
 CF = bundled.cf12(12)

@@ -11,22 +11,21 @@ PUBLIC = [
     "BuildError", "CertificationError", "ComposedMap", "ConfigurationError",
     "Contraction", "DiameterReport", "DimensionResult", "EdgeSpec",
     "EllipticModelReport", "GraphSchedule", "GrowthStats", "HypothesisReport",
-    "InputError", "IntegrityError", "Letter", "LevelCover", "LimitPoint",
-    "LowerBoundDiagnostics", "MeasureTrendReport", "MoebiusInverse",
-    "NormBracket", "OscReport", "PSeriesTail", "PartitionValue", "PointCloud",
-    "PressureEstimate", "PrimitivityCertificate", "SchemaError", "Similarity",
-    "Space", "SystemSpec", "TabulatedInterval", "ThetaBounds",
-    "UnsupportedError", "Word", "ab_dimension_bounds", "autonomous_closure",
-    "balancing_class", "bowen_dimension", "box_counting_dim", "build_ascending",
+    "InputError", "IntegrityError", "Letter", "LevelCover",
+    "MeasureTrendReport", "MoebiusInverse", "NormBracket", "OscReport",
+    "PSeriesTail", "PartitionValue", "PointCloud", "PressureEstimate",
+    "PrimitivityCertificate", "SchemaError", "Similarity", "Space",
+    "SystemSpec", "TabulatedInterval", "ThetaBounds", "UnsupportedError",
+    "Word", "ab_dimension_bounds", "autonomous_closure", "balancing_class",
+    "bowen_dimension", "box_counting_dim", "build_ascending",
     "build_cf_system", "build_gdms", "build_similarity_system",
     "certify_primitivity", "classify_rho", "compose_norm", "continuants",
     "contraction_eta", "count_words", "diameter_diagnostics", "disk",
     "distortion_constant", "elliptic_lower_bound", "evenly_varying_check",
-    "extract_subsystem_g_bounded", "find_primitivity", "gaussian_lattice_poles",
-    "growth_stats", "hausdorff_measure_trend", "hypothesis_report",
-    "image_region", "interval", "is_admissible", "level_cover",
-    "lower_bound_diagnostics", "ncifs_schedule", "partition",
-    "pressure_estimate", "project_point", "reblock_one_primitive",
+    "extract_subsystem_g_bounded", "find_primitivity",
+    "gaussian_lattice_poles", "growth_stats", "hausdorff_measure_trend",
+    "hypothesis_report", "image_region", "interval", "is_admissible",
+    "level_cover", "partition", "pressure_estimate", "reblock_one_primitive",
     "reblock_pinched", "sample_limit_set", "subexp_diagnostic",
     "system_certify", "system_primitivity", "system_theta", "theta_bounds",
     "validate_system", "verify_osc",

@@ -21,7 +21,6 @@ from bowendim import (
     find_primitivity,
     growth_stats,
     is_admissible,
-    ncifs_schedule,
     subexp_diagnostic,
 )
 from bowendim import _frontier, symbolic
@@ -46,6 +45,7 @@ from oracles import (
     loop_count_transfer,
     loop_transfer,
     matrix_power_count,
+    ncifs_schedule,
     schedule_words,
 )
 

@@ -20,7 +20,6 @@ from bowendim import (
     evenly_varying_check,
     hausdorff_measure_trend,
     hypothesis_report,
-    lower_bound_diagnostics,
     partition,
     pressure_estimate,
     system_theta,
@@ -165,27 +164,6 @@ class TestTheta:
     def test_missing_rule_is_configuration_error(self):
         with pytest.raises(ConfigurationError):
             theta_bounds(object())
-
-
-class TestLowerBoundDiagnostics:
-    def test_perfectly_balanced_rho_one(self, cantor):
-        d = lower_bound_diagnostics(cantor, 0.5, (2, 12))
-        assert set(d.rho) == {1.0}
-
-    def test_middle_thirds_certifies_half(self, cantor):
-        d = lower_bound_diagnostics(cantor, 0.5, (2, 14))
-        assert d.delta_proxy == pytest.approx(0.0, abs=1e-12)
-        assert d.kappa_proxy > 0
-        assert d.certified
-        # z_tilde follows the closed-form recursion Z_{n-1} * 2^t * 3^-t
-        z2 = d.z_tilde[0]
-        assert z2 == pytest.approx(
-            (2 * 3**-0.5) ** 1 * 2**0.5 * 3**-0.5, rel=1e-12
-        )
-
-    def test_cf_constant_rho_four(self, cf):
-        d = lower_bound_diagnostics(cf, 0.4, (2, 10))
-        assert set(d.rho) == {4.0}
 
 
 class TestBalancing:
