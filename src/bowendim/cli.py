@@ -153,16 +153,20 @@ def _t_bracket(args, cfg, system):
     return (float(lo), float(hi))
 
 
+def _theta(system):
+    theta = thermo.system_theta(system)
+    return {"theta_n": theta.theta_n, "theta_phi_lower": theta.theta_phi_lower}
+
+
 def cmd_check(args, cfg, system, out):
     rep = thermo.hypothesis_report(system, p_max=_param(args, cfg, "p_max", int))
     osc = geometry.verify_osc(system, 1)
-    theta = thermo.system_theta(system)
     payload = {
         "command": "check",
         "hypotheses": rep.as_dict(),
         "osc_level1_ok": osc.ok,
         "osc_violations": [list(v[:2]) for v in osc.violations[:10]],
-        "theta": {"theta_n": theta.theta_n, "theta_phi_lower": theta.theta_phi_lower},
+        "theta": _theta(system),
         "contraction": {
             "block": system.contraction.block,
             "eta_block": system.contraction.eta_block,
@@ -222,6 +226,19 @@ def cmd_pressure(args, cfg, system, out):
     return EXIT_OK
 
 
+def _bracket_keys(res):
+    """The summary keys of a dimension bracket, for dimension and report."""
+    return {
+        "bracket": list(res.bracket),
+        "midpoint": res.midpoint,
+        "width": res.width,
+        "horizon": res.horizon,
+        "tolerance": res.tol,
+        "uncertainty": list(res.uncertainty),
+        "hypotheses": res.hypothesis.as_dict(),
+    }
+
+
 def cmd_dimension(args, cfg, system, out):
     n_max = _param(args, cfg, "n_max", int) or system.horizon
     res = thermo.bowen_dimension(
@@ -232,16 +249,7 @@ def cmd_dimension(args, cfg, system, out):
         window=_param(args, cfg, "window"),
         budget=_param(args, cfg, "budget", int),
     )
-    payload = {
-        "command": "dimension",
-        "bracket": list(res.bracket),
-        "midpoint": res.midpoint,
-        "width": res.width,
-        "horizon": res.horizon,
-        "tolerance": res.tol,
-        "uncertainty": list(res.uncertainty),
-        "hypotheses": res.hypothesis.as_dict(),
-    }
+    payload = {"command": "dimension", **_bracket_keys(res)}
     write_json(out / "summary.json", _with_meta(payload, cfg, args))
     print(
         f"dimension bracket: [{res.bracket[0]:.6f}, {res.bracket[1]:.6f}]"
@@ -312,6 +320,10 @@ def cmd_boxdim(args, cfg, system, out):
     return EXIT_OK
 
 
+def _letters_per_block(sub):
+    return [len(sub.schedule.letters(n)) for n in range(1, sub.horizon + 1)]
+
+
 def cmd_subsystem(args, cfg, system, out):
     mode = _param(args, cfg, "mode")
     t = _param(args, cfg, "t", float)
@@ -327,10 +339,7 @@ def cmd_subsystem(args, cfg, system, out):
             "blocks": sub.blocks,
             "pairs": [list(p) for p in sub.pairs],
             "sandwich_constant": sub.sandwich_constant,
-            "letters_per_block": [
-                len(sub.system.schedule.letters(n))
-                for n in range(1, sub.system.horizon + 1)
-            ],
+            "letters_per_block": _letters_per_block(sub.system),
         }
     elif mode == "pinched":
         pinch = _param(args, cfg, "pinch_times")
@@ -341,9 +350,7 @@ def cmd_subsystem(args, cfg, system, out):
             "command": "subsystem",
             "mode": mode,
             "blocks": sub_sys.horizon,
-            "letters_per_block": [
-                len(sub_sys.schedule.letters(n)) for n in range(1, sub_sys.horizon + 1)
-            ],
+            "letters_per_block": _letters_per_block(sub_sys),
         }
     elif mode == "uniform":
         cert = (
@@ -359,9 +366,7 @@ def cmd_subsystem(args, cfg, system, out):
             "mode": mode,
             "p": cert.p,
             "blocks": sub_sys.horizon,
-            "letters_per_block": [
-                len(sub_sys.schedule.letters(n)) for n in range(1, sub_sys.horizon + 1)
-            ],
+            "letters_per_block": _letters_per_block(sub_sys),
         }
     else:
         raise InputError(f"unknown subsystem mode {mode!r}")
@@ -413,21 +418,14 @@ def cmd_report(args, cfg, system, out):
     except InputError as exc:
         box = {"error": str(exc)}
 
-    theta = thermo.system_theta(system)
     trend = thermo.hausdorff_measure_trend(
         system, res.midpoint, (max(1, n_max // 2), n_max), budget=budget
     )
     ab = thermo.ab_dimension_bounds(system)
     payload = {
         "command": "report",
-        "bracket": list(res.bracket),
-        "midpoint": res.midpoint,
-        "width": res.width,
-        "horizon": res.horizon,
-        "tolerance": res.tol,
-        "uncertainty": list(res.uncertainty),
-        "hypotheses": res.hypothesis.as_dict(),
-        "theta": {"theta_n": theta.theta_n, "theta_phi_lower": theta.theta_phi_lower},
+        **_bracket_keys(res),
+        "theta": _theta(system),
         "balancing": res.hypothesis.balancing.verdict,
         "measure_trend": trend.verdict,
         "box_counting": box,

@@ -1,10 +1,14 @@
 """JSON config schema (versioned) and its translation into systems.
 
-Schedules are diffable data: matrices appear as explicit 0/1 arrays, as
-"full"/"identity", or as a named rule with parameters; per-time rows accept
-an explicit list-per-time, a {"cycle": [...]} pattern, or the generator
-forms documented in the README.  Validation errors carry the offending
-field path for the CLI's parse exit code.
+Schedules are diffable data.  Every per-time field (ratios, offsets,
+digits, gdms vertices and edges, ascending include, per-step matrices) is
+read by `_per_time` from one rule grammar: an explicit list of rows,
+{"cycle": [row, ...]} or {"prefix": [row, ...], "then": row}.  A few
+fields add forms of their own, read at their call sites: the `powers`
+generator for ratios, offsets and digits, `{"packed": true}` offsets, a
+bare constant row of digits, and for matrices "full"/"identity", the
+banded rule and one 0/1 array reused at every step.  Validation errors
+carry the offending field path for the CLI's parse exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 from .errors import BudgetError, SchemaError
 from .geometry import SAMPLE_STRATEGIES
 from .maps import MoebiusInverse, Similarity, interval
-from .symbolic import _shared_rows
 from .systems import (
     AscendingSpec,
     EdgeSpec,
@@ -135,29 +138,46 @@ def _expect(cond, path, msg):
         _fail(path, msg)
 
 
-def _numbers(rows, path):
-    """`rows` unchanged once every row is a list of numbers."""
+def _per_time(spec, times, path, check):
+    """The `times` rows of a per-time rule: an explicit list of rows,
+    {"cycle": [row, ...]} (row n is cycle[n mod len]) or
+    {"prefix": [row, ...], "then": row} (the prefix, then `then` for the
+    remaining times).  `check(row, row_path)` runs once per distinct row and
+    its result stands for that row, so a repeated row stays one object."""
+    if isinstance(spec, list):
+        _expect(len(spec) == times, path, f"need {times} rows, got {len(spec)}")
+        return [check(row, f"{path}[{n}]") for n, row in enumerate(spec)]
+    if isinstance(spec, dict) and "cycle" in spec:
+        cyc = spec["cycle"]
+        _expect(isinstance(cyc, list) and cyc, f"{path}.cycle", "nonempty list required")
+        rows = [check(row, f"{path}.cycle[{k}]") for k, row in enumerate(cyc)]
+        return [rows[n % len(rows)] for n in range(times)]
+    if isinstance(spec, dict) and "prefix" in spec:
+        prefix = spec["prefix"]
+        _expect(isinstance(prefix, list), f"{path}.prefix", "list of rows required")
+        _expect(len(prefix) <= times, f"{path}.prefix", f"need at most {times} rows")
+        rows = [check(row, f"{path}.prefix[{k}]") for k, row in enumerate(prefix)]
+        return rows + [check(spec.get("then"), f"{path}.then")] * (times - len(prefix))
+    _fail(
+        path, f"expected {times} rows, {{'cycle': [...]}} or {{'prefix': [...], 'then': row}}"
+    )
+
+
+def _number_row(row, path):
+    """A copy of `row` once it is a list of numbers."""
     # messages are formatted only on failure: this runs once per element
-    for n, row in enumerate(rows):
-        if not isinstance(row, list):
-            _fail(f"{path}[{n}]", "list of numbers required")
-        for k, v in enumerate(row):
-            if not _number(v):
-                _fail(f"{path}[{n}][{k}]", f"number required, got {v!r}")
-    return rows
+    if not isinstance(row, list):
+        _fail(path, "list of numbers required")
+    for k, v in enumerate(row):
+        if not _number(v):
+            _fail(f"{path}[{k}]", f"number required, got {v!r}")
+    return list(row)
 
 
-def _lists(rows, path):
-    """`rows` unchanged once every row is a list."""
-    for n, row in enumerate(rows):
-        _expect(isinstance(row, list), f"{path}[{n}]", "list required")
-    return rows
-
-
-def _cycle(cyc, path):
-    """A nonempty list of rows, repeated over the times by the caller."""
-    _expect(isinstance(cyc, list) and cyc, path, "nonempty list required")
-    return _lists(cyc, path)
+def _string_row(row, path):
+    """`row` as a list of strings (vertex names and labels are strings)."""
+    _expect(isinstance(row, list), path, "list required")
+    return [str(v) for v in row]
 
 
 def _horizon(value, path):
@@ -171,15 +191,7 @@ def _num(value, path):
 
 
 def _rows(spec, horizon, path):
-    """Per-time rows of numbers from an explicit list, a cycle, or a generator form."""
-    if isinstance(spec, list):
-        _expect(len(spec) == horizon, path, f"need {horizon} rows, got {len(spec)}")
-        return [list(r) for r in _numbers(spec, path)]
-    if isinstance(spec, dict) and "cycle" in spec:
-        cyc = _numbers(_cycle(spec["cycle"], f"{path}.cycle"), f"{path}.cycle")
-        # each row of the cycle stays one object, so builders make it once
-        cyc = [list(r) for r in cyc]
-        return [cyc[(n - 1) % len(cyc)] for n in range(1, horizon + 1)]
+    """Per-time rows of numbers from a per-time rule or a `powers` generator."""
     if isinstance(spec, dict) and "powers" in spec:
         pw = spec["powers"]
         _expect(isinstance(pw, dict), f"{path}.powers", "object required")
@@ -202,15 +214,14 @@ def _rows(spec, horizon, path):
             " memory; lower the horizon",
         )
         return [[float(rb) ** n] * (cb**n) for n in range(1, horizon + 1)]
-    if isinstance(spec, dict) and spec.get("packed"):
-        return "packed"
-    _fail(path, "expected a list of rows, {'cycle': ...}, {'powers': ...} or {'packed': true}")
+    return _per_time(spec, horizon, path, _number_row)
 
 
 def _matrices(spec, counts, path, int_matrices=None):
     """The builder's incidence form of a matrices spec, given the alphabet
-    size per time; the banded rule becomes one boolean array per step.
-    Explicit matrices of ints go into `int_matrices` when it is given."""
+    size per time; the banded rule becomes one boolean array per step, and a
+    per-step rule one per step read by `_per_time`.  Explicit matrices of
+    ints go into `int_matrices` when it is given."""
     if spec in ("full", "identity"):
         return spec
     if isinstance(spec, dict) and "rule" in spec:
@@ -226,18 +237,13 @@ def _matrices(spec, counts, path, int_matrices=None):
             np.isin(np.mod(np.arange(nb)[None, :] - np.arange(na)[:, None], nb), offs)
             for na, nb in zip(counts, counts[1:])
         ]
-    if isinstance(spec, list):
-        if spec and isinstance(spec[0], list) and spec[0] and isinstance(spec[0][0], list):
-            _expect(
-                len(spec) == len(counts) - 1,
-                path,
-                f"need {len(counts) - 1} per-step matrices, got {len(spec)}",
-            )
-            return [
-                _zero_one(m, f"{path}[{k}]", int_matrices) for k, m in enumerate(spec)
-            ]
+    if isinstance(spec, list) and not (
+        spec and isinstance(spec[0], list) and spec[0] and isinstance(spec[0][0], list)
+    ):
         return _zero_one(spec, path, int_matrices)  # one matrix reused per step
-    _fail(path, "expected 'full', 'identity', a 0/1 array, arrays per step, or a rule")
+    return _per_time(
+        spec, len(counts) - 1, path, lambda m, mpath: _zero_one(m, mpath, int_matrices)
+    )
 
 
 def _bytes_zero_one(rows):
@@ -301,12 +307,12 @@ def _zero_one(rows, path, int_matrices=None):
 def _build_similarity(spec, path, int_matrices):
     horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
     ratios = _rows(spec.get("ratios"), horizon, f"{path}.ratios")
-    _expect(ratios != "packed", f"{path}.ratios", "ratios cannot be 'packed'")
     offsets_spec = spec.get("offsets", {"packed": True})
-    offsets = _rows(offsets_spec, horizon, f"{path}.offsets")
-    if offsets == "packed":
+    if isinstance(offsets_spec, dict) and offsets_spec.get("packed"):
         packed = {k: [j / k for j in range(k)] for k in {len(row) for row in ratios}}
         offsets = [packed[len(row)] for row in ratios]
+    else:
+        offsets = _rows(offsets_spec, horizon, f"{path}.offsets")
     for n, (rr, oo) in enumerate(zip(ratios, offsets), start=1):
         _expect(
             len(rr) == len(oo),
@@ -323,21 +329,10 @@ def _build_similarity(spec, path, int_matrices):
 def _build_cf(spec, path, int_matrices):
     horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
     digits = spec.get("digits")
-    if isinstance(digits, dict) and "prefix" in digits:
-        prefix = digits.get("prefix", [])
-        then = digits.get("then")
-        _expect(isinstance(then, list), f"{path}.digits.then", "constant tail list required")
-        _expect(isinstance(prefix, list), f"{path}.digits.prefix", "list of rows required")
-        _expect(
-            len(prefix) <= horizon, f"{path}.digits.prefix", f"need at most {horizon} rows"
-        )
-        rows = prefix + [then] * (horizon - len(prefix))
-    elif isinstance(digits, list) and digits and not isinstance(digits[0], list):
-        rows = [digits] * horizon
+    if isinstance(digits, list) and digits and not isinstance(digits[0], list):
+        rows = [_number_row(digits, f"{path}.digits")] * horizon  # one constant row
     else:
         rows = _rows(digits, horizon, f"{path}.digits")
-        _expect(rows != "packed", f"{path}.digits", "digit rows required")
-    rows = _numbers(rows, f"{path}.digits")
     counts = [len(r) for r in rows]
     mat = _matrices(
         spec.get("matrices", "full"), counts, f"{path}.matrices", int_matrices
@@ -345,21 +340,32 @@ def _build_cf(spec, path, int_matrices):
     return build_cf_system(rows, mat)
 
 
+def _edge_row(row, path):
+    """One time's edges: a list of {label, src, dst, ratio, offset} objects."""
+    _expect(isinstance(row, list), path, "list required")
+    parsed = []
+    for k, e in enumerate(row):
+        epath = f"{path}[{k}]"
+        _expect(isinstance(e, dict), epath, "edge object required")
+        for fld in ("label", "src", "dst", "ratio", "offset"):
+            _expect(fld in e, epath, f"missing field {fld!r}")
+        ratio = _num(e["ratio"], f"{epath}.ratio")
+        offset = _num(e["offset"], f"{epath}.offset")
+        parsed.append(
+            EdgeSpec(
+                str(e["label"]), str(e["src"]), str(e["dst"]),
+                Similarity(ratio, (offset,)),
+            )
+        )
+    return parsed
+
+
 def _build_gdms_cfg(spec, path, int_matrices):
     horizon = _horizon(spec.get("horizon"), f"{path}.horizon")
-    verts = spec.get("vertices")
-    if isinstance(verts, dict) and "cycle" in verts:
-        cyc = _cycle(verts["cycle"], f"{path}.vertices.cycle")
-        vertex_schedule = [cyc[n % len(cyc)] for n in range(horizon + 1)]
-    else:
-        _expect(
-            isinstance(verts, list) and len(verts) == horizon + 1,
-            f"{path}.vertices",
-            f"need {horizon + 1} vertex rows or a cycle",
-        )
-        vertex_schedule = _lists(verts, f"{path}.vertices")
     # vertex names are strings, as the edges' src and dst are
-    vertex_schedule = [[str(v) for v in row] for row in vertex_schedule]
+    vertex_schedule = _per_time(
+        spec.get("vertices"), horizon + 1, f"{path}.vertices", _string_row
+    )
     spaces_spec = spec.get("spaces")
     _expect(isinstance(spaces_spec, dict), f"{path}.spaces", "vertex -> [lo, hi] table required")
     spaces = {}
@@ -370,34 +376,7 @@ def _build_gdms_cfg(spec, path, int_matrices):
             "[lo, hi] with lo < hi required",
         )
         spaces[v] = interval(*pair)
-    edges_spec = spec.get("edges")
-    if isinstance(edges_spec, dict) and "cycle" in edges_spec:
-        cyc = _cycle(edges_spec["cycle"], f"{path}.edges.cycle")
-        edge_rows = [cyc[(n - 1) % len(cyc)] for n in range(1, horizon + 1)]
-    else:
-        _expect(
-            isinstance(edges_spec, list) and len(edges_spec) == horizon,
-            f"{path}.edges",
-            f"need {horizon} edge rows or a cycle",
-        )
-        edge_rows = _lists(edges_spec, f"{path}.edges")
-    edge_schedule = []
-    for n, row in enumerate(edge_rows, start=1):
-        parsed = []
-        for k, e in enumerate(row):
-            epath = f"{path}.edges[{n - 1}][{k}]"
-            _expect(isinstance(e, dict), epath, "edge object required")
-            for fld in ("label", "src", "dst", "ratio", "offset"):
-                _expect(fld in e, epath, f"missing field {fld!r}")
-            ratio = _num(e["ratio"], f"{epath}.ratio")
-            offset = _num(e["offset"], f"{epath}.offset")
-            parsed.append(
-                EdgeSpec(
-                    str(e["label"]), str(e["src"]), str(e["dst"]),
-                    Similarity(ratio, (offset,)),
-                )
-            )
-        edge_schedule.append(parsed)
+    edge_schedule = _per_time(spec.get("edges"), horizon, f"{path}.edges", _edge_row)
     counts = [len(r) for r in edge_schedule]
     mats = _matrices(
         spec.get("matrices", "full"), counts, f"{path}.matrices", int_matrices
@@ -425,28 +404,10 @@ def _ascending_spec(spec, path="system") -> AscendingSpec:
                 _num(v["ratio"], f"{path}.base.{lbl}.ratio"),
                 (_num(v["offset"], f"{path}.base.{lbl}.offset"),),
             )
-    inc = spec.get("include")
-    if isinstance(inc, dict) and "prefix" in inc:
-        prefix = inc.get("prefix", [])
-        _expect(isinstance(prefix, list), f"{path}.include.prefix", "list of rows required")
-        _expect(
-            len(prefix) <= horizon, f"{path}.include.prefix", f"need at most {horizon} rows"
-        )
-        prefix = _lists(prefix, f"{path}.include.prefix")
-        then = inc.get("then")
-        _expect(isinstance(then, list), f"{path}.include.then", "constant tail required")
-        include = prefix + [then] * (horizon - len(prefix))
-    else:
-        _expect(
-            isinstance(inc, list) and len(inc) == horizon,
-            f"{path}.include",
-            f"need {horizon} include rows or prefix/then",
-        )
-        include = _lists(inc, f"{path}.include")
     return AscendingSpec(
         base_maps=base,
         # labels are strings, as the keys of the base family are
-        include=_shared_rows(include, lambda row: [str(lbl) for lbl in row]),
+        include=_per_time(spec.get("include"), horizon, f"{path}.include", _string_row),
         infinite_family=bool(spec.get("infinite_family", False)),
     )
 

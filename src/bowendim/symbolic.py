@@ -779,8 +779,10 @@ def find_primitivity(schedule: GraphSchedule, p_max: int):
     """Minimal p in [0, p_max] under the matrix-positivity criterion.
 
     p=0 is returned when every step is complete (all-ones on pruned letters);
-    otherwise the smallest p >= 1 whose p-matrix products are all entrywise
-    positive.  With pruned alphabets this implies the connector definition at
+    otherwise the smallest p >= 2 whose p-matrix products are all entrywise
+    positive.  p = 1 is never tried: its products are the single steps, all
+    positive exactly when every step is complete, which p = 0 has just
+    refuted.  With pruned alphabets this implies the connector definition at
     the same p; no connector words are built.  None when no p <= p_max works.
     The search over p keeps each start time's product and extends it by one
     step for the next p, so it forms each product of consecutive steps once.
@@ -793,7 +795,7 @@ def find_primitivity(schedule: GraphSchedule, p_max: int):
     if all(schedule.step_complete(n) for n in range(1, schedule.horizon)):
         return PrimitivityCertificate(0, {}, 1.0)
     chains = {}
-    for p in range(1, p_max + 1):
+    for p in range(2, p_max + 1):
         if _products_positive(schedule, p, chains):
             return PrimitivityCertificate(p, {}, None)
     return None

@@ -230,8 +230,10 @@ def build_gdms(
     """General multi-vertex builder.
 
     `vertex_schedule[n]` lists V_n for n = 0..horizon; `edge_schedule[n-1]`
-    the letters of time n; `spaces[(n, v)]` the compact space of vertex v at
-    time n; "full" incidence means every composable pair.
+    the letters of time n, an edge row that repeats (one object at several
+    times) giving one row of letters and of maps; `spaces[(n, v)]` the
+    compact space of vertex v at time n; "full" incidence means every
+    composable pair.
     """
     horizon = len(edge_schedule)
     if len(vertex_schedule) != horizon + 1:
@@ -247,8 +249,10 @@ def build_gdms(
         space_rows.append(row)
     return _assemble(
         vertex_schedule,
-        [[Letter(e.label, e.src, e.dst) for e in edges] for edges in edge_schedule],
-        [[e.map for e in edges] for edges in edge_schedule],
+        _shared_rows(
+            edge_schedule, lambda edges: tuple(Letter(e.label, e.src, e.dst) for e in edges)
+        ),
+        _shared_rows(edge_schedule, lambda edges: tuple(e.map for e in edges)),
         space_rows,
         matrices,
         provenance=provenance,

@@ -261,7 +261,8 @@ def bowen_dimension(
     """Bracket the zero-crossing of the windowed pressure rate in t.
 
     Maintains rate >= 0 at the left endpoint and <= 0 at the right one; when
-    norm-bracket uncertainty straddles zero the bisection stops early and the
+    norm-bracket uncertainty straddles zero, or the ends are adjacent floats
+    before the width reaches `tol`, the bisection stops early and the
     reported interval keeps the full remaining width.
     """
     if n_max > system.horizon:
@@ -305,6 +306,12 @@ def bowen_dimension(
     else:
         while t_hi - t_lo > tol:
             mid = 0.5 * (t_lo + t_hi)
+            if not t_lo < mid < t_hi:  # no float lies strictly between the ends
+                notes.append(
+                    f"t_lo and t_hi are adjacent floats; stopping with width"
+                    f" {t_hi - t_lo:.3g} above tol {tol:.3g}"
+                )
+                break
             r = rate(mid)
             if r[0] >= 0:
                 t_lo = mid
@@ -639,7 +646,6 @@ class HypothesisReport:
     stationary: bool
     autonomous: bool
     ascending: bool
-    evenly_varying: Optional[EvenlyVaryingReport]
     justification: str
     detail: str
 
@@ -665,6 +671,13 @@ class HypothesisReport:
         }
 
 
+def _evenly_varying_ok(system) -> bool:
+    try:
+        return evenly_varying_check(system).ok
+    except InputError:  # letter sets differ across times
+        return False
+
+
 def hypothesis_report(system, p_max: int = 4) -> HypothesisReport:
     """Collect every structural check and name the justifying theorem, if any."""
     sched = system.schedule
@@ -686,11 +699,6 @@ def hypothesis_report(system, p_max: int = 4) -> HypothesisReport:
     diam = geometry.diameter_diagnostics(system)
     diameter_ok = diam.satisfied
     ascending = "ascending" in system.flags
-    ev = None
-    try:
-        ev = evenly_varying_check(system)
-    except InputError:
-        ev = None
 
     c_hi_last = [system.c_bounds(n)[1] for n in range(1, system.horizon + 1)]
     shrinking = c_hi_last[-1] < 0.5 * max(c_hi_last) and c_hi_last[-1] < 0.1
@@ -711,7 +719,7 @@ def hypothesis_report(system, p_max: int = 4) -> HypothesisReport:
         justification = "weakly-balanced-finitely-primitive"
     elif cert is not None and fol_verdict == EXPONENTIAL and shrinking:
         justification = "shrinking-norms-exponential-growth"
-    elif ev is not None and ev.ok and system.is_ncifs and system.tail_rule is not None:
+    elif system.is_ncifs and system.tail_rule is not None and _evenly_varying_ok(system):
         justification = "evenly-varying"
     else:
         justification = "upper-bound-only"
@@ -725,7 +733,6 @@ def hypothesis_report(system, p_max: int = 4) -> HypothesisReport:
         stationary=system.is_stationary,
         autonomous=system.is_autonomous,
         ascending=ascending,
-        evenly_varying=ev,
         justification=justification,
         detail=JUSTIFICATIONS[justification],
     )

@@ -141,6 +141,14 @@ class TestBowenDimension:
         assert res.bracket[0] >= 1.0 - res.tol
         assert res.uncertainty  # the clamp is reported
 
+    def test_tol_below_float_spacing_returns(self):
+        # the bisection once stalled forever once the midpoint rounded to an end
+        res = bowen_dimension(bundled.cantor3(10), (0.2, 0.95), 10, tol=1e-300)
+        lo, hi = res.bracket
+        assert math.nextafter(lo, hi) == hi
+        assert len(res.trace) <= 60
+        assert any("adjacent floats" in note for note in res.uncertainty)
+
     def test_invariant_signs_at_endpoints(self, cantor):
         res = bowen_dimension(cantor, (0.2, 0.95), 14)
         lo_rate = pressure_estimate(cantor, res.bracket[0], res.window).growth_rate
