@@ -384,7 +384,7 @@ class GraphSchedule:
             _shared_rows(self.vertex_sets, lambda vs: {v: i for i, v in enumerate(vs)})
         )
         # each distinct (I^(n), V_{n-1}, V_n) is checked and coded once, at
-        # its first time, so a repeated step also binds its incidence once
+        # its first time
         coded, src, dst = {}, [None], [None]
         for n in range(1, self.horizon + 1):
             key = id(self.alphabets[n]), id(self.vertex_sets[n - 1]), id(self.vertex_sets[n])
@@ -393,10 +393,12 @@ class GraphSchedule:
             src.append(coded[key][0])
             dst.append(coded[key][1])
         self.src_index, self.dst_index = tuple(src), tuple(dst)
-        self.incidence = (None,) + tuple(
-            self.incidence[n].bind(dst[n], src[n + 1], self.vertex_sets[n])
-            for n in range(1, self.horizon)
-        )
+        # one bind per distinct incidence on one pair of step codings
+        self.incidence = (None,) + tuple(_shared_rows(
+            range(1, self.horizon),
+            lambda n: self.incidence[n].bind(dst[n], src[n + 1], self.vertex_sets[n]),
+            key=lambda n: (id(self.incidence[n]), id(dst[n]), id(src[n + 1])),
+        ))
 
     def _code(self, n):
         """(src, dst): the positions in V_{n-1} of the initial vertices and

@@ -10,7 +10,9 @@ with their autonomous closures, the two re-blocking constructions (uniform
 blocks from a primitivity certificate, and blocks cut at single-vertex
 pinch times), the block subsystem selected by partition-maximizing endpoint
 pairs, and the planar model family whose letter norms follow the
-inverse-branch decay law near poles of a doubly periodic map.
+inverse-branch decay law near poles of a doubly periodic map.  The three
+block constructions share one block builder, `_block_system`, which makes
+each block word one letter with its composed map.
 """
 
 from __future__ import annotations
@@ -238,22 +240,29 @@ def build_gdms(
     horizon = len(edge_schedule)
     if len(vertex_schedule) != horizon + 1:
         raise BuildError("vertex schedule must cover times 0..horizon")
-    space_rows = []
-    for n in range(horizon + 1):
+
+    def space_row(n):
         row = []
         for v in vertex_schedule[n]:
             s = spaces.get((n, v)) or spaces.get(v)
             if s is None:
                 raise BuildError(f"no space declared for vertex {v!r} at time {n}")
             row.append(s)
-        space_rows.append(row)
+        return row
+
+    # one space row per distinct vertex row, except at times with (n, v) keys
+    timed = {key[0] for key in spaces if isinstance(key, tuple)}
     return _assemble(
         vertex_schedule,
         _shared_rows(
             edge_schedule, lambda edges: tuple(Letter(e.label, e.src, e.dst) for e in edges)
         ),
         _shared_rows(edge_schedule, lambda edges: tuple(e.map for e in edges)),
-        space_rows,
+        _shared_rows(
+            range(horizon + 1),
+            space_row,
+            key=lambda n: (n,) if n in timed else id(vertex_schedule[n]),
+        ),
         matrices,
         provenance=provenance,
     )
@@ -357,30 +366,36 @@ def _compose_letter(maps_seq):
 
 
 def _block_words(system, start, length):
-    """Admissible words covering times start..start+length-1, in lexicographic
-    order: (labels, maps, letter indices)."""
-    rows, labels = _frontier.word_levels(system, start, start + length - 1)
-    return [
-        (letters, [system.maps[start + k][a] for k, a in enumerate(idx)], idx)
-        for idx, letters in zip(rows.tolist(), labels)
-    ]
+    """Letter indices of the admissible words covering times
+    start..start+length-1, one row per word in lexicographic order."""
+    return _frontier.word_levels(system, start, start + length - 1)[0]
 
 
-def _block_alphabet(system, start, length):
-    """The block words of times start..start+length-1, their letters (source of
-    the first letter to target of the last) and their composed maps."""
-    sched = system.schedule
-    end = start + length - 1
-    words = _block_words(system, start, length)
-    letters = [
-        Letter(
-            ".".join(labels),
-            sched.letters(start)[idx[0]].src,
-            sched.letters(end)[idx[-1]].dst,
-        )
-        for labels, _, idx in words
-    ]
-    return words, letters, [_compose_letter(parts) for _, parts, _ in words]
+def _block_system(system, cuts, rows, vertex_sets, spaces, matrices="full", **fields):
+    """The system whose time-n letters are block n's words: `rows[n - 1]`
+    holds them as rows of letter indices over times cuts[n - 1] + 1 ..
+    cuts[n].  Each word becomes one letter, labelled by its joined labels,
+    from its first letter's source to its last letter's target, with the
+    composition of its letters' maps; `fields` go to `_assemble` beside the
+    system's dim and declared distortion."""
+    alphabets, maps = [], []
+    for lo, hi, block in zip(cuts, cuts[1:], rows):
+        letters = system.schedule.alphabets[lo + 1 : hi + 1]
+        parts = system.maps[lo + 1 : hi + 1]
+        words = np.asarray(block).tolist()
+        alphabets.append([
+            Letter(
+                ".".join(letters[k][a].label for k, a in enumerate(idx)),
+                letters[0][idx[0]].src,
+                letters[-1][idx[-1]].dst,
+            )
+            for idx in words
+        ])
+        maps.append([_compose_letter([parts[k][a] for k, a in enumerate(idx)]) for idx in words])
+    return _assemble(
+        vertex_sets, alphabets, maps, spaces, matrices,
+        dim=system.dim, declared_distortion=system.declared_distortion, **fields,
+    )
 
 
 def reblock_one_primitive(system: SystemSpec, cert: PrimitivityCertificate) -> SystemSpec:
@@ -407,21 +422,18 @@ def reblock_one_primitive(system: SystemSpec, cert: PrimitivityCertificate) -> S
                 f"block {n} holds {size} words of length {p}, past the"
                 f" {symbolic.DENSE_LETTER_CAP}-letter cap on dense incidence"
             )
-    rows = [_block_alphabet(system, (n - 1) * p + 1, p) for n in range(1, blocks + 1)]
-    incidence = []
-    for n in range(1, blocks):
-        # block a may precede block b iff a's last letter may precede b's first
-        lasts = [idx[-1] for _, _, idx in rows[n - 1][0]]
-        firsts = [idx[0] for _, _, idx in rows[n][0]]
-        incidence.append(sched.incidence[n * p].matrix()[np.ix_(lasts, firsts)])
-    out = _assemble(
-        [sched.vertex_sets[n * p] for n in range(blocks + 1)],
-        [letters for _, letters, _ in rows],
-        [maps for _, _, maps in rows],
-        [system.spaces[n * p] for n in range(blocks + 1)],
+    cuts = range(0, blocks * p + 1, p)
+    rows = [_block_words(system, c + 1, p) for c in cuts[:-1]]
+    # block a may precede block b iff a's last letter may precede b's first
+    incidence = [
+        sched.incidence[c].matrix()[np.ix_(a[:, -1], b[:, 0])]
+        for c, a, b in zip(cuts[1:], rows, rows[1:])
+    ]
+    out = _block_system(
+        system, cuts, rows,
+        [sched.vertex_sets[c] for c in cuts],
+        [system.spaces[c] for c in cuts],
         incidence,
-        dim=system.dim,
-        declared_distortion=system.declared_distortion,
         tail_rule=system.tail_rule,
         flags=system.flags | frozenset({"reblocked"}),
         provenance=f"{system.provenance} [blocks of {p}]",
@@ -466,11 +478,8 @@ def reblock_pinched(system: SystemSpec, pinch_times: Sequence[int]) -> SystemSpe
                 f"incidence out of pinch time {j} is not complete; every"
                 " letter must follow every letter there"
             )
-    vals = []
-    prev = 0
-    for n, ell in enumerate(ells, start=1):
-        vals.append((ell**2 - prev**2) / n)
-        prev = ell
+    cuts = [0] + ells
+    vals = [(b**2 - a**2) / n for n, (a, b) in enumerate(zip(cuts, ells), start=1)]
     if len(vals) >= 3:
         from .trend import fit_line
 
@@ -482,17 +491,11 @@ def reblock_pinched(system: SystemSpec, pinch_times: Sequence[int]) -> SystemSpe
                 f" (l_n^2 - l_(n-1)^2)/n is {slope:.3g} > {PINCH_SLOPE_CAP};"
                 " the subexponential re-blocking hypothesis fails"
             )
-    rows = [
-        _block_alphabet(system, prev + 1, ell - prev)
-        for prev, ell in zip([0] + ells, ells)
-    ]
-    out = _assemble(
-        [sched.vertex_sets[0]] + [sched.vertex_sets[j] for j in ells],
-        [letters for _, letters, _ in rows],
-        [maps for _, _, maps in rows],
-        [system.spaces[0]] + [system.spaces[j] for j in ells],
-        dim=system.dim,
-        declared_distortion=system.declared_distortion,
+    out = _block_system(
+        system, cuts,
+        [_block_words(system, lo + 1, hi - lo) for lo, hi in zip(cuts, ells)],
+        [sched.vertex_sets[c] for c in cuts],
+        [system.spaces[c] for c in cuts],
         flags=system.flags | frozenset({"pinched"}),
         provenance=f"{system.provenance} [pinched at {ells}]",
     )
@@ -538,6 +541,7 @@ def extract_subsystem_g_bounded(
     connector; ties break to the lexicographically smallest pair.  Records
     the pressure-sandwich constant K^2 M^p / Q^t.
     """
+    thermo._check_t(system, t)
     p = cert.p
     if ell <= p:
         raise InputError(f"block length must exceed p (got ell={ell}, p={p})")
@@ -556,17 +560,17 @@ def extract_subsystem_g_bounded(
             "certificate lacks connector norms (Q); build it with system_certify"
         )
 
-    pairs = []
-    chosen_words = []
+    rows, pairs = [], []
     for n in range(1, blocks + 1):
         start = (n - 1) * span + 1
-        words = _block_words(system, start, ell)
-        sums = {}
-        for labels, _, _ in words:
-            word = Word(start, labels)
-            key = (labels[0], labels[-1])
-            sums.setdefault(key, []).append(
-                compose_norm(word, system, check=False).hi ** t
+        words = _block_words(system, start, ell).tolist()
+        names = [[e.label for e in sched.letters(start + k)] for k in range(ell)]
+        keys, sums = [], {}
+        for idx in words:
+            labels = tuple(names[k][a] for k, a in enumerate(idx))
+            keys.append((labels[0], labels[-1]))
+            sums.setdefault(keys[-1], []).append(
+                compose_norm(Word(start, labels), system, check=False).hi ** t
             )
         best_key = None
         best_val = -1.0
@@ -575,16 +579,14 @@ def extract_subsystem_g_bounded(
             if val > best_val + 1e-15:
                 best_key, best_val = key, val
         pairs.append(best_key)
-        chosen_words.append(
-            [w for w in words if (w[0][0], w[0][-1]) == best_key]
-        )
+        rows.append([idx for idx, key in zip(words, keys) if key == best_key])
 
-    # connectors: block n ends with letter b*_n at time n*ell + (n-1)*p
+    # connectors: block n ends with letter b*_n at time n*ell + (n-1)*p and
+    # its connector's letters follow it in the block's words
     connectors = []
     for n in range(1, blocks + 1):
         if p == 0:
-            connectors.append(None)
-            continue
+            break
         m = n * ell + (n - 1) * p
         lam_table = cert.connectors.get(m)
         if lam_table is None:
@@ -607,52 +609,17 @@ def extract_subsystem_g_bounded(
                 f"no connector for pair ({b_star}, {target}) at time {m}"
             )
         connectors.append(lam)
+        tail = [sched.letter_index(lam.start + k, lbl) for k, lbl in enumerate(lam.letters)]
+        rows[n - 1] = [idx + tail for idx in rows[n - 1]]
 
-    # one vertex per block boundary: the terminal vertex at time n*(ell+p)
-    first_letter = chosen_words[0][0][0][0]
-    root_v = sched.letters(1)[sched.letter_index(1, first_letter)].src
-    vertex_sets = [(f"{root_v}@0",)]
-    spaces = [(system.space_for(0, root_v),)]
-    alphabets = []
-    maps = []
-    for n in range(1, blocks + 1):
-        lam = connectors[n - 1]
-        lam_labels = ()
-        lam_parts = []
-        if lam is not None:
-            lam_labels = lam.letters
-            lam_parts = [
-                system.map_for(lam.start + k, lbl)
-                for k, lbl in enumerate(lam.letters)
-            ]
-        end_time = n * span
-        last_lbl = lam_labels[-1] if lam is not None else chosen_words[n - 1][0][0][-1]
-        v = sched.letters(end_time)[sched.letter_index(end_time, last_lbl)].dst
-        vertex_sets.append((f"{v}@{n}",))
-        spaces.append((system.space_for(end_time, v),))
-        alphabets.append(
-            [
-                Letter(
-                    ".".join(labels + tuple(lam_labels)),
-                    vertex_sets[n - 1][0],
-                    vertex_sets[n][0],
-                )
-                for labels, _, _ in chosen_words[n - 1]
-            ]
-        )
-        maps.append(
-            [
-                _compose_letter(list(parts) + lam_parts)
-                for _, parts, _ in chosen_words[n - 1]
-            ]
-        )
-    sub = _assemble(
-        vertex_sets,
-        alphabets,
-        maps,
-        spaces,
-        dim=system.dim,
-        declared_distortion=system.declared_distortion,
+    # one vertex per block boundary, the one the blocks' words meet at
+    cuts = range(0, blocks * span + 1, span)
+    vertex_sets = [(sched.letters(1)[rows[0][0][0]].src,)] + [
+        (sched.letters(c)[block[0][-1]].dst,) for c, block in zip(cuts[1:], rows)
+    ]
+    sub = _block_system(
+        system, cuts, rows, vertex_sets,
+        [(system.space_for(c, v),) for c, (v,) in zip(cuts, vertex_sets)],
         flags=frozenset({"block-subsystem"}),
         provenance=provenance or f"{system.provenance} [blocks ell={ell}, p={p}]",
     )
@@ -670,7 +637,7 @@ def extract_subsystem_g_bounded(
         p=p,
         t=t,
         pairs=tuple(pairs),
-        connectors=tuple(c for c in connectors if c is not None),
+        connectors=tuple(connectors),
         sandwich_constant=sandwich,
         blocks=blocks,
     )

@@ -452,6 +452,12 @@ class TestCliExitCodes:
             "semantic error: no connector certificate at p=1\n"
         )
 
+    @pytest.mark.parametrize("t", ["1.5", "-0.5"])
+    def test_blocks_t_outside_the_dimension_is_2(self, tmp_path, capsys, t):
+        args = ["subsystem", "cf12", "--mode", "blocks", "--t", t]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: t must lie in [0, 1], got {float(t)}\n"
+
     def test_ok_is_0(self, tmp_path):
         assert main(
             ["dimension", "cantor3", "--out", str(tmp_path / "o0"), "--n-max", "12"]

@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from bowendim import (
+    bowen_dimension,
     bundled,
     cli,
     extract_subsystem_g_bounded,
@@ -444,3 +445,27 @@ def test_bundled_fingerprints_on_every_route(name):
     assert _fingerprint(build_from_spec(spec)) == packaged
     assert _fingerprint(bundled.BUNDLED[name](horizon=8)) == at_8
     assert _fingerprint(build_from_spec(dict(spec, overrides={"horizon": 8}))) == at_8
+
+
+# SHA-256 of the derived systems (see `_fingerprint`).  Block subsystems keep
+# the original vertex names ("u"), not one name per time ("u@1").
+DERIVED_FINGERPRINTS = {
+    "blocks": "4a521fd48eeb2d41b1631c371effa96e7d42467f4c4bbee5c87ddaaa70caa1c2",
+    "uniform": "18f16ec434a227c854a2d4439dde78ee7bb8aa831279e1372a48cd3a47a604ca",
+    "pinched": "ea7e9b7f867123c01aa9326ccbb5114920c59cef86d49690caeb0ca36b92c439",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DERIVED_FINGERPRINTS))
+def test_derived_fingerprints(mode):
+    assert _fingerprint(_derived(mode)) == DERIVED_FINGERPRINTS[mode]
+
+
+def test_block_subsystem_of_an_autonomous_system_is_autonomous():
+    # original vertex names keep every block alike, so the report can name
+    # the autonomous identity; the bracket is the one the renamed form gave
+    gdms = bundled.gdms2v(16)
+    sub = extract_subsystem_g_bounded(gdms, system_certify(gdms, 1), 3, 0.5).system
+    res = bowen_dimension(sub, (0, 0.99), sub.horizon)
+    assert res.hypothesis.justification == "autonomous-system"
+    assert res.bracket == (0.12254150390624999, 0.12260192871093749)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from bowendim import SchemaError, bundled
+from bowendim import SchemaError, bundled, symbolic
 from bowendim.config import _PACKAGED, build_from_spec
 
 from test_golden_outputs import _fingerprint
@@ -59,6 +59,22 @@ def test_gdms_cycle_keeps_one_alphabet():
     # time 0's empty alphabet and the cycle's one row, shared by every time
     alphabets = bundled.gdms2v(40).schedule.alphabets
     assert len({id(row) for row in alphabets}) == 2
+
+
+def test_gdms_binds_its_one_step_once(monkeypatch):
+    # one incidence object on one pair of step codings: one bind for 199 steps
+    calls = []
+    bind = symbolic.Incidence.bind
+    monkeypatch.setattr(
+        symbolic.Incidence, "bind", lambda inc, *args: calls.append(inc) or bind(inc, *args)
+    )
+    bundled.gdms2v(200)
+    assert len(calls) == 1
+
+
+def test_gdms_keeps_one_space_row():
+    # one vertex row at every time and no (n, v) space keys: one space row
+    assert len({id(row) for row in bundled.gdms2v(200).spaces}) == 1
 
 
 @pytest.mark.parametrize(

@@ -342,8 +342,13 @@ class TestReblockUniform:
 
     def test_block_alphabet_in_brute_order(self, gdms):
         for start in (1, 2, 7):
-            _, letters, _ = systems._block_alphabet(gdms, start, 2)
-            assert [e.label for e in letters] == [
+            cuts = [start - 1, start + 1]
+            block = systems._block_system(
+                gdms, cuts, [systems._block_words(gdms, start, 2)],
+                [gdms.schedule.vertex_sets[c] for c in cuts],
+                [gdms.spaces[c] for c in cuts],
+            )
+            assert [e.label for e in block.schedule.letters(1)] == [
                 ".".join(w) for w in schedule_words(gdms.schedule, start, start + 1)
             ]
 
