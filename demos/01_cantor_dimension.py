@@ -17,9 +17,9 @@ target = math.log(2) / math.log(3)
 print("middle-thirds schedule: bundled system cantor3")
 print(f"analytic dimension  log2/log3 = {target:.9f}\n")
 
-print("partition values Z_n(t) (matrix-exact, closed form (2*3^-t)^n):")
+print("partition values Z_n(t) (transfer product, closed form (2*3^-t)^n):")
 for t in (0.4, target, 0.8):
-    z = partition(system, 1, 10, t, "matrix-exact")
+    z = partition(system, 1, 10, t)
     print(f"  t={t:.4f}:  Z_10 = {z.value:.6g}   (closed form {(2 * 3**-t) ** 10:.6g})")
 
 print("\npressure rates (zero exactly at the dimension):")

@@ -49,8 +49,8 @@ print(f"  full system: B = {full_b:.5f} (block values approach it from below)")
 
 pinch = pinch2(horizon=12)
 pinched = reblock_pinched(pinch, [2, 4, 6, 8, 10, 12])
-z_orig = partition(pinch, 1, 6, 0.5, "enumerate-exact").hi
-z_blk = partition(pinched, 1, 3, 0.5, "enumerate-exact").hi
+z_orig = partition(pinch, 1, 6, 0.5).hi
+z_blk = partition(pinched, 1, 3, 0.5).hi
 print(
     f"\npinched blocks: Z identity holds bit-for-bit on dyadic ratios:"
     f" {z_orig} == {z_blk}: {z_orig == z_blk}"

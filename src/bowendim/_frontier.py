@@ -81,9 +81,6 @@ class SimilarityState:
     norm |D phi_w| = |scale| (exact, as rounding is sign-symmetric, so it
     equals the product of |ratio|) and the point samplers' images."""
 
-    # what a BudgetError from a sweep with this state suggests instead
-    budget_hint = "try the matrix-exact strategy"
-
     def __init__(self, system):
         self.system = system
 
@@ -124,9 +121,6 @@ class SimilarityState:
 
 class MoebiusState:
     """(q_prev, q_cur) float continuants; sup norm = q_cur^-2."""
-
-    # matrix-exact needs similarity norms, so no other strategy applies here
-    budget_hint = "lower n_max or raise the budget"
 
     def __init__(self, system):
         self.system = system
@@ -191,10 +185,10 @@ class MoebiusPointState(MoebiusState):
         return (0.5 * (left + right),), 0.5 * (right - left)
 
 
-def _frontier_over_budget(total, j, budget, hint):
+def _frontier_over_budget(total, j, budget):
     return BudgetError(
         f"frontier would hold {total} words at time {j},"
-        f" over the budget of {budget}; {hint}"
+        f" over the budget of {budget}; lower n_max or raise the budget"
     )
 
 
@@ -224,12 +218,12 @@ def sweep(system, m, n, state_impl, on_level, budget=DEFAULT_BUDGET, draws=None)
     for j in range(m, n):
         u = None if draws is None else draws[:, j - m + 1]
         table = sched.follower_table(j)
-        src, letters = _expand(table, letters, j, u, budget, state_impl)
+        src, letters = _expand(table, letters, j, u, budget)
         state = state_impl.extend(j + 1, state, src, letters)
         on_level(j + 1, letters, state, src)
 
 
-def _expand(table, letters, j, u, budget, state_impl):
+def _expand(table, letters, j, u, budget):
     """(src, letters) of the level after time j, from its follower table:
     every word's followers, or with uniforms `u` the follower floor(u * k) of
     each word's k.  Its scratch arrays are freed before the caller extends
@@ -254,7 +248,7 @@ def _expand(table, letters, j, u, budget, state_impl):
     if u is not None:
         return src, table.cols[first + (u * degree).astype(np.intp)]
     if total > budget:
-        raise _frontier_over_budget(total, j + 1, budget, state_impl.budget_hint)
+        raise _frontier_over_budget(total, j + 1, budget)
     # entry k of word i's run reads cols[first[i] + k]; first is our copy, so
     # shifting it by each run's start allocates nothing more
     first -= np.cumsum(degree) - degree
@@ -394,15 +388,15 @@ class LevelNorms:
     segment after segment, and `counts[i]` is how many of the segment's
     words share values[i].  Equal floats have equal powers, so each t takes
     one numpy power and one weighted `_segment_sums` pass over every level.
-    `sizes[j - m]` is the word count at time j, and `budget_hint` is the
-    sweep state's (None for levels of the word-at-a-time walk).
+    `sizes[j - m]` is the word count at time j, and `walked` tells levels of
+    the word-at-a-time walk from swept ones.
     """
 
-    def __init__(self, m, levels, budget_hint=None):
+    def __init__(self, m, levels, walked=False):
         """`levels[j - m]` is the `_distinct` (values, counts) pair of lo and
         of hi at time j (hi is lo where the two are equal)."""
         self.m = m
-        self.budget_hint = budget_hint
+        self.walked = walked
         segments = []
         self._sides = []
         for lo, hi in levels:
@@ -418,13 +412,13 @@ class LevelNorms:
 
     def check_budget(self, budget):
         """Raise the BudgetError a fresh walk of this range would raise."""
-        if self.budget_hint is None:
+        if self.walked:
             if sum(self.sizes) > budget:
                 raise _walk_over_budget(budget)
             return
         for j, size in enumerate(self.sizes[1:], self.m + 1):
             if size > budget:
-                raise _frontier_over_budget(size, j, budget, self.budget_hint)
+                raise _frontier_over_budget(size, j, budget)
 
     def power_sums(self, t):
         """{j: (Z_lo, Z_hi, words)}: sums of norm**t per level, correctly rounded."""
@@ -464,7 +458,7 @@ def _walk_levels(system, m, n, budget):
             add(*impl.norm_bounds(state, j - m + 1))
 
         sweep(system, m, n, impl, on_level, budget)
-        return LevelNorms(m, levels, impl.budget_hint)
+        return LevelNorms(m, levels)
     brackets = [([], []) for _ in range(m, n + 1)]
 
     def on_word(j, word, bracket):
@@ -476,7 +470,7 @@ def _walk_levels(system, m, n, budget):
     for lows, highs in brackets:
         lo = np.array(lows, dtype=float)
         add(lo, lo if lows == highs else np.array(highs, dtype=float))
-    return LevelNorms(m, levels)
+    return LevelNorms(m, levels, walked=True)
 
 
 def level_norms(system, m, n, budget=DEFAULT_BUDGET) -> LevelNorms:

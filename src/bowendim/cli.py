@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, geometry, thermo
+from . import __version__, geometry, symbolic, thermo
 from .config import _PARAMS, _check_param, load_config
 from .errors import (
     BracketingError,
@@ -248,6 +248,7 @@ def cmd_dimension(args, cfg, system, out):
         tol=_param(args, cfg, "tol", float),
         window=_param(args, cfg, "window"),
         budget=_param(args, cfg, "budget", int),
+        p_max=_param(args, cfg, "p_max", int),
     )
     payload = {"command": "dimension", **_bracket_keys(res)}
     write_json(out / "summary.json", _with_meta(payload, cfg, args))
@@ -258,13 +259,24 @@ def cmd_dimension(args, cfg, system, out):
     return EXIT_OK if res.hypothesis.bowen_supported else EXIT_ADVISORY
 
 
-def _cloud(args, cfg, system, depth=None, with_words=True):
-    """The limit-set sample of the sample, boxdim and report commands."""
+def _cloud(args, cfg, system, with_words=True):
+    """The limit-set sample of the sample, boxdim and report commands.
+
+    The depth is clamped to the horizon; an exhaustive sample at the default
+    depth shrinks it until the words fit `max_points`.
+    """
+    depth = min(_param(args, cfg, "depth", int), system.horizon)
+    max_points = _param(args, cfg, "max_points", int)
+    strategy = _param(args, cfg, "sample_strategy")
+    explicit = args.depth is not None or "depth" in cfg.params
+    if not explicit and strategy == "exhaustive":
+        while depth > 1 and symbolic.count_words(1, depth, system.schedule) > max_points:
+            depth -= 1
     return geometry.sample_limit_set(
         system,
-        depth or _param(args, cfg, "depth", int),
-        _param(args, cfg, "max_points", int),
-        strategy=_param(args, cfg, "sample_strategy"),
+        depth,
+        max_points,
+        strategy=strategy,
         seed=_param(args, cfg, "seed", int),
         with_words=with_words,
     )
@@ -386,6 +398,7 @@ def cmd_report(args, cfg, system, out):
         tol=_param(args, cfg, "tol", float),
         window=tuple(window),
         budget=budget,
+        p_max=_param(args, cfg, "p_max", int),
     )
     # pressure curve across the initial bracket
     t_lo, t_hi = _t_bracket(args, cfg, system)
@@ -399,16 +412,7 @@ def cmd_report(args, cfg, system, out):
     )
     pressure_svg(out / "pressure.svg", ts, rates, crossing=res.midpoint)
 
-    depth = min(_param(args, cfg, "depth", int), system.horizon)
-    max_points = _param(args, cfg, "max_points", int)
-    explicit = args.depth is not None or "depth" in cfg.params
-    if not explicit and _param(args, cfg, "sample_strategy") == "exhaustive":
-        # shrink the convenience default until the cloud fits the budget
-        from .symbolic import count_words
-
-        while depth > 1 and count_words(1, depth, system.schedule) > max_points:
-            depth -= 1
-    cloud = _cloud(args, cfg, system, depth)
+    cloud = _cloud(args, cfg, system)
     _write_points(out, system, cloud)
     try:
         fit = geometry.box_counting_dim(

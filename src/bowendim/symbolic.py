@@ -679,9 +679,13 @@ class SubexpReport:
 class PrimitivityCertificate:
     """Every (a, b) separated by p+1 steps is joined by a length-p word.
 
-    The schedule-level searches leave `connectors` empty and Q None for p >= 1;
-    `systems.system_certify`/`system_primitivity` fill in one joining word per
-    pair and Q, a lower bound on their derivative norms."""
+    `p` is the connector length (products of p + 1 steps) from
+    `certify_primitivity` and `systems.system_certify`, but the steps of the
+    positive product from `find_primitivity`: gdms2v certifies at p = 1 and
+    finds p = 2.  The schedule-level searches leave `connectors` empty and Q
+    None for p >= 1; `systems.system_certify`/`system_primitivity` fill in
+    one joining word per pair and Q, a lower bound on their derivative norms.
+    """
 
     p: int
     connectors: Mapping  # time n -> {(a_label, b_label): Word}
@@ -761,6 +765,8 @@ def certify_primitivity(schedule: GraphSchedule, p: int):
     Succeeds when every a in I^(n), b in I^(n+p+1) is joined by a length-p
     word, i.e. the (p+1)-matrix products are entrywise positive; p=0 demands
     complete steps.  Returns a certificate without connector words or None.
+    Here p is the connector length, one less than the steps that
+    `find_primitivity` counts: gdms2v certifies at p = 1 and finds p = 2.
     """
     if p < 0:
         raise InputError(f"connector length p must be >= 0, got {p}")
@@ -788,6 +794,8 @@ def find_primitivity(schedule: GraphSchedule, p_max: int):
     the same p; no connector words are built.  None when no p <= p_max works.
     The search over p keeps each start time's product and extends it by one
     step for the next p, so it forms each product of consecutive steps once.
+    Here p counts the product's steps, one more than the connector length of
+    `certify_primitivity`: gdms2v finds p = 2 (`primitivity_p`), certifies at 1.
     """
     if schedule.horizon < p_max + 2:
         raise ConfigurationError(

@@ -72,7 +72,7 @@ def system_primitivity(system, p_max: int = 4) -> Optional[PrimitivityCertificat
 
 
 def system_certify(system, p: int) -> Optional[PrimitivityCertificate]:
-    """Direct certificate at a chosen p (connector definition, not minimality)."""
+    """Direct certificate at connector length p (products of p + 1 steps)."""
     return _with_connectors(system, certify_primitivity(system.schedule, p))
 
 
@@ -500,8 +500,8 @@ def reblock_pinched(system: SystemSpec, pinch_times: Sequence[int]) -> SystemSpe
         provenance=f"{system.provenance} [pinched at {ells}]",
     )
     for n in range(1, min(len(ells), 4) + 1):
-        orig = thermo.partition(system, 1, ells[n - 1], 0.5, "enumerate-exact")
-        blocked = thermo.partition(out, 1, n, 0.5, "enumerate-exact")
+        orig = thermo.partition(system, 1, ells[n - 1], 0.5)
+        blocked = thermo.partition(out, 1, n, 0.5)
         if not math.isclose(orig.hi, blocked.hi, rel_tol=1e-12):
             raise BuildError(
                 f"partition identity failed at block {n}:"
@@ -858,7 +858,7 @@ def elliptic_lower_bound(
         checks = []
         ok = True
         for n in range(1, n_check + 1):
-            z = thermo.partition(model, 1, n, t, "matrix-exact").value
+            z = thermo.partition(model, 1, n, t).value
             good = z >= 2.0**n
             ok = ok and good
             checks.append((n, z, 2.0**n))

@@ -17,13 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _frontier, geometry
-from .errors import (
-    BracketingError,
-    BudgetError,
-    ConfigurationError,
-    InputError,
-    UnsupportedError,
-)
+from .errors import BracketingError, BudgetError, ConfigurationError, InputError
 from .symbolic import (
     PrimitivityCertificate,
     find_primitivity,
@@ -31,8 +25,6 @@ from .symbolic import (
     subexp_diagnostic,
 )
 from .trend import EXPONENTIAL, SUBEXPONENTIAL, fit_line
-
-STRATEGIES = ("auto", "enumerate-exact", "matrix-exact")
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +41,6 @@ class PartitionValue:
     t: float
     lo: float
     hi: float
-    strategy: str
     words: Optional[int] = None
 
     @property
@@ -77,38 +68,21 @@ def _transfer_sums(system, m, n, t):
     return out
 
 
-def _levels(system, m, n, t, strategy, budget=_frontier.DEFAULT_BUDGET):
-    """({j: (z_lo, z_hi, words)} for every j in m..n, resolved strategy).
+def _levels(system, m, n, t, budget):
+    """{j: (z_lo, z_hi, words)}: brackets on Z_{m,j}(t) for every j in m..n.
 
-    The one place that maps a strategy to a computation: "auto" takes the
-    matrix-exact transfer product on similarity ranges and the enumerated
-    words (`_frontier.level_norms`) on all others.  Brackets on Z_{m,j}(t);
-    `words` is the level's word count for enumerate-exact and None for
-    matrix-exact.
+    The map family alone picks the computation: the transfer product on
+    similarity ranges, whose norms multiply (`words` is None there), and the
+    enumerated words of `_frontier.level_norms` on all others.
     """
-    if strategy not in STRATEGIES:
-        raise InputError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    similarity = _frontier._family(system, m, n) == "similarity"
-    if strategy == "auto":
-        strategy = "matrix-exact" if similarity else "enumerate-exact"
-    if strategy == "enumerate-exact":
-        return _frontier.level_norms(system, m, n, budget).power_sums(t), strategy
-    if not similarity:
-        raise UnsupportedError(
-            "matrix-exact needs multiplicative (similarity) norms; use"
-            " enumerate-exact here"
-        )
-    z = _transfer_sums(system, m, n, t)
-    return {j: (v, v, None) for j, v in z.items()}, strategy
+    if _frontier._family(system, m, n) == "similarity":
+        z = _transfer_sums(system, m, n, t)
+        return {j: (v, v, None) for j, v in z.items()}
+    return _frontier.level_norms(system, m, n, budget).power_sums(t)
 
 
 def partition(
-    system,
-    m: int,
-    n: int,
-    t: float,
-    strategy: str = "auto",
-    budget: int = _frontier.DEFAULT_BUDGET,
+    system, m: int, n: int, t: float, *, budget: int = _frontier.DEFAULT_BUDGET
 ) -> PartitionValue:
     """Certified bracket on the weighted word sum Z_{m,n}(t)."""
     _check_t(system, t)
@@ -116,9 +90,7 @@ def partition(
         raise ConfigurationError(
             f"need 1 <= m <= n <= horizon={system.horizon}, got ({m}, {n})"
         )
-    levels, strat = _levels(system, m, n, t, strategy, budget)
-    z_lo, z_hi, words = levels[n]
-    return PartitionValue(m, n, t, z_lo, z_hi, strat, words)
+    return PartitionValue(m, n, t, *_levels(system, m, n, t, budget)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +120,6 @@ class PressureEstimate:
     upper_proxy: tuple
     growth_rate: tuple
     oscillation: float
-    strategy: str
 
     @property
     def flagged_oscillation(self) -> bool:
@@ -173,8 +144,7 @@ def _tail(window):
 
 
 def pressure_estimate(
-    system, t: float, window, strategy: str = "auto",
-    budget: int = _frontier.DEFAULT_BUDGET,
+    system, t: float, window, *, budget: int = _frontier.DEFAULT_BUDGET
 ) -> PressureEstimate:
     _check_t(system, t)
     n_lo, n_hi = window
@@ -182,7 +152,7 @@ def pressure_estimate(
         raise ConfigurationError(
             f"window {window} must sit inside [1, horizon={system.horizon}]"
         )
-    levels, strat = _levels(system, 1, n_hi, t, strategy, budget)
+    levels = _levels(system, 1, n_hi, t, budget)
     ns = tuple(range(n_lo, n_hi + 1))
     z_lo = tuple(levels[n][0] for n in ns)
     z_hi = tuple(levels[n][1] for n in ns)
@@ -220,7 +190,6 @@ def pressure_estimate(
         upper_proxy=up,
         growth_rate=chord,
         oscillation=up[1] - low[0],
-        strategy=strat,
     )
 
 
@@ -237,7 +206,6 @@ class DimensionResult:
     tol: float
     trace: tuple  # (t, rate_lo, rate_hi) per evaluation
     hypothesis: "HypothesisReport"
-    strategy: str
     uncertainty: tuple = ()
 
     @property
@@ -255,15 +223,17 @@ def bowen_dimension(
     n_max: int,
     tol: float = 1e-4,
     window=None,
-    strategy: str = "auto",
+    *,
     budget: int = _frontier.DEFAULT_BUDGET,
+    p_max: int = 4,
 ) -> DimensionResult:
     """Bracket the zero-crossing of the windowed pressure rate in t.
 
     Maintains rate >= 0 at the left endpoint and <= 0 at the right one; when
     norm-bracket uncertainty straddles zero, or the ends are adjacent floats
     before the width reaches `tol`, the bisection stops early and the
-    reported interval keeps the full remaining width.
+    reported interval keeps the full remaining width.  `p_max` bounds the
+    primitivity search of the hypothesis report.
     """
     if n_max > system.horizon:
         raise ConfigurationError(
@@ -277,12 +247,10 @@ def bowen_dimension(
         raise InputError(f"invalid t bracket {t_bracket}")
     trace = []
     notes = []
-    chosen = []
 
     def rate(t):
-        est = pressure_estimate(system, t, window, strategy, budget)
+        est = pressure_estimate(system, t, window, budget=budget)
         trace.append((t, est.growth_rate[0], est.growth_rate[1]))
-        chosen.append(est.strategy)
         return est.growth_rate
 
     r_lo = rate(t_lo)
@@ -324,8 +292,8 @@ def bowen_dimension(
                 )
                 break
     return DimensionResult(
-        (t_lo, t_hi), n_max, window, tol, tuple(trace), hypothesis_report(system),
-        chosen[0], tuple(notes),
+        (t_lo, t_hi), n_max, window, tol, tuple(trace),
+        hypothesis_report(system, p_max), tuple(notes),
     )
 
 
@@ -543,7 +511,7 @@ def hausdorff_measure_trend(
             "inapplicable", h, tuple(window), (), pre,
             f"hypotheses not met: {', '.join(missing)}",
         )
-    levels, _ = _levels(system, 1, n_hi, h, "auto", budget)
+    levels = _levels(system, 1, n_hi, h, budget)
     ns = list(range(n_lo, n_hi + 1))
     zs = [0.5 * (levels[n][0] + levels[n][1]) for n in ns]
     tail = _tail(window)

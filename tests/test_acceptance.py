@@ -17,7 +17,7 @@ from bowendim import (
     sample_limit_set,
     system_theta,
 )
-from bowendim import bundled
+from bowendim import _frontier, bundled
 from bowendim.systems import (
     autonomous_closure,
     elliptic_lower_bound,
@@ -41,7 +41,7 @@ def report(criterion, ok, detail):
 def test_criterion_1_middle_thirds():
     t0 = time.perf_counter()
     system = bundled.cantor3(30)
-    res = bowen_dimension(system, (0.2, 0.95), 30, tol=1e-4, strategy="matrix-exact")
+    res = bowen_dimension(system, (0.2, 0.95), 30, tol=1e-4)
     elapsed = time.perf_counter() - t0
     ok = (
         res.bracket[0] <= T_STAR3 <= res.bracket[1]
@@ -73,9 +73,7 @@ CF18_BRACKET = {}
 def test_criterion_3_continued_fractions():
     t0 = time.perf_counter()
     system = bundled.cf12(20)
-    res = bowen_dimension(
-        system, (0.2, 0.9), 18, tol=1e-4, strategy="enumerate-exact"
-    )
+    res = bowen_dimension(system, (0.2, 0.9), 18, tol=1e-4)
     cloud = sample_limit_set(system, 20, 2**20, with_words=False)
     fit = box_counting_dim(cloud.coords, cloud.radii, (2.0**-14, 2.0**-4))
     elapsed = time.perf_counter() - t0
@@ -217,9 +215,10 @@ def test_criterion_8_construction_identities():
     identity_ok = True
     for t in (0.3, 0.5, 0.8):
         for n in range(1, 6):
-            z_orig = partition(pinch, 1, 2 * n, t, "enumerate-exact")
-            z_blk = partition(blocked, 1, n, t, "enumerate-exact")
-            identity_ok = identity_ok and z_blk.hi == z_orig.hi
+            # the enumerated sums, bit-exact on dyadic ratios
+            z_orig = _frontier.level_norms(pinch, 1, 2 * n).power_sums(t)[2 * n]
+            z_blk = _frontier.level_norms(blocked, 1, n).power_sums(t)[n]
+            identity_ok = identity_ok and z_blk[1] == z_orig[1]
 
     gdms = bundled.gdms2v(26)
     cert1 = system_certify(gdms, 1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bowendim import SchemaError, cli, count_words, sample_limit_set
 from bowendim.cli import main
-from bowendim.config import _zero_one, load_config
+from bowendim.config import _PACKAGED, _zero_one, load_config
 from conftest import child_env
 from oracles import asarray_zero_one
 
@@ -362,6 +362,19 @@ class TestCliExitCodes:
                      "--depth", "5", "--max-points", "64"]) == 4
         summary = json.loads((tmp_path / "o4" / "summary.json").read_text())
         assert summary["hypotheses"]["bowen_formula_supported"] is False
+
+    def test_p_max_gives_one_verdict(self, tmp_path):
+        # gdms2v's positive product needs two steps, so at p_max = 1 no
+        # primitivity certificate is found and every command names no theorem
+        payload = json.loads(_PACKAGED["gdms2v"].read_text())
+        payload["params"]["p_max"] = 1
+        path = write_cfg(tmp_path, "g.json", payload)
+        for command in ("check", "dimension", "report"):
+            out = tmp_path / command
+            assert main([command, path, "--out", str(out)]) == 4
+            hyp = json.loads((out / "summary.json").read_text())["hypotheses"]
+            assert hyp["justification"] == "upper-bound-only"
+            assert hyp["primitivity_p"] is None
 
     def test_budget_is_5_with_partial_marker(self, tmp_path):
         code = main(
@@ -784,6 +797,28 @@ class TestCliArtifacts:
         ) == 0
         summary = json.loads((tmp_path / "su" / "summary.json").read_text())
         assert summary["p"] == 2
+
+    def test_default_depth_fits_max_points(self, tmp_path):
+        # gdms2v lists 2 * 3^9 words at the default depth 10, over the 4096
+        # points; sample, boxdim and report all shrink it to depth 6
+        for command in ("sample", "boxdim", "report"):
+            assert main([command, "gdms2v", "--out", str(tmp_path / command)]) == 0
+        for command in ("sample", "boxdim"):
+            summary = json.loads((tmp_path / command / "summary.json").read_text())
+            assert (summary["depth"], summary["points"]) == (6, 1458)
+        sample, report = ((tmp_path / c / "points.csv").read_bytes()
+                          for c in ("sample", "report"))
+        assert sample == report
+
+    def test_default_depth_clamped_to_horizon(self, tmp_path):
+        path = write_cfg(tmp_path, "h5.json", {
+            "schema_version": 1,
+            "system": {"kind": "bundled", "name": "cf12", "overrides": {"horizon": 5}},
+        })
+        for command in ("sample", "boxdim"):
+            out = tmp_path / command
+            assert main([command, path, "--out", str(out)]) == 0
+            assert json.loads((out / "summary.json").read_text())["depth"] == 5
 
     def test_pressure_and_boxdim_commands(self, tmp_path):
         assert main(

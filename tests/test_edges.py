@@ -57,7 +57,7 @@ class TestRealDigits:
             [MoebiusInverse(1.5), MoebiusInverse(2.5)], (0.0, 1.0)
         )
         assert br.hi == pytest.approx(grid, abs=1e-10)
-        pv = partition(system, 1, 4, 0.6, "enumerate-exact")
+        pv = partition(system, 1, 4, 0.6)
         assert pv.words == 16 and pv.lo == pv.hi
 
 
@@ -78,7 +78,7 @@ class TestRestrictedDigitSystem:
         # words avoiding the digit pair (2, 2): Fibonacci-style counts
         counts = [count_words(1, n, system.schedule) for n in range(1, 7)]
         assert counts == [2, 3, 5, 8, 13, 21]
-        exact = partition(system, 1, 3, 1.0, "enumerate-exact")
+        exact = partition(system, 1, 3, 1.0)
         expect = 0.0
         for w in [("1", "1", "1"), ("1", "1", "2"), ("1", "2", "1"),
                   ("2", "1", "1"), ("2", "1", "2")]:

@@ -34,12 +34,12 @@ import numpy as np
 import pytest
 
 from bowendim import (
+    _frontier,
     bowen_dimension,
     bundled,
     cli,
     extract_subsystem_g_bounded,
     geometry,
-    partition,
     reblock_one_primitive,
     reblock_pinched,
 )
@@ -285,7 +285,7 @@ IRREGULAR_OUTPUTS = {
 
 @pytest.mark.parametrize("command", sorted(IRREGULAR_OUTPUTS))
 def test_irregular_dense_outputs(tmp_path, command):
-    # matrix-exact sums over columns with up to 14 ones (numpy's pairwise
+    # transfer sums over columns with up to 14 ones (numpy's pairwise
     # regime), pruned unreachable letters, and primitivity found at p = 4
     code, summary_sha, pressure_sha, points_sha = IRREGULAR_OUTPUTS[command]
     cfg = _write(tmp_path, "irregular", IRREGULAR,
@@ -364,9 +364,12 @@ SUBSYSTEM_PARTITIONS = {
 
 @pytest.mark.parametrize("mode", sorted(SUBSYSTEM_PARTITIONS))
 def test_subsystem_partitions(mode):
-    # the derived systems' composed maps, through Z_n(1/2) at n = 1, 2, 3
+    # the derived systems' composed maps, through the enumerated Z_n(1/2) at
+    # n = 1, 2, 3
     sub = _derived(mode)
-    values = tuple(partition(sub, 1, n, 0.5, "enumerate-exact").hi for n in (1, 2, 3))
+    values = tuple(
+        _frontier.level_norms(sub, 1, n).power_sums(0.5)[n][1] for n in (1, 2, 3)
+    )
     assert values == SUBSYSTEM_PARTITIONS[mode]
 
 

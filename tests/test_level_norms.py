@@ -63,14 +63,25 @@ SYSTEMS = {
 TS = (0.0, 0.27, 0.5312805, 0.8, 1.0)
 
 
+def _cached_sums(system, m, n, t):
+    levels = _frontier.level_norms(system, m, n).power_sums(t)
+    return {j: (z_lo, z_hi) for j, (z_lo, z_hi, _) in levels.items()}
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_cached_values_equal_fresh_walk(name):
     system = SYSTEMS[name]()
     h = system.horizon
     window = (2, h)
+    # similarity ranges evaluate by the transfer product, so only the digit
+    # systems read their pressure and partition values from the cache
+    digits = _frontier._family(system, 1, h) != "similarity"
     for t in TS:
         ref = reference_levels(system, 1, h, t)
-        est = pressure_estimate(system, t, window, "enumerate-exact")
+        assert _cached_sums(system, 1, h, t) == ref
+        if not digits:
+            continue
+        est = pressure_estimate(system, t, window)
         expect = [
             (
                 j, t, ref[j][0], ref[j][1],
@@ -79,13 +90,15 @@ def test_cached_values_equal_fresh_walk(name):
             for j in range(window[0], window[1] + 1)
         ]
         assert list(zip(*est.columns())) == expect
-        pv = partition(system, 1, h, t, "enumerate-exact")
+        pv = partition(system, 1, h, t)
         assert (pv.lo, pv.hi) == ref[h]
     # a second range evicts the first from the one-slot memo
     for t in TS:
         ref = reference_levels(system, 3, 6, t)
-        pv = partition(system, 3, 6, t, "enumerate-exact")
-        assert (pv.lo, pv.hi) == ref[6]
+        assert _cached_sums(system, 3, 6, t) == ref
+        if digits:
+            pv = partition(system, 3, 6, t)
+            assert (pv.lo, pv.hi) == ref[6]
 
 
 def _binade_spread():
@@ -208,7 +221,7 @@ def test_table_weights_high_multiplicities():
         ref_values, ref_counts = np.unique(x, return_counts=True)
         assert values.tolist() == ref_values.tolist()
         assert counts.tolist() == ref_counts.tolist() and counts.dtype == np.int64
-    norms = _frontier.LevelNorms(1, [(tab, tab) for tab in tables], "hint")
+    norms = _frontier.LevelNorms(1, [(tab, tab) for tab in tables])
     norms.check_budget(_frontier.DEFAULT_BUDGET)
     assert norms.counts.max() == 2**20
     for t in (0.0, 0.31, 0.5, 0.97, 1.0):
@@ -330,28 +343,25 @@ def _budget_message(fn):
 )
 def test_cache_hit_keeps_the_budget(make, n, budget):
     fresh = _budget_message(
-        lambda: partition(make(), 1, n, 0.5, "enumerate-exact", budget=budget)
+        lambda: partition(make(), 1, n, 0.5, budget=budget)
     )
     system = make()
-    partition(system, 1, n, 0.5, "enumerate-exact")  # fills at the default budget
-    hit = _budget_message(
-        lambda: partition(system, 1, n, 0.5, "enumerate-exact", budget=budget)
-    )
+    partition(system, 1, n, 0.5)  # fills at the default budget
+    hit = _budget_message(lambda: partition(system, 1, n, 0.5, budget=budget))
     assert hit == fresh
 
 
-def test_budget_hint_names_a_strategy_that_applies(tmp_path):
-    # digit systems cannot take matrix-exact, so no other strategy applies;
+def test_budget_message_names_no_strategy(tmp_path):
     # cf12 at horizon 22 holds 2,097,152 words at time 21, over the default
-    # budget
+    # budget; a similarity sweep gives the same advice
     msg = _budget_message(lambda: partition(bundled.cf12(22), 1, 22, 0.5))
     assert "2097152 words at time 21" in msg
     assert "strategy" not in msg and msg.endswith("lower n_max or raise the budget")
     msg = _budget_message(
-        lambda: partition(bundled.cantor3(8), 1, 8, 0.5, "enumerate-exact", budget=100)
+        lambda: _frontier.level_norms(bundled.cantor3(8), 1, 8, budget=100)
     )
-    assert msg.endswith("try the matrix-exact strategy")
-    # a sampling sweep has no strategy to switch to
+    assert "strategy" not in msg and msg.endswith("lower n_max or raise the budget")
+    # a sampling sweep names its own knob
     out = tmp_path / "o"
     assert cli.main(["sample", "cf12", "--out", str(out), "--depth", "12",
                      "--max-points", "100"]) == 5

@@ -1,7 +1,11 @@
 """The public names of `bowendim`: a name leaves or joins the package"s API
-only with an edit here, so a change to the API is a visible decision."""
+only with an edit here, so a change to the API is a visible decision.  The
+same holds for the parameters of the three entry points that compute Z_n(t)."""
 
+import inspect
 import types
+
+import pytest
 
 import bowendim
 
@@ -39,3 +43,24 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC
+
+
+_POS, _KW = "POSITIONAL_OR_KEYWORD", "KEYWORD_ONLY"
+SIGNATURES = {
+    "partition": [
+        ("system", _POS), ("m", _POS), ("n", _POS), ("t", _POS), ("budget", _KW),
+    ],
+    "pressure_estimate": [
+        ("system", _POS), ("t", _POS), ("window", _POS), ("budget", _KW),
+    ],
+    "bowen_dimension": [
+        ("system", _POS), ("t_bracket", _POS), ("n_max", _POS), ("tol", _POS),
+        ("window", _POS), ("budget", _KW), ("p_max", _KW),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_entry_point_parameters_are_pinned(name):
+    params = inspect.signature(getattr(bowendim, name)).parameters.values()
+    assert [(p.name, p.kind.name) for p in params] == SIGNATURES[name]

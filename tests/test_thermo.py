@@ -11,7 +11,6 @@ from bowendim import (
     ConfigurationError,
     InputError,
     PSeriesTail,
-    UnsupportedError,
     ab_dimension_bounds,
     balancing_class,
     bowen_dimension,
@@ -25,11 +24,16 @@ from bowendim import (
     system_theta,
     theta_bounds,
 )
-from bowendim import bundled
+from bowendim import _frontier, bundled
+from bowendim.symbolic import count_words
 
 from oracles import dense_grid_norm_fast
 
 T_STAR3 = math.log(2) / math.log(3)
+SIMILARITY_CONFIGS = (
+    "cantor3", "interval2", "alt24", "ab-half", "gdms2v", "perm2", "pinch2",
+    "elliptic-q2",
+)
 
 
 class TestPartition:
@@ -54,31 +58,33 @@ class TestPartition:
                 [MoebiusInverse(float(d)) for d in w], (0.0, 1.0)
             )
             expect += grid
-        pv = partition(cf, 1, 2, 1.0, "enumerate-exact")
+        pv = partition(cf, 1, 2, 1.0)
         assert pv.value == pytest.approx(expect, abs=1e-10)
         assert pv.value == pytest.approx(1 / 4 + 1 / 9 + 1 / 9 + 1 / 25, rel=1e-12)
 
-    def test_strategies_agree(self, cantor):
-        a = partition(cantor, 1, 6, 0.7, "enumerate-exact")
-        b = partition(cantor, 1, 6, 0.7, "matrix-exact")
-        assert a.value == pytest.approx(b.value, rel=1e-12)
-        assert partition(cantor, 1, 6, 0.7).strategy == "matrix-exact"
-
-    def test_unknown_strategy_names_the_three(self, cf):
-        with pytest.raises(InputError) as exc:
-            partition(cf, 1, 5, 0.6, "bdp-bracket")
-        assert str(exc.value) == (
-            "unknown strategy 'bdp-bracket'; choose from"
-            " ('auto', 'enumerate-exact', 'matrix-exact')"
-        )
-
-    def test_matrix_on_cf_unsupported(self, cf):
-        with pytest.raises(UnsupportedError):
-            partition(cf, 1, 4, 0.5, "matrix-exact")
+    @pytest.mark.parametrize("name", SIMILARITY_CONFIGS)
+    def test_transfer_matches_enumerated_sums(self, name):
+        # the transfer product against the enumerated words, at every level
+        # up to the last one with at most 200,000 words
+        system = bundled.bundled_system(name)
+        counts = [
+            count_words(1, n, system.schedule) for n in range(1, system.horizon + 1)
+        ]
+        n_max = max(n for n, c in enumerate(counts, 1) if c <= 200_000)
+        norms = _frontier.level_norms(system, 1, n_max)
+        d = system.dim
+        for t in (0.0, 0.3, d / 2, 0.9 * d, d):
+            sums = norms.power_sums(t)
+            for n in range(1, n_max + 1):
+                pv = partition(system, 1, n, t)
+                assert pv.words is None
+                assert (pv.lo, pv.hi) == pytest.approx(sums[n][:2], rel=1e-12, abs=0)
+        # digit ranges enumerate their words
+        assert partition(bundled.cf12(6), 1, 6, 0.5).words == 64
 
     def test_budget_error_suggests_matrix(self, cf18):
         with pytest.raises(BudgetError):
-            partition(cf18, 1, 18, 0.5, "enumerate-exact", budget=100)
+            partition(cf18, 1, 18, 0.5, budget=100)
 
     def test_mid_range_partition(self, cf):
         pv = partition(cf, 3, 5, 0.5)
@@ -114,7 +120,7 @@ class TestBowenDimension:
         res = bowen_dimension(cantor30, (0.2, 0.95), 30, tol=1e-4)
         assert res.bracket[0] <= T_STAR3 <= res.bracket[1]
         assert res.width <= 2e-4
-        assert res.strategy == "matrix-exact"
+        assert partition(cantor30, 1, 30, 0.5).words is None  # transfer product
 
     def test_alternating_two_thirds(self, alt):
         res = bowen_dimension(alt, (0.2, 0.95), 30, tol=1e-4)
@@ -123,7 +129,7 @@ class TestBowenDimension:
     def test_cf_bracket_and_oracle_window(self, cf18):
         res = bowen_dimension(cf18, (0.2, 0.9), 18, tol=1e-4)
         assert 0.52 <= res.bracket[0] and res.bracket[1] <= 0.54
-        assert res.strategy == "enumerate-exact"
+        assert partition(cf18, 1, 18, 0.5).words == 2**18  # enumerated words
 
     def test_window_past_n_max_is_configuration_error(self, cantor30):
         # the window once ran to time 30 while the result read horizon 10
