@@ -5,24 +5,30 @@ sits at p = 2 while the direct connector check already passes at p = 1;
 uniform re-blocking collapses connectors to length one; pinch-time blocks
 reproduce the original partition values exactly; and the endpoint-maximizing
 block subsystems approach the full pressure from below as the block length
-grows.
+grows, each block joined to the next by the lexicographically first
+connector word, whose derivative norms give the subsystem's Q.
 """
 
-from bowendim import bowen_dimension, certify_primitivity, count_words, partition
+from bowendim import (
+    bowen_dimension,
+    certify_primitivity,
+    compose_norm,
+    count_words,
+    find_primitivity,
+    partition,
+)
 from bowendim.bundled import gdms2v, pinch2
 from bowendim.systems import (
     extract_subsystem_g_bounded,
     reblock_one_primitive,
     reblock_pinched,
-    system_certify,
-    system_primitivity,
 )
 
 gdms = gdms2v(horizon=26)
-cert = system_primitivity(gdms, p_max=4)
-cert1 = system_certify(gdms, 1)
-print(f"minimal matrix-product certificate: p = {cert.p} (Q = {cert.Q})")
-print(f"direct connector certificate:       p = {cert1.p} (Q = {cert1.Q})\n")
+cert = find_primitivity(gdms.schedule, p_max=4)
+cert1 = certify_primitivity(gdms.schedule, 1)
+print(f"minimal matrix-product certificate: p = {cert.p}")
+print(f"direct connector certificate:       p = {cert1.p}\n")
 
 blocked = reblock_one_primitive(gdms, cert)
 print(
@@ -41,8 +47,10 @@ full_b = bowen_dimension(gdms, (0.01, 0.99), 14).midpoint
 for ell in (2, 3, 4):
     sub = extract_subsystem_g_bounded(gdms, cert1, ell, t=0.5)
     b_sub = bowen_dimension(sub.system, (0.0, 0.99), sub.blocks).midpoint
+    q = min(compose_norm(word, gdms).lo for word in sub.connectors)
     print(
         f"  ell={ell}: {sub.blocks} blocks, maximizing pairs {sub.pairs[:2]}...,"
+        f" connector Q = {q:.6g},"
         f" B = {b_sub:.5f}"
     )
 print(f"  full system: B = {full_b:.5f} (block values approach it from below)")

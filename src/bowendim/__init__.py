@@ -80,8 +80,6 @@ from .systems import (
     gaussian_lattice_poles,
     reblock_one_primitive,
     reblock_pinched,
-    system_certify,
-    system_primitivity,
 )
 from .thermo import (
     ABDimensionBounds,

@@ -36,7 +36,6 @@ from .systems import (
     extract_subsystem_g_bounded,
     reblock_one_primitive,
     reblock_pinched,
-    system_certify,
 )
 
 EXIT_OK = 0
@@ -341,7 +340,7 @@ def cmd_subsystem(args, cfg, system, out):
     t = _param(args, cfg, "t", float)
     if mode == "blocks":
         p = args.p if args.p is not None else 1
-        cert = system_certify(system, p)
+        cert = certify_primitivity(system.schedule, p)
         if cert is None:
             raise CertificationError(f"no connector certificate at p={p}")
         sub = extract_subsystem_g_bounded(system, cert, _param(args, cfg, "ell", int), t)

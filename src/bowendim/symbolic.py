@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -631,9 +631,7 @@ def growth_stats(schedule: GraphSchedule, cert=None) -> GrowthStats:
 
     if cert is not None:
         p = cert.p
-        for n in range(1, schedule.horizon - p - 1 + 1):
-            if n + p + 1 > schedule.horizon or n + p >= schedule.horizon:
-                break
+        for n in range(1, schedule.horizon - p):
             glo_p1, ghi_p1 = _follower_count_range(schedule, n, p + 1)
             count_block = count_words(n, n + p + 1, schedule)
             chain = (
@@ -680,15 +678,15 @@ class PrimitivityCertificate:
     """Every (a, b) separated by p+1 steps is joined by a length-p word.
 
     `p` is the connector length (products of p + 1 steps) from
-    `certify_primitivity` and `systems.system_certify`, but the steps of the
-    positive product from `find_primitivity`: gdms2v certifies at p = 1 and
-    finds p = 2.  The schedule-level searches leave `connectors` empty and Q
-    None for p >= 1; `systems.system_certify`/`system_primitivity` fill in
-    one joining word per pair and Q, a lower bound on their derivative norms.
+    `certify_primitivity`, but the steps of the positive product from
+    `find_primitivity`: gdms2v certifies at p = 1 and finds p = 2.  The
+    certificate holds no connector words: Q, the floor on their derivative
+    norms, is 1.0 at p = 0 (no connector is needed) and None otherwise.
+    `systems.extract_subsystem_g_bounded` finds the connectors it inserts
+    and takes their own norm floor.
     """
 
     p: int
-    connectors: Mapping  # time n -> {(a_label, b_label): Word}
     Q: Optional[float]
 
 
@@ -717,54 +715,12 @@ def _products_positive(schedule, p, chains=None):
     return True
 
 
-def _build_connectors(schedule, p):
-    """Lexicographically smallest length-p connector per (a, b) pair, p >= 1.
-
-    For each time n, pairs range over kept I^(n) x kept I^(n+p+1); the word
-    lives at times n+1 .. n+p.  Returns {n: {(a_label, b_label): Word}}.
-    """
-    connectors = {}
-    for n in range(1, schedule.horizon - p):
-        mats = [schedule.step_matrix(j) for j in range(n, n + p + 1)]
-        # backward reachability to each target letter b
-        nxt_count = mats[-1].shape[1]
-        lam_n = {}
-        for b in np.flatnonzero(schedule.kept[n + p + 1]):
-            back = [None] * (p + 2)
-            vec = np.zeros(nxt_count, dtype=bool)
-            vec[b] = True
-            back[p + 1] = vec
-            for k in range(p, -1, -1):
-                back[k] = (
-                    mats[k].astype(np.int64) @ back[k + 1].astype(np.int64)
-                ) > 0
-            for a in np.flatnonzero(schedule.kept[n]):
-                if not back[0][a]:
-                    raise IntegrityError(
-                        f"connector missing for pair at time {n}; positivity"
-                        " check and connector construction disagree"
-                    )
-                lam = []
-                prev = a
-                for k in range(1, p + 1):
-                    row = mats[k - 1][prev]
-                    cand = np.flatnonzero(row & back[k])
-                    c = int(cand[0])  # smallest index = lexicographic order
-                    lam.append(schedule.letters(n + k)[c].label)
-                    prev = c
-                a_lbl = schedule.letters(n)[a].label
-                b_lbl = schedule.letters(n + p + 1)[b].label
-                lam_n[(a_lbl, b_lbl)] = Word(n + 1, tuple(lam))
-        connectors[n] = lam_n
-    return connectors
-
-
 def certify_primitivity(schedule: GraphSchedule, p: int):
     """Check the connector definition directly at a given p.
 
     Succeeds when every a in I^(n), b in I^(n+p+1) is joined by a length-p
     word, i.e. the (p+1)-matrix products are entrywise positive; p=0 demands
-    complete steps.  Returns a certificate without connector words or None.
+    complete steps.  Returns the certificate, or None.
     Here p is the connector length, one less than the steps that
     `find_primitivity` counts: gdms2v certifies at p = 1 and finds p = 2.
     """
@@ -777,10 +733,10 @@ def certify_primitivity(schedule: GraphSchedule, p: int):
     if p == 0:
         if not all(schedule.step_complete(n) for n in range(1, schedule.horizon)):
             return None
-        return PrimitivityCertificate(0, {}, 1.0)
+        return PrimitivityCertificate(0, 1.0)
     if not _products_positive(schedule, p + 1):
         return None
-    return PrimitivityCertificate(p, {}, None)
+    return PrimitivityCertificate(p, None)
 
 
 def find_primitivity(schedule: GraphSchedule, p_max: int):
@@ -803,9 +759,9 @@ def find_primitivity(schedule: GraphSchedule, p_max: int):
             f" have {schedule.horizon}"
         )
     if all(schedule.step_complete(n) for n in range(1, schedule.horizon)):
-        return PrimitivityCertificate(0, {}, 1.0)
+        return PrimitivityCertificate(0, 1.0)
     chains = {}
     for p in range(2, p_max + 1):
         if _products_positive(schedule, p, chains):
-            return PrimitivityCertificate(p, {}, None)
+            return PrimitivityCertificate(p, None)
     return None

@@ -18,7 +18,7 @@ each block word one letter with its composed map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Optional, Sequence
 
@@ -49,31 +49,11 @@ from .symbolic import (
     PrimitivityCertificate,
     Word,
     certify_primitivity,
-    find_primitivity,
+    find_primitivity,  # not called here; the bench tracer patches this name
     _shared_rows,
 )
 from .system import SystemSpec, validate_system
 from .thermo import PSeriesTail
-
-
-def _with_connectors(system, cert):
-    """`cert` with its connector words and Q = min connector norm filled in."""
-    if cert is None or cert.p == 0:
-        return cert
-    connectors = symbolic._build_connectors(system.schedule, cert.p)
-    words = [word for table in connectors.values() for word in table.values()]
-    q = min((compose_norm(w, system, check=False).lo for w in words), default=None)
-    return replace(cert, connectors=connectors, Q=q)
-
-
-def system_primitivity(system, p_max: int = 4) -> Optional[PrimitivityCertificate]:
-    """Minimal-p certificate with connector norms taken from the system maps."""
-    return _with_connectors(system, find_primitivity(system.schedule, p_max))
-
-
-def system_certify(system, p: int) -> Optional[PrimitivityCertificate]:
-    """Direct certificate at connector length p (products of p + 1 steps)."""
-    return _with_connectors(system, certify_primitivity(system.schedule, p))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +427,9 @@ def reblock_one_primitive(system: SystemSpec, cert: PrimitivityCertificate) -> S
     return out
 
 
-#: largest fitted tail slope of (l_n^2 - l_(n-1)^2)/n over the pinch times l_n
+#: largest fitted tail exponent of (l_n^2 - l_(n-1)^2)/n in n over the pinch
+#: times l_n; the exponent, unlike a slope, is the same for every spacing c
+#: of l_n = c n
 PINCH_SLOPE_CAP = 0.5
 
 
@@ -483,12 +465,15 @@ def reblock_pinched(system: SystemSpec, pinch_times: Sequence[int]) -> SystemSpe
     if len(vals) >= 3:
         from .trend import fit_line
 
-        tail = vals[len(vals) // 2 :]
-        slope, _, _ = fit_line(range(len(tail)), tail)
+        # the exponent s of (l_n^2 - l_(n-1)^2)/n ~ n^s, fitted on the tail
+        half = len(vals) // 2
+        ns = np.arange(half + 1, len(vals) + 1)
+        slope, _, _ = fit_line(np.log(ns), np.log(vals[half:]))
         if slope > PINCH_SLOPE_CAP:
             raise BuildError(
-                "pinch spacing grows too fast: fitted slope of"
-                f" (l_n^2 - l_(n-1)^2)/n is {slope:.3g} > {PINCH_SLOPE_CAP};"
+                "pinch spacing grows too fast: fitted log-log slope of"
+                f" (l_n^2 - l_(n-1)^2)/n against n is {slope:.3g}"
+                f" > {PINCH_SLOPE_CAP};"
                 " the subexponential re-blocking hypothesis fails"
             )
     out = _block_system(
@@ -537,9 +522,12 @@ def extract_subsystem_g_bounded(
     """Iterated-function subsystem from partition-maximizing block endpoints.
 
     Per block, keeps the words with the (first, last)-letter pair maximizing
-    the restricted partition sum at exponent t, joined by a certificate
-    connector; ties break to the lexicographically smallest pair.  Records
-    the pressure-sandwich constant K^2 M^p / Q^t.
+    the restricted partition sum at exponent t; ties break to the
+    lexicographically smallest pair.  Each block's words end with the
+    lexicographically first length-p connector from its last letter to the
+    next block's first, which `cert` guarantees exists.  Records the
+    pressure-sandwich constant K^2 M^p / Q^t, with Q the least norm of the
+    inserted connectors (cert.Q when p = 0).
     """
     thermo._check_t(system, t)
     p = cert.p
@@ -554,10 +542,6 @@ def extract_subsystem_g_bounded(
     if blocks < 1:
         raise ConfigurationError(
             f"horizon {sched.horizon} too short for one block of span {span}"
-        )
-    if p >= 1 and cert.Q is None:
-        raise CertificationError(
-            "certificate lacks connector norms (Q); build it with system_certify"
         )
 
     rows, pairs = [], []
@@ -581,36 +565,36 @@ def extract_subsystem_g_bounded(
         pairs.append(best_key)
         rows.append([idx for idx, key in zip(words, keys) if key == best_key])
 
-    # connectors: block n ends with letter b*_n at time n*ell + (n-1)*p and
-    # its connector's letters follow it in the block's words
+    # connectors: block n ends with letter b*_n at time m = n*ell + (n-1)*p;
+    # its connector is the lexicographically first word m+1..m+p that
+    # follows b*_n and precedes the next block's first letter
     connectors = []
     for n in range(1, blocks + 1):
         if p == 0:
             break
         m = n * ell + (n - 1) * p
-        lam_table = cert.connectors.get(m)
-        if lam_table is None:
-            raise CertificationError(
-                f"certificate holds no connectors at time {m}"
-            )
         b_star = pairs[n - 1][1]
         if n < blocks:
             target = pairs[n][0]
         else:
             # final block: connect to the smallest kept letter one step past
-            nxt = sorted(
+            target = min(
                 sched.letters(m + p + 1)[i].label
                 for i in sched.kept_indices(m + p + 1)
             )
-            target = nxt[0]
-        lam = lam_table.get((b_star, target))
-        if lam is None:
+        words, labels = _frontier.word_levels(system, m + 1, m + p)
+        after = sched.followers(m, sched.letter_index(m, b_star))
+        goal = np.zeros(len(sched.letters(m + p + 1)), dtype=bool)
+        goal[sched.letter_index(m + p + 1, target)] = True
+        before = sched.incidence[m + p].count_followers(goal) > 0
+        joins = np.isin(words[:, 0], after) & before[words[:, -1]]
+        if not joins.any():
             raise CertificationError(
                 f"no connector for pair ({b_star}, {target}) at time {m}"
             )
-        connectors.append(lam)
-        tail = [sched.letter_index(lam.start + k, lbl) for k, lbl in enumerate(lam.letters)]
-        rows[n - 1] = [idx + tail for idx in rows[n - 1]]
+        first = int(np.argmax(joins))
+        connectors.append(Word(m + 1, labels[first]))
+        rows[n - 1] = [idx + words[first].tolist() for idx in rows[n - 1]]
 
     # one vertex per block boundary, the one the blocks' words meet at
     cuts = range(0, blocks * span + 1, span)
@@ -629,7 +613,10 @@ def extract_subsystem_g_bounded(
     for j in range(1, sched.horizon + 1):
         lo, hi = system.letter_brackets[j]
         m_const = max(m_const, math.fsum(hi[sched.kept[j]] ** t))
-    q = cert.Q if cert.Q is not None else 1.0
+    # the block letters are w.lam_n, so only the inserted connectors enter
+    q = min(
+        (compose_norm(w, system, check=False).lo for w in connectors), default=cert.Q
+    )
     sandwich = (k**2) * (m_const**p) / (q**t)
     return BlockSubsystem(
         system=sub,

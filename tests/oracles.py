@@ -22,13 +22,18 @@ and unpruned incidence matrices.  `asarray_zero_one` is the config loader's
 0/1 matrix read as it was before rows of ints were joined as bytes: one
 `np.asarray`, then a walk to the first offending field.  `ncifs_schedule`
 builds the iterated-function schedule (one vertex a time, complete
-incidence) that many tests start from.
+incidence) that many tests start from.  `all_pairs_connectors` is the
+connector builder primitivity certificates once carried: the
+lexicographically smallest connector of every kept pair at every time, by
+greedy steps along int64 backward reachability; `connector_floor` is the
+least derivative norm over all of them, the Q those certificates recorded.
 """
 
 import numpy as np
 
 from bowendim.config import _expect, _fail, _number
-from bowendim.symbolic import FullIncidence, GraphSchedule, Letter
+from bowendim.maps import compose_norm
+from bowendim.symbolic import FullIncidence, GraphSchedule, Letter, Word
 
 
 def ncifs_schedule(letter_labels_per_time, vertex="v"):
@@ -223,6 +228,50 @@ def int64_products_positive(schedule, p):
         if prod.size == 0 or not (prod > 0).all():
             return False
     return True
+
+
+def all_pairs_connectors(schedule, p, times=None):
+    """Lexicographically smallest length-p connector per (a, b) pair, p >= 1.
+
+    For each time n (every n < horizon - p, or those in `times`), pairs range
+    over kept I^(n) x kept I^(n+p+1); the word lives at times n+1 .. n+p.
+    Returns {n: {(a_label, b_label): Word}}; a pair with no connector
+    raises AssertionError.
+    """
+    connectors = {}
+    for n in range(1, schedule.horizon - p) if times is None else times:
+        mats = [schedule.step_matrix(j) for j in range(n, n + p + 1)]
+        lam_n = {}
+        for b in np.flatnonzero(schedule.kept[n + p + 1]):
+            # back[k]: letters at time n + k that reach letter b
+            back = [None] * (p + 2)
+            back[p + 1] = np.zeros(mats[-1].shape[1], dtype=bool)
+            back[p + 1][b] = True
+            for k in range(p, -1, -1):
+                back[k] = (
+                    mats[k].astype(np.int64) @ back[k + 1].astype(np.int64)
+                ) > 0
+            for a in np.flatnonzero(schedule.kept[n]):
+                assert back[0][a], f"no connector for a pair at time {n}"
+                lam, prev = [], a
+                for k in range(1, p + 1):
+                    c = int(np.flatnonzero(mats[k - 1][prev] & back[k])[0])
+                    lam.append(schedule.letters(n + k)[c].label)
+                    prev = c
+                a_lbl = schedule.letters(n)[a].label
+                b_lbl = schedule.letters(n + p + 1)[b].label
+                lam_n[(a_lbl, b_lbl)] = Word(n + 1, tuple(lam))
+        connectors[n] = lam_n
+    return connectors
+
+
+def connector_floor(system, p):
+    """Least lower norm bound over every connector of `all_pairs_connectors`."""
+    return min(
+        compose_norm(word, system).lo
+        for table in all_pairs_connectors(system.schedule, p).values()
+        for word in table.values()
+    )
 
 
 def fit_slope(xs, ys):

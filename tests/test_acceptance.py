@@ -12,6 +12,7 @@ from bowendim import (
     bowen_dimension,
     box_counting_dim,
     build_cf_system,
+    certify_primitivity,
     find_primitivity,
     partition,
     sample_limit_set,
@@ -23,8 +24,6 @@ from bowendim.systems import (
     elliptic_lower_bound,
     extract_subsystem_g_bounded,
     reblock_pinched,
-    system_certify,
-    system_primitivity,
 )
 from conftest import child_env
 
@@ -221,7 +220,7 @@ def test_criterion_8_construction_identities():
             identity_ok = identity_ok and z_blk[1] == z_orig[1]
 
     gdms = bundled.gdms2v(26)
-    cert1 = system_certify(gdms, 1)
+    cert1 = certify_primitivity(gdms.schedule, 1)
     ineq_ok = True
     mids = []
     for ell in (2, 3, 4):
@@ -247,7 +246,7 @@ def test_criterion_9_primitivity_checker():
     full = find_primitivity(bundled.cantor3(8).schedule, 2)
     perm = find_primitivity(bundled.perm2(10).schedule, 3)
     gdms = bundled.gdms2v(16)
-    crafted = system_primitivity(gdms, 4)
+    crafted = find_primitivity(gdms.schedule, 4)
     # hand-verified products: the one-step incidence has zeros, the two-step
     # product is entrywise positive
     a = gdms.schedule.step_matrix(1).astype(int)

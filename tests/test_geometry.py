@@ -19,13 +19,13 @@ from bowendim import (
     build_cf_system,
     build_gdms,
     build_similarity_system,
+    find_primitivity,
     image_region,
     interval,
     level_cover,
     reblock_one_primitive,
     reblock_pinched,
     sample_limit_set,
-    system_primitivity,
     verify_osc,
 )
 from bowendim import _frontier, bundled
@@ -143,7 +143,7 @@ class TestSampling:
     def test_vectorized_points_enclose_projections(self, name, strategy):
         if name == "reblocked-gdms2v":
             gdms = bundled.gdms2v()
-            system, depth = reblock_one_primitive(gdms, system_primitivity(gdms)), 3
+            system, depth = reblock_one_primitive(gdms, find_primitivity(gdms.schedule, 4)), 3
         else:
             system = bundled.BUNDLED[name]()
             depth = {"cf12": 10, "gdms2v": 6, "elliptic-q2": 2}[name]

@@ -37,14 +37,15 @@ from bowendim import (
     _frontier,
     bowen_dimension,
     bundled,
+    certify_primitivity,
     cli,
     extract_subsystem_g_bounded,
+    find_primitivity,
     geometry,
     reblock_one_primitive,
     reblock_pinched,
 )
 from bowendim.config import build_from_spec, load_config
-from bowendim.systems import system_certify, system_primitivity
 
 WIDE_PRESSURE_SHA256 = (
     "73e4a19ed0a059f0a315c920a4c1ca2f959c8128893767a3e2bd3a0e8be05149"
@@ -326,13 +327,20 @@ def test_spec_hash_equals_one_dump():
         assert cli._spec_sha256(spec) == want
 
 
+# a blocks-mode sandwich_constant is K^2 M^p / Q^t, with Q the least norm of
+# the connectors the subsystem inserts
 SUBSYSTEM_SUMMARIES = {
     ("gdms2v", "blocks"): {
         "blocks": 3, "letters_per_block": [2, 2, 2],
         "pairs": [["uu1", "uu1"], ["uu1", "uu1"], ["uu1", "uu1"]],
-        "sandwich_constant": 7.512949791260145,
+        "sandwich_constant": 5.312457744114106,
     },
     ("gdms2v", "uniform"): {"blocks": 8, "letters_per_block": [18] * 8, "p": 2},
+    ("pinch2", "blocks"): {
+        "blocks": 2, "letters_per_block": [1, 1],
+        "pairs": [["wa", "wa"], ["wa", "wa"]],
+        "sandwich_constant": 1.7071067811865472,
+    },
     ("pinch2", "pinched"): {"blocks": 6, "letters_per_block": [2] * 6},
 }
 
@@ -349,9 +357,9 @@ def test_subsystem_summary(tmp_path, name, mode):
 def _derived(mode):
     gdms, pinch = bundled.gdms2v(), bundled.pinch2()
     if mode == "blocks":
-        return extract_subsystem_g_bounded(gdms, system_certify(gdms, 1), 3, 0.5).system
+        return extract_subsystem_g_bounded(gdms, certify_primitivity(gdms.schedule, 1), 3, 0.5).system
     if mode == "uniform":
-        return reblock_one_primitive(gdms, system_primitivity(gdms))
+        return reblock_one_primitive(gdms, find_primitivity(gdms.schedule, 4))
     return reblock_pinched(pinch, [2, 4, 6, 8, 10, 12])
 
 
@@ -468,7 +476,7 @@ def test_block_subsystem_of_an_autonomous_system_is_autonomous():
     # original vertex names keep every block alike, so the report can name
     # the autonomous identity; the bracket is the one the renamed form gave
     gdms = bundled.gdms2v(16)
-    sub = extract_subsystem_g_bounded(gdms, system_certify(gdms, 1), 3, 0.5).system
+    sub = extract_subsystem_g_bounded(gdms, certify_primitivity(gdms.schedule, 1), 3, 0.5).system
     res = bowen_dimension(sub, (0, 0.99), sub.horizon)
     assert res.hypothesis.justification == "autonomous-system"
     assert res.bracket == (0.12254150390624999, 0.12260192871093749)

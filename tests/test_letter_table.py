@@ -22,8 +22,10 @@ from bowendim import (
     MoebiusInverse,
     Similarity,
     bundled,
+    certify_primitivity,
     evenly_varying_check,
     extract_subsystem_g_bounded,
+    find_primitivity,
     interval,
     maps,
     reblock_one_primitive,
@@ -34,7 +36,6 @@ from bowendim.config import load_config
 from bowendim.errors import BowendimError
 from bowendim.symbolic import FullIncidence, GraphSchedule, Letter
 from bowendim.system import SystemSpec, _closed_form_clears, validate_images
-from bowendim.systems import system_certify, system_primitivity
 
 
 def outcome(fn):
@@ -150,12 +151,12 @@ def _derived():
     return {
         "pinched-pinch2": lambda: reblock_pinched(bundled.pinch2(12), [2, 4, 6, 8, 10, 12]),
         "pinched-cf12": lambda: reblock_pinched(bundled.cf12(8), [2, 4, 6, 8]),
-        "uniform-gdms2v": lambda: reblock_one_primitive(gdms, system_primitivity(gdms, 4)),
+        "uniform-gdms2v": lambda: reblock_one_primitive(gdms, find_primitivity(gdms.schedule, 4)),
         "blocks-gdms2v": lambda: extract_subsystem_g_bounded(
-            gdms26, system_certify(gdms26, 1), 3, 0.5
+            gdms26, certify_primitivity(gdms26.schedule, 1), 3, 0.5
         ).system,
         "blocks-cf12": lambda: extract_subsystem_g_bounded(
-            cf18, system_primitivity(cf18, 2), 3, 0.5
+            cf18, find_primitivity(cf18.schedule, 2), 3, 0.5
         ).system,
     }
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bowendim import (
     GraphSchedule,
     Word,
+    certify_primitivity,
     compose_norm,
     count_words,
     image_region,
@@ -19,9 +20,12 @@ from bowendim.symbolic import (
     DenseIncidence,
     _follower_count_range,
 )
-from bowendim.systems import system_certify
-
-from oracles import dense_grid_norm_fast, ncifs_schedule, schedule_words
+from oracles import (
+    connector_floor,
+    dense_grid_norm_fast,
+    ncifs_schedule,
+    schedule_words,
+)
 
 CANTOR = bundled.cantor3(12)
 CF = bundled.cf12(12)
@@ -159,7 +163,9 @@ def test_splitting_upper_bound(name, m, n, t):
     assert whole.hi <= left.hi * right.hi * (1 + 1e-12)
 
 
-GDMS_CERT = system_certify(GDMS, 1)
+GDMS_CERT = certify_primitivity(GDMS.schedule, 1)
+# the least norm over the connectors of every pair at every time
+GDMS_Q = connector_floor(GDMS, GDMS_CERT.p)
 
 
 @CASES
@@ -170,7 +176,7 @@ def test_splitting_lower_bound_with_connectors(n, j, t):
     if n + p + 1 > j:
         return
     k = GDMS.distortion
-    q = GDMS_CERT.Q
+    q = GDMS_Q
     whole = partition(GDMS, 1, j, t)
     head = partition(GDMS, 1, n, t)
     tail = partition(GDMS, n + p + 1, j, t)

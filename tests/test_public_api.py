@@ -31,7 +31,7 @@ PUBLIC = [
     "hypothesis_report", "image_region", "interval", "is_admissible",
     "level_cover", "partition", "pressure_estimate", "reblock_one_primitive",
     "reblock_pinched", "sample_limit_set", "subexp_diagnostic",
-    "system_certify", "system_primitivity", "system_theta", "theta_bounds",
+    "system_theta", "theta_bounds",
     "validate_system", "verify_osc",
 ]
 

@@ -17,10 +17,12 @@ from bowendim import (
     IntegrityError,
     Word,
     certify_primitivity,
+    compose_norm,
     count_words,
     find_primitivity,
     growth_stats,
     is_admissible,
+    partition,
     subexp_diagnostic,
 )
 from bowendim import _frontier, symbolic
@@ -32,15 +34,13 @@ from bowendim.symbolic import (
     Letter,
     _products_positive,
 )
-from bowendim.systems import (
-    build_similarity_system,
-    system_certify,
-    system_primitivity,
-)
+from bowendim.systems import build_similarity_system, extract_subsystem_g_bounded
 from bowendim.thermo import hypothesis_report
 
 from oracles import (
+    all_pairs_connectors,
     brute_words,
+    connector_floor,
     int64_products_positive,
     loop_count_transfer,
     loop_transfer,
@@ -289,7 +289,7 @@ class TestGrowthStats:
             )
 
     def test_primitivity_chain_asserted(self, gdms):
-        cert = system_primitivity(gdms, 4)
+        cert = find_primitivity(gdms.schedule, 4)
         stats = growth_stats(gdms.schedule, cert)  # raises on violation
         assert isinstance(stats, GrowthStats)
 
@@ -346,7 +346,7 @@ class TestSubexpDiagnostic:
 class TestPrimitivity:
     def test_full_matrices_p0(self):
         cert = find_primitivity(full_ncifs(3, 6), 2)
-        assert cert.p == 0 and cert.Q == 1.0 and cert.connectors == {}
+        assert cert.p == 0 and cert.Q == 1.0
 
     def test_permutation_returns_none(self):
         assert find_primitivity(ident_schedule(2, 8), 3) is None
@@ -365,7 +365,7 @@ class TestPrimitivity:
         assert not expected.all()
         two_step = expected.astype(int) @ expected.astype(int)
         assert (two_step > 0).all()
-        cert = system_primitivity(gdms, 4)
+        cert = find_primitivity(gdms.schedule, 4)
         assert cert.p == 2
 
     def test_horizon_precondition(self):
@@ -374,7 +374,7 @@ class TestPrimitivity:
 
     def test_monotone_in_horizon(self, gdms):
         # p found at a horizon works at every smaller horizon >= p + 2
-        full = system_primitivity(gdms, 4)
+        full = find_primitivity(gdms.schedule, 4)
         for h in range(full.p + 2, gdms.horizon):
             sub = GraphSchedule(
                 gdms.schedule.vertex_sets[: h + 1],
@@ -385,11 +385,10 @@ class TestPrimitivity:
             assert cert is not None and cert.p <= full.p
 
     def test_direct_certificate_at_p1(self, gdms):
-        cert = system_certify(gdms, 1)
-        assert cert is not None and cert.p == 1
-        assert cert.Q is not None and cert.Q > 0
-        # every pair two steps apart is joined by a stored connector
-        lam = cert.connectors[1]
+        cert = certify_primitivity(gdms.schedule, 1)
+        assert cert is not None and cert.p == 1 and cert.Q is None
+        # every pair two steps apart is joined by a connector
+        lam = all_pairs_connectors(gdms.schedule, 1)[1]
         labels = [e.label for e in gdms.schedule.letters(1)]
         for a in labels:
             for b in labels:
@@ -401,48 +400,44 @@ class TestPrimitivity:
                 )
 
     def test_connectors_lexicographically_smallest(self, gdms):
-        cert = system_certify(gdms, 1)
-        lam = cert.connectors[1]
+        lam = all_pairs_connectors(gdms.schedule, 1)[1]
         # pair (uu1 -> uu1): candidates are the u->u letters uu1, uu2; the
         # alphabet lists uu1 first
         assert lam[("uu1", "uu1")].letters == ("uu1",)
 
     def test_q_lower_bounds_connector_norms(self, gdms):
-        from bowendim import compose_norm
-
-        cert = system_certify(gdms, 1)
-        for table in cert.connectors.values():
-            for word in table.values():
-                assert cert.Q <= compose_norm(word, gdms).lo + 1e-15
+        # the all-pairs floor bounds the norms of the connectors a block
+        # subsystem inserts, so its sandwich constant is at most the one
+        # that floor gives
+        floor = connector_floor(gdms, 1)
+        sub = extract_subsystem_g_bounded(
+            gdms, certify_primitivity(gdms.schedule, 1), 3, 0.5
+        )
+        assert all(floor <= compose_norm(w, gdms).lo for w in sub.connectors)
+        m_const = max(
+            partition(gdms, j, j, 0.5).hi for j in range(1, gdms.horizon + 1)
+        )
+        bound = gdms.distortion**2 * m_const / floor**0.5
+        assert sub.sandwich_constant <= bound * (1 + 1e-12)
 
 
 class TestConnectorsOnDemand:
-    """Only the system-level certificates build connector words."""
-
-    @pytest.fixture
-    def no_connectors(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("connector words built")
-
-        monkeypatch.setattr(symbolic, "_build_connectors", refuse)
+    """Certificates carry no connector words."""
 
     def test_schedule_search_leaves_connectors_empty(self, gdms):
         cert = find_primitivity(gdms.schedule, 4)
-        assert cert.p == 2 and cert.connectors == {} and cert.Q is None
+        assert cert.p == 2 and cert.Q is None
+        assert not hasattr(cert, "connectors")
 
-    def test_system_certify_builds_them(self, gdms, no_connectors):
-        with pytest.raises(AssertionError, match="connector words built"):
-            system_certify(gdms, 1)
-
-    def test_hypothesis_report(self, gdms, no_connectors):
+    def test_hypothesis_report(self, gdms):
         assert hypothesis_report(gdms).primitivity.p == 2
 
-    def test_check_command(self, tmp_path, no_connectors):
+    def test_check_command(self, tmp_path):
         assert main(["check", "gdms2v", "--out", str(tmp_path)]) in (0, 4)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["hypotheses"]["primitivity_p"] == 2
 
-    def test_uniform_subsystem(self, tmp_path, no_connectors):
+    def test_uniform_subsystem(self, tmp_path):
         assert main(
             ["subsystem", "gdms2v", "--mode", "uniform", "--out", str(tmp_path)]
         ) == 0

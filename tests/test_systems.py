@@ -29,6 +29,7 @@ from bowendim import (
     count_words,
     elliptic_lower_bound,
     extract_subsystem_g_bounded,
+    find_primitivity,
     gaussian_lattice_poles,
     image_region,
     interval,
@@ -38,11 +39,10 @@ from bowendim import (
     sample_limit_set,
     verify_osc,
 )
-from bowendim import _frontier, bundled, symbolic, systems
+from bowendim import _frontier, bundled, cli, symbolic, systems
 from bowendim.config import _PACKAGED, build_from_spec, load_config
-from bowendim.systems import system_certify, system_primitivity
 
-from oracles import schedule_words
+from oracles import all_pairs_connectors, schedule_words
 
 # (ratio, center) of each elliptic-q2 letter, the same at every time: the
 # centers of the point-by-point `math` disk packing, recorded before its
@@ -323,14 +323,14 @@ class TestAscending:
 
 class TestReblockUniform:
     def test_p1_certificate_blocks_of_one(self, gdms):
-        cert1 = system_certify(gdms, 1)
+        cert1 = certify_primitivity(gdms.schedule, 1)
         out = reblock_one_primitive(gdms, cert1)
         assert [e.label for e in out.schedule.letters(1)] == [
             e.label for e in gdms.schedule.letters(1)
         ]
 
     def test_p2_block_alphabets_and_counts(self, gdms):
-        cert = system_primitivity(gdms, 4)
+        cert = find_primitivity(gdms.schedule, 4)
         assert cert.p == 2
         out = reblock_one_primitive(gdms, cert)
         # block letters are exactly the admissible pairs
@@ -353,14 +353,12 @@ class TestReblockUniform:
             ]
 
     def test_reblocked_is_one_primitive(self, gdms):
-        from bowendim import certify_primitivity
-
-        cert = system_primitivity(gdms, 4)
+        cert = find_primitivity(gdms.schedule, 4)
         out = reblock_one_primitive(gdms, cert)
         assert certify_primitivity(out.schedule, 1) is not None
 
     def test_limit_points_coincide(self, gdms):
-        cert = system_primitivity(gdms, 4)
+        cert = find_primitivity(gdms.schedule, 4)
         out = reblock_one_primitive(gdms, cert)
         a = sample_limit_set(gdms, 6, 8192)
         b = sample_limit_set(out, 3, 8192)
@@ -401,6 +399,18 @@ class TestReblockPinched:
                 z_blk = _frontier.level_norms(out, 1, n).power_sums(t)[n]
                 assert z_blk[1] == z_orig[1]  # bit-exact on dyadic ratios
 
+    def test_evenly_spaced_pinches_accepted(self, tmp_path):
+        # l_n = 2n: (l_n^2 - l_(n-1)^2)/n = 4(2n - 1)/n converges, so the
+        # spacing passes as spacing 1 does
+        cf = bundled.cf12()
+        out = reblock_pinched(cf, [2, 4, 6])
+        for n, pinch_time in enumerate([2, 4, 6], start=1):
+            assert partition(out, 1, n, 0.5).hi == pytest.approx(
+                partition(cf, 1, pinch_time, 0.5).hi, rel=1e-12
+            )
+        args = ["subsystem", "cf12", "--mode", "pinched", "--pinch-times", "2", "4", "6"]
+        assert cli.main(args + ["--out", str(tmp_path)]) == 0
+
     def test_quadratic_pinch_times_rejected(self):
         # (l_n^2 - l_(n-1)^2)/n grows without bound for quadratic pinch times
         sys_long = bundled.pinch2(72)
@@ -414,7 +424,7 @@ class TestReblockPinched:
 
 class TestBlockSubsystem:
     def test_pressure_dominates_subsystem(self, gdms26):
-        cert1 = system_certify(gdms26, 1)
+        cert1 = certify_primitivity(gdms26.schedule, 1)
         for ell in (2, 3, 4):
             sub = extract_subsystem_g_bounded(gdms26, cert1, ell, 0.5)
             for m in range(1, sub.blocks + 1):
@@ -423,7 +433,7 @@ class TestBlockSubsystem:
                 assert zs <= zf * (1 + 1e-12)
 
     def test_bowen_dimension_nondecreasing_in_ell(self, gdms26):
-        cert1 = system_certify(gdms26, 1)
+        cert1 = certify_primitivity(gdms26.schedule, 1)
         mids = []
         for ell in (2, 3, 4):
             sub = extract_subsystem_g_bounded(gdms26, cert1, ell, 0.5)
@@ -432,14 +442,14 @@ class TestBlockSubsystem:
 
     def test_p0_all_pairs_trivial_maximizer(self):
         sys_c = bundled.cantor3(8)
-        cert0 = system_primitivity(sys_c, 2)
+        cert0 = find_primitivity(sys_c.schedule, 2)
         sub = extract_subsystem_g_bounded(sys_c, cert0, 2, 0.5)
         # equal ratios: every pair ties; lexicographically smallest chosen
         assert sub.pairs[0] == ("m0", "m0")
         assert sub.p == 0
 
     def test_cf_restricted_maximizer(self, cf18):
-        cert0 = system_primitivity(cf18, 2)
+        cert0 = find_primitivity(cf18.schedule, 2)
         sub = extract_subsystem_g_bounded(cf18, cert0, 3, 0.5)
         # exhaustive restricted sums: the (1, ..., 1) endpoints carry the
         # largest norms, so the maximizing pair is ('1', '1')
@@ -457,15 +467,39 @@ class TestBlockSubsystem:
         assert z_sub <= z_full
 
     def test_sandwich_constant_recorded(self, gdms26):
-        cert1 = system_certify(gdms26, 1)
-        sub = extract_subsystem_g_bounded(gdms26, cert1, 3, 0.5)
+        sub = extract_subsystem_g_bounded(
+            gdms26, certify_primitivity(gdms26.schedule, 1), 3, 0.5
+        )
         k = gdms26.distortion
         m_const = max(
             partition(gdms26, j, j, 0.5).hi for j in range(1, gdms26.horizon + 1)
         )
+        # Q is the least norm of the connectors the subsystem inserts
+        q = min(compose_norm(word, gdms26).lo for word in sub.connectors)
         assert sub.sandwich_constant == pytest.approx(
-            k**2 * m_const / cert1.Q**0.5, rel=1e-12
+            k**2 * m_const / q**0.5, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "name, horizon, ell",
+        [("gdms2v", 26, 2), ("gdms2v", 26, 3), ("gdms2v", 26, 4),
+         ("pinch2", None, 3), ("ab-half", 10, 3)],
+    )
+    def test_connectors_equal_all_pairs_reference(self, name, horizon, ell):
+        system = bundled.BUNDLED[name](horizon=horizon)
+        sched = system.schedule
+        sub = extract_subsystem_g_bounded(system, certify_primitivity(sched, 1), ell, 0.5)
+        # block n ends at time n*ell + (n-1); its connector leads to the next
+        # block's first letter, the last one to the least kept label after it
+        ends = [n * ell + n - 1 for n in range(1, sub.blocks + 1)]
+        after = sched.letters(ends[-1] + 2)
+        targets = [a for a, _ in sub.pairs[1:]] + [
+            min(after[i].label for i in sched.kept_indices(ends[-1] + 2))
+        ]
+        reference = all_pairs_connectors(sched, 1, ends)
+        assert len(sub.connectors) == sub.blocks
+        for m, (_, b), target, word in zip(ends, sub.pairs, targets, sub.connectors):
+            assert word == reference[m][(b, target)]
 
 
 class TestEllipticModel:
