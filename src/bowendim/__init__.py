@@ -36,13 +36,11 @@ from .geometry import (
     verify_osc,
 )
 from .maps import (
-    ComposedMap,
     Contraction,
     MoebiusInverse,
     NormBracket,
     Similarity,
     Space,
-    TabulatedInterval,
     compose_norm,
     contraction_eta,
     continuants,

@@ -9,12 +9,14 @@ one drawn follower.  States are family-specific numpy array bundles.  Each
 step reads the schedule's follower table for that step, built once per
 schedule, and expands the whole frontier in a fixed number of numpy passes
 over its words (a stable sort by last letter, one repeat and one gather),
-with no Python loop over letters or words.  Similarity norms and
-reciprocal-shift levels whose float continuants stay below 2^53 keep
-lo == hi; deeper digit levels carry an outward bracket from a stated error
-bound, so digit systems stay on the sweep at any depth (their point states
-still stop at 2^52).  Only the per-word composition of tabulated and
-composed maps still goes word by word (`generic_norm_walk`).
+with no Python loop over letters or words.  The two closed-form families
+each have a state: similarity norms keep lo == hi, and a Moebius word
+(single digits and folded digit blocks alike) keeps its matrix rows, exact
+below 2^53 and past it an outward bracket from a stated error bound, so
+digit systems and their block subsystems stay on the sweep at any depth
+(their point states still stop at 2^52).  Only ranges that mix the two
+families, or hold user map types, compose each word in `generic_norm_walk`;
+that walk stays for them, and the benchmark's tracer patches it by name.
 
 The words of a range (m, n) and their norms do not depend on t, so
 `level_norms` walks each (system, range) once and keeps its norms in a
@@ -52,12 +54,14 @@ def _family(system, m, n):
 
 
 def _moebius_float_safe(system, m, n) -> bool:
-    """Continuants stay exact in float64 on this range (the point-state gate)."""
+    """Continuants stay exact in float64 on this range (the point-state gate):
+    a letter grows the entries of a word's rows by at most its matrix's
+    largest column sum, b + d."""
+    tab = system.letter_table
     bound = 1.0
     for j in range(m, n + 1):
-        tab = system.letter_table
-        digits = tab.digit[tab.span(j)][system.schedule.kept[j]]
-        bound *= float(digits.max()) + 1.0
+        _, b, _, d = tab.matrix[:, tab.span(j)]
+        bound *= float((b + d)[system.schedule.kept[j]].max())
         if bound > 2.0**52:
             return False
     return True
@@ -65,9 +69,9 @@ def _moebius_float_safe(system, m, n) -> bool:
 
 def vector_state(system, m, n, points=False):
     """The vectorized state for the range m..n, or None when only the
-    word-at-a-time walk applies.  Similarity states place points too; digit
-    ranges take the continuant quadruple for the samplers (`points`), while
-    their continuants stay below 2^52."""
+    word-at-a-time walk applies.  Similarity states place points too; Moebius
+    ranges take both matrix rows for the samplers (`points`), while their
+    continuants stay below 2^52."""
     fam = _family(system, m, n)
     if fam == "similarity":
         return SimilarityState(system)
@@ -119,61 +123,87 @@ class SimilarityState:
         )
 
 
+def _row_times(x, y, src, matrix, letters):
+    """Each word's row (x, y), read at its parent `src`, times its new
+    letter's matrix ((a, b), (c, d)): (a*x + c*y, b*x + d*y).  A time of
+    single digits ((0, 1), (1, d)) takes the continuant step (y, d*y + x);
+    elsewhere an inf x times a = 0 gives NaN, read as inf (x <= y)."""
+    x, y = x[src], y[src]
+    a, b, c, d = matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # inf continuants bound as 0
+        if not a.any():
+            out = d[letters]
+            out *= y
+            out += x
+            return y, out
+        new_x = a[letters] * x
+        new_x += c[letters] * y
+        new_x[np.isnan(new_x)] = np.inf
+        new_y = b[letters] * x
+        new_y += d[letters] * y
+    return new_x, new_y
+
+
 class MoebiusState:
-    """(q_prev, q_cur) float continuants; sup norm = q_cur^-2."""
+    """Each word's bottom matrix row (q_prev, q_cur); sup norm = q_cur^-2."""
 
     def __init__(self, system):
         self.system = system
+        # roundings a letter adds to a continuant (`norm_bounds`): entry a is
+        # 0 in single digits and the other families, and >= 1 in folded blocks
+        self.step_roundings = 3 if system.letter_table.matrix[0].any() else 2
 
-    def _digits(self, j):
+    def _matrix(self, j):
         tab = self.system.letter_table
-        return tab.digit[tab.span(j)]
+        return tab.matrix[:, tab.span(j)]
 
     def init(self, j, letters):
-        d = self._digits(j)[letters]
-        return (np.ones_like(d), d)
+        _, _, c, d = self._matrix(j)
+        return c[letters], d[letters]
 
     def extend(self, j, state, src, new_letters):
-        qp, qc = state
-        d = self._digits(j)[new_letters]
-        with np.errstate(over="ignore"):  # an inf continuant bounds as 0
-            return (qc[src], d * qc[src] + qp[src])
+        return _row_times(*state, src, self._matrix(j), new_letters)
 
     def norm_bounds(self, state, k):
         """(lo, hi) around 1/q^2 for the k-letter words of a level.
 
         Below 2^53 integral digits keep continuants exact: v = q**-2 is both
-        ends (lo is hi).  Past it, each step q' = d*q + q_prev is one product
-        and one sum of positive terms, so a k-letter float continuant is within
-        relative gamma_{2k} = 2k*u / (1 - 2k*u), u = 2^-53, of the exact one
-        (Higham, "Accuracy and Stability of Numerical Algorithms", sec. 3.1).
-        With pow within two ulps, 1/q^2 is within relative gamma_{4k+4} of v,
-        and gamma_{4k+10} also covers rounding the ends.  Subnormal results
-        err by absolute units of 2^-1074 (two from pow, half of one per
-        product), so the ends move a further 2^-1072; an inf continuant gives
-        v = 0 and [0, 2^-1072], which holds its 1/q^2 < 2^-2046.
+        ends (lo is hi).  Past it, each step takes an entry to b*x + d*y (or
+        a*x + c*y), one sum of products of positive terms.  A single digit's
+        entries are exact, so its step adds two roundings (a product and the
+        sum); a folded block's are its exact ones rounded once, so its step
+        adds three.  With s = 2, or 3 where the system holds a folded block,
+        a k-letter float continuant is within relative gamma_{sk} = sk*u /
+        (1 - sk*u), u = 2^-53, of the exact one (Higham, "Accuracy and
+        Stability of Numerical Algorithms", sec. 3.1).  With pow within two
+        ulps, 1/q^2 is within relative gamma_{2sk+4} of v, and
+        gamma_{2sk+10} also covers rounding the ends.  Subnormal results err
+        by absolute units of 2^-1074 (two from pow, half of one per product),
+        so the ends move a further 2^-1072; an inf continuant gives v = 0 and
+        [0, 2^-1072], which holds its 1/q^2 < 2^-2046.
         """
         qp, qc = state
         v = qc**-2.0
         if qc.max() < 2.0**53:
             return v, v
-        width = (4 * k + 10) * 2.0**-53
+        width = (2 * self.step_roundings * k + 10) * 2.0**-53
         rel = width / (1.0 - width)
         lo = np.maximum(v * (1.0 - rel) - 2.0**-1072, 0.0)
         return lo, v * (1.0 + rel) + 2.0**-1072
 
 
 class MoebiusPointState(MoebiusState):
-    """Full continuant quadruple: phi_w(x) = (pp*x + pc) / (qp*x + qc)."""
+    """Both rows of each word's matrix: phi_w(x) = (pp*x + pc) / (qp*x + qc)."""
 
     def init(self, j, letters):
-        d = self._digits(j)[letters]
-        return (np.zeros_like(d), np.ones_like(d), np.ones_like(d), d)
+        return tuple(entry[letters] for entry in self._matrix(j))
 
     def extend(self, j, state, src, new_letters):
         pp, pc, qp, qc = state
-        d = self._digits(j)[new_letters]
-        return (pc[src], d * pc[src] + pp[src], qc[src], d * qc[src] + qp[src])
+        matrix = self._matrix(j)
+        return _row_times(pp, pc, src, matrix, new_letters) + _row_times(
+            qp, qc, src, matrix, new_letters
+        )
 
     def region(self, state, dom):
         pp, pc, qp, qc = state

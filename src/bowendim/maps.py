@@ -1,18 +1,22 @@
 """Conformal map families with certified derivative-norm brackets.
 
-Three families cover the bundled systems: affine similarities (exact norms),
-reciprocal shifts x -> 1/(digit + x) on [0, 1] (exact norms through the
-continuant recursion of the composed Moebius transform), and tabulated
-monotone interval maps carrying user-certified derivative bounds per cell.
-Brackets are exact expressions evaluated in float64; no outward rounding
-(only the frontier's digit levels past 2^53 carry a stated error bound).
+Two families, both with closed-form images and norms, cover the bundled
+systems and their block subsystems: affine similarities (exact norms) and
+reciprocal shifts x -> 1/(digit + x) on [0, 1], each held as its exact
+matrix ((0, 1), (1, digit)).  A block of digits folds into one Moebius
+letter, the product of its digits' matrices, whose norm is 1/q^2 for the
+continuant q of its bottom row.  Only compositions that mix the two
+families, or hold a user `ConformalMap` subclass, compose pointwise bounds
+letter by letter.  Brackets are exact expressions evaluated in float64; no
+outward rounding (only the frontier's digit levels past 2^53 carry a stated
+error bound).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
 
 import numpy as np
 
@@ -169,28 +173,61 @@ class Similarity(ConformalMap):
         return (r, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class MoebiusInverse(ConformalMap):
-    """x -> 1/(digit + x) on [0, 1]; the continued-fraction branch map."""
+    """x -> (a*x + b) / (c*x + d) on [0, 1] for the exact matrix ((a, b),
+    (c, d)) of a digit string, the product of its digits' ((0, 1), (1, d)):
+    `MoebiusInverse(digit)` is the branch x -> 1/(digit + x), and `fold`
+    composes a block.  Entries are nonnegative, a <= b and c <= d, and k
+    digits give determinant (-1)^k (even blocks increase); |D phi| =
+    1/(c*x + d)^2."""
 
-    digit: float
+    matrix: tuple
 
-    def __post_init__(self):
+    def __init__(self, digit: float):
         # past 2^52 the branch maps [0, 1] into less than one float64 ulp
-        if not 1 <= self.digit <= 2.0**52:
-            raise InputError(f"digit must lie in [1, 2^52], got {self.digit}")
+        if not 1 <= digit <= 2.0**52:
+            raise InputError(f"digit must lie in [1, 2^52], got {digit}")
+        object.__setattr__(self, "matrix", ((0, 1), (1, digit)))
+
+    @classmethod
+    def fold(cls, parts):
+        """parts[0] o parts[1] o ... as one map: the exact product of their
+        matrices (ints, or Fractions for non-integral digits)."""
+        matrix = _product(p.matrix for p in parts)
+        q = matrix[1][1]
+        # the letter table holds each entry as a float64, and 1/q^2 stays normal
+        if not q < 2.0**512:
+            raise InputError(f"a block's continuant {q} passes 2^512")
+        folded = object.__new__(cls)
+        object.__setattr__(folded, "matrix", matrix)
+        return folded
+
+    @property
+    def digit(self):
+        """The digit of a single branch; None for a folded block."""
+        (a, _), (_, d) = self.matrix
+        return d if a == 0 else None
+
+    def __repr__(self):
+        if self.digit is None:
+            return f"MoebiusInverse(matrix={self.matrix!r})"
+        return f"MoebiusInverse(digit={self.digit!r})"
 
     def __call__(self, x):
-        return 1.0 / (self.digit + x)
+        (a, b), (c, d) = self.matrix
+        return (a * x + b) / (c * x + d)
 
     def deriv_abs(self, x) -> float:
-        return 1.0 / (self.digit + x) ** 2
+        _, (c, d) = self.matrix
+        return 1.0 / (c * x + d) ** 2
 
     def image(self, dom: Space) -> Space:
-        if not self.digit + dom.bounds[0] > 0:
-            raise InputError(f"domain {dom.bounds} reaches the pole at {-self.digit}")
-        a = self(dom.bounds[1])  # decreasing map: endpoints swap
-        b = self(dom.bounds[0])
+        _, (c, d) = self.matrix
+        lo, hi = dom.bounds
+        if not c * lo + d > 0:
+            raise InputError(f"domain {dom.bounds} reaches the pole at {-d / c}")
+        a, b = sorted((self(lo), self(hi)))  # monotone: the ends map to the ends
         if not a < b:
             # a sub-ulp image rounds both endpoints to one float: widen by an
             # ulp on each side instead of returning an empty interval
@@ -200,134 +237,6 @@ class MoebiusInverse(ConformalMap):
     def deriv_range_on(self, dom):
         lo, hi = dom.bounds
         return (self.deriv_abs(hi), self.deriv_abs(lo))
-
-
-@dataclass(frozen=True)
-class TabulatedInterval(ConformalMap):
-    """Monotone C^1 interval map given by node values plus certified
-    per-cell derivative bounds; evaluation returns enclosure midpoints."""
-
-    nodes: tuple
-    values: tuple
-    deriv_lo: tuple
-    deriv_hi: tuple
-    distortion: Optional[float] = None
-
-    def __post_init__(self):
-        n = len(self.nodes)
-        if n < 2 or len(self.values) != n:
-            raise InputError("need matching nodes/values with >= 2 nodes")
-        if len(self.deriv_lo) != n - 1 or len(self.deriv_hi) != n - 1:
-            raise InputError("derivative bounds must cover each cell")
-        dx = [self.nodes[i + 1] - self.nodes[i] for i in range(n - 1)]
-        if any(d <= 0 for d in dx):
-            raise InputError("nodes must be strictly increasing")
-        inc = self.values[-1] > self.values[0]
-        for i in range(n - 1):
-            dv = self.values[i + 1] - self.values[i]
-            if inc and dv <= 0 or not inc and dv >= 0:
-                raise InputError("values must be strictly monotone")
-            if not (0 <= self.deriv_lo[i] <= self.deriv_hi[i]):
-                raise InputError("invalid derivative bounds")
-            mean = abs(dv) / dx[i]
-            if not (self.deriv_lo[i] - 1e-12 <= mean <= self.deriv_hi[i] + 1e-12):
-                raise InputError(
-                    f"cell {i}: mean slope {mean} escapes "
-                    f"[{self.deriv_lo[i]}, {self.deriv_hi[i]}]"
-                )
-
-    @property
-    def increasing(self) -> bool:
-        return self.values[-1] > self.values[0]
-
-    def _cell(self, x) -> int:
-        for i in range(len(self.nodes) - 2, -1, -1):
-            if x >= self.nodes[i]:
-                return i
-        return 0
-
-    def enclosure(self, x):
-        """Certified (lo, hi) interval containing phi(x)."""
-        i = self._cell(x)
-        x0, x1 = self.nodes[i], self.nodes[i + 1]
-        y0, y1 = self.values[i], self.values[i + 1]
-        dlo, dhi = self.deriv_lo[i], self.deriv_hi[i]
-        if self.increasing:
-            lo = max(y0 + dlo * (x - x0), y1 - dhi * (x1 - x))
-            hi = min(y0 + dhi * (x - x0), y1 - dlo * (x1 - x))
-        else:
-            lo = max(y0 - dhi * (x - x0), y1 + dlo * (x1 - x))
-            hi = min(y0 - dlo * (x - x0), y1 + dhi * (x1 - x))
-        return (min(lo, hi), max(lo, hi))
-
-    def __call__(self, x):
-        lo, hi = self.enclosure(x)
-        return 0.5 * (lo + hi)
-
-    def deriv_abs(self, x) -> float:
-        i = self._cell(x)
-        return 0.5 * (self.deriv_lo[i] + self.deriv_hi[i])
-
-    def image(self, dom: Space) -> Space:
-        lo_enc = self.enclosure(dom.bounds[0])
-        hi_enc = self.enclosure(dom.bounds[1])
-        a = min(lo_enc[0], hi_enc[0])
-        b = max(lo_enc[1], hi_enc[1])
-        return interval(a, b)
-
-    def deriv_range_on(self, dom):
-        lo, hi = dom.bounds
-        dlo, dhi = math.inf, 0.0
-        for i in range(len(self.nodes) - 1):
-            if self.nodes[i + 1] <= lo or self.nodes[i] >= hi:
-                continue
-            dlo = min(dlo, self.deriv_lo[i])
-            dhi = max(dhi, self.deriv_hi[i])
-        if dhi == 0.0:
-            raise InputError(f"domain {dom.bounds} outside tabulated range")
-        return (dlo, dhi)
-
-    def norm_on(self, dom: Space) -> NormBracket:
-        lo, hi = self.deriv_range_on(dom)
-        return NormBracket(lo, hi, "interval")
-
-
-@dataclass(frozen=True)
-class ComposedMap(ConformalMap):
-    """Frozen composition used as a single letter after re-blocking."""
-
-    parts: tuple  # applied right to left: parts[0] is the outermost map
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(_flatten_maps(self.parts)))
-        dims = {getattr(p, "dim", 1) for p in self.parts}
-        if len(dims) != 1:
-            raise InputError("mixed dimensions in composition")
-        object.__setattr__(self, "dim", dims.pop())
-
-    def __call__(self, x):
-        for p in reversed(self.parts):
-            x = p(x)
-        return x
-
-    def deriv_abs(self, x) -> float:
-        acc = 1.0
-        for p in reversed(self.parts):
-            acc *= p.deriv_abs(x)
-            x = p(x)
-        return acc
-
-    def image(self, dom: Space) -> Space:
-        for p in reversed(self.parts):
-            dom = p.image(dom)
-        return dom
-
-    def deriv_range_on(self, dom):
-        br = _compose_bracket(self.parts, dom)
-        return (br.lo, br.hi)
-
-    def norm_on(self, dom: Space) -> NormBracket:
-        return _compose_bracket(self.parts, dom)
 
 
 #: family codes of `system.LetterTable.family`: the two families whose images
@@ -340,29 +249,30 @@ SIMILARITY, MOEBIUS, OTHER = 0, 1, 2
 # ---------------------------------------------------------------------------
 
 
+def _exact(x):
+    """x as an int when it is integral, else as an exact Fraction."""
+    return int(x) if x == int(x) else Fraction(x)
+
+
+def _product(matrices):
+    """The exact product of 2x2 matrices ((a, b), (c, d)): ints, or
+    Fractions once an entry is not integral."""
+    a, b, c, d = 1, 0, 0, 1
+    for (e, f), (g, h) in matrices:
+        e, f, g, h = _exact(e), _exact(f), _exact(g), _exact(h)
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return (a, b), (c, d)
+
+
 def continuants(digits):
-    """(q_prev, q_cur) for the composed Moebius map of a digit string.
+    """(q_prev, q_cur) for the composed Moebius map of a digit string: the
+    bottom row of the product of the digits' matrices ((0, 1), (1, d)).
 
     phi maps x to (p_prev*x + p_cur) / (q_prev*x + q_cur); the sup of |D phi|
-    on [0, 1] is 1/q_cur^2, the inf 1/(q_prev + q_cur)^2.  Integer digits run
-    in exact arithmetic.
+    on [0, 1] is 1/q_cur^2, the inf 1/(q_prev + q_cur)^2.  The arithmetic is
+    exact: ints, or Fractions for non-integral digits.
     """
-    exact = all(float(d) == int(d) for d in digits)
-    qp, qc = (0, 1) if exact else (0.0, 1.0)
-    for d in digits:
-        d = int(d) if exact else float(d)
-        qp, qc = qc, d * qc + qp
-    return qp, qc
-
-
-def _flatten_maps(maps_seq):
-    flat = []
-    for p in maps_seq:
-        if isinstance(p, ComposedMap):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return flat
+    return _product(((0, 1), (1, d)) for d in digits)[1]
 
 
 def _continuant_sup(qc) -> float:
@@ -374,21 +284,20 @@ def _continuant_sup(qc) -> float:
 
 def _compose_bracket(maps_seq, dom: Space) -> NormBracket:
     """Certified bracket for a composition, dispatching on family."""
-    maps_seq = _flatten_maps(maps_seq)
     if all(isinstance(p, Similarity) for p in maps_seq):
         v = 1.0
         for p in maps_seq:
             v *= abs(p.ratio)
         return NormBracket(v, v, "exact")
     if all(isinstance(p, MoebiusInverse) for p in maps_seq):
-        _, qc = continuants([p.digit for p in maps_seq])
+        _, (_, qc) = _product(p.matrix for p in maps_seq)
         sup = _continuant_sup(qc)
         return NormBracket(sup, sup or 2.0**-1024, "continuant")
-    # generic chain: accumulate pointwise bounds right to left; the product of
-    # infima lower-bounds the sup as well
+    # generic chain (mixed families, user map types): accumulate pointwise
+    # bounds right to left; the product of infima lower-bounds the sup as well
     lo = hi = 1.0
     region = dom
-    for p in reversed(list(maps_seq)):
+    for p in reversed(maps_seq):
         dlo, dhi = p.deriv_range_on(region)
         lo *= dlo
         hi *= dhi
@@ -411,8 +320,7 @@ def compose_norm(word: Word, system, check: bool = True) -> NormBracket:
 
 
 def image_region(word: Word, system, check: bool = True) -> Space:
-    """Image of the word's domain space: exact endpoints for monotone 1D maps,
-    certified enclosure for tabulated ones."""
+    """Image of the word's domain space, one letter's image after another."""
     if check and not is_admissible(word, system.schedule):
         raise InputError(f"word {word} is not admissible")
     region = system.domain_space(word.end, word.letters[-1])
@@ -427,14 +335,6 @@ def _map_distortion(p) -> float:
     if isinstance(p, MoebiusInverse):
         # sup/inf ratio of any composed branch is ((q_prev+q_cur)/q_cur)^2 <= 4
         return 4.0
-    if isinstance(p, TabulatedInterval):
-        if p.distortion is not None:
-            return p.distortion
-        raise CertificationError(
-            "tabulated map without a declared distortion constant"
-        )
-    if isinstance(p, ComposedMap):
-        return max(_map_distortion(q) for q in p.parts)
     raise UnsupportedError(f"no distortion rule for {type(p).__name__}")
 
 
@@ -465,8 +365,8 @@ class Contraction:
 def contraction_eta(system, m_max: int = 8, budget: int = 200_000) -> Contraction:
     """Smallest block length m <= m_max whose admissible m-windows all contract.
 
-    Windows of two reciprocal shifts take their worst norm in closed form
-    (`_moebius_pairs`); every other window is listed by the frontier sweep
+    Windows of two single integral digits take their worst norm in closed
+    form (`_moebius_pairs`); every other window is listed by the frontier sweep
     and composed, at most `budget` of them (counted exactly before any is
     composed).  Rejects the system (CertificationError) when even
     length-m_max blocks reach norm >= 1.
@@ -501,32 +401,34 @@ def contraction_eta(system, m_max: int = 8, budget: int = 200_000) -> Contractio
 
 
 def _moebius_pairs(system):
-    """(starts, worst): the window starts j whose two times keep only
-    reciprocal shifts, and the largest sup norm over their admissible
-    2-letter windows (0.0 when there are none).
+    """(starts, worst): the window starts j whose two times keep only single
+    integral digits, and the largest sup norm over their admissible 2-letter
+    windows (0.0 when there are none).
 
     The window (a, b) composes to continuant q = d_a*d_b + 1, so the worst
     window has the least digit product over kept allowed pairs, and its norm
     is the one `_compose_bracket` gives.  A float product below 2^53 equals
-    the exact integer one and the float recursion alike; starts whose least
-    product reaches 2^53 are left out, for the walk.
+    the exact integer one; starts whose least product reaches 2^53, and those
+    with a folded block or a non-integral digit, are left out, for the walk.
     """
     tab = system.letter_table
     sched = system.schedule
-    # moebius[n]: time n keeps only reciprocal shifts; time 0 and the pad
-    # past the horizon have no letters
-    moebius = np.ones(sched.horizon + 2, dtype=bool)
-    moebius[tab.time[tab.kept & (tab.family != MOEBIUS)]] = False
-    moebius[[0, -1]] = False
-    starts = np.flatnonzero(moebius[:-1] & moebius[1:]).tolist()
+    a, _, _, digit = tab.matrix
+    single = (tab.family == MOEBIUS) & (a == 0) & (digit == np.floor(digit))
+    # singles[n]: time n keeps only single integral digits; time 0 and the
+    # pad past the horizon have no letters
+    singles = np.ones(sched.horizon + 2, dtype=bool)
+    singles[tab.time[tab.kept & ~single]] = False
+    singles[[0, -1]] = False
+    starts = np.flatnonzero(singles[:-1] & singles[1:]).tolist()
     # per letter of each start time, its least follower digit
     least = np.full(tab.time.size, np.inf)
     for j in starts:
         least[tab.span(j)] = sched.incidence[j].follower_min(
-            sched.kept[j + 1], tab.digit[tab.span(j + 1)]
+            sched.kept[j + 1], digit[tab.span(j + 1)]
         )
     least_prod = np.full(sched.horizon + 1, np.inf)
-    np.minimum.at(least_prod, tab.time, np.where(tab.kept, tab.digit * least, np.inf))
+    np.minimum.at(least_prod, tab.time, np.where(tab.kept, digit * least, np.inf))
     closed = [j for j in starts if least_prod[j] < 2.0**53]
     worst = _continuant_sup(least_prod[closed].min() + 1.0) if closed else 0.0
     return set(closed), worst

@@ -2,12 +2,12 @@
 
 Besides the per-letter maps, a system keeps one letter table: numpy columns,
 time after time, of each letter's family, similarity ratio and offset or
-reciprocal-shift digit, and domain and codomain space indices.  Validation,
-the letter norm brackets, the distortion constant, the vectorized frontier
-states and each range's map family read these columns, so the images and
-norms of similarity and reciprocal-shift letters are computed for every
-time at once; tabulated and composed letters, and disk spaces, keep the
-per-letter `image` and `norm_on`.
+Moebius matrix (a reciprocal shift's, or a folded digit block's), and
+domain and codomain space indices.  Validation, the letter norm brackets,
+the distortion constant, the vectorized frontier states and each range's map
+family read these columns, so the images and norms of the two closed-form
+families are computed for every time at once; user map types and disk
+spaces keep the per-letter `image` and `norm_on`.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ class LetterTable:
 
     `family` is SIMILARITY (a `Similarity` of the system's dim), MOEBIUS (a
     `MoebiusInverse`) or OTHER; `ratio` and `offset` (dim x letters) hold a
-    SIMILARITY letter's ratio and offset, 0 elsewhere;
-    `digit` a MOEBIUS letter's digit, 1 elsewhere; `kept` the schedule's
+    SIMILARITY letter's ratio and offset, 0 elsewhere; `matrix` (4 x
+    letters) a MOEBIUS letter's entries a, b, c, d, each its exact value
+    rounded once, and (0, 1, 1, 1) elsewhere; `kept` the schedule's
     pruning mask and `time` each letter's time.  `dom` and `cod` index the
     letter's domain space (its terminal vertex, at time n) and codomain
     space (its initial vertex, at time n - 1) in the space columns
@@ -56,7 +57,7 @@ class LetterTable:
     family: np.ndarray
     ratio: np.ndarray
     offset: np.ndarray
-    digit: np.ndarray
+    matrix: np.ndarray
     kept: np.ndarray
     dom: np.ndarray
     cod: np.ndarray
@@ -76,24 +77,24 @@ class LetterTable:
 
 
 def _map_columns(maps, dim):
-    """(family, ratio, offset, digit) lists of one time's maps, as the
-    letter table's columns take them (offset flat)."""
-    blank = (0.0,) * dim
-    family, ratio, offset, digit = [], [], [], []  # offset: flat
+    """(family, ratio, offset, matrix) lists of one time's maps, as the
+    letter table's columns take them (offset and matrix flat)."""
+    blank, digit_one = (0.0,) * dim, (0.0, 1.0, 1.0, 1.0)
+    family, ratio, offset, matrix = [], [], [], []
     for p in maps:
         kind = type(p)
         if kind is Similarity and p.dim == dim:
             family.append(SIMILARITY)
             ratio.append(p.ratio)
             offset += p.offset
-            digit.append(1.0)
+            matrix += digit_one
             continue
         moebius = kind is MoebiusInverse
         family.append(MOEBIUS if moebius else OTHER)
-        digit.append(p.digit if moebius else 1.0)
+        matrix += map(float, chain(*p.matrix)) if moebius else digit_one
         ratio.append(0.0)
         offset += blank
-    return family, ratio, offset, digit
+    return family, ratio, offset, matrix
 
 
 def _letter_table(system) -> LetterTable:
@@ -105,7 +106,7 @@ def _letter_table(system) -> LetterTable:
     interval = [s.kind == "interval" for s in spaces]
     bounds = [s.bounds if iv else (np.nan, np.nan) for s, iv in zip(spaces, interval)]
     times = range(1, system.horizon + 1)
-    family, ratio, offset, digit = (
+    family, ratio, offset, matrix = (
         list(chain.from_iterable(column))
         for column in zip(*_shared_rows(
             (system.maps[n] for n in times), lambda maps: _map_columns(maps, system.dim)
@@ -119,7 +120,7 @@ def _letter_table(system) -> LetterTable:
         family=np.array(family, dtype=np.int8),
         ratio=np.array(ratio, dtype=float),
         offset=np.array(offset, dtype=float).reshape(-1, system.dim).T.copy(),
-        digit=np.array(digit, dtype=float),
+        matrix=np.array(matrix, dtype=float).reshape(-1, 4).T.copy(),
         kept=np.concatenate(sched.kept[1:]),
         dom=np.concatenate([space_start[n] + sched.dst_index[n] for n in times]),
         cod=np.concatenate([space_start[n - 1] + sched.src_index[n] for n in times]),
@@ -201,8 +202,8 @@ class SystemSpec:
         """(lo, hi) single-map norm brackets over the letter-table positions,
         zero outside the kept letters.
 
-        A similarity's bracket is |ratio| at both ends; a reciprocal shift's
-        on an interval [a, b] is 1/(digit + a)**2 at both ends, taken in
+        A similarity's bracket is |ratio| at both ends; a Moebius letter's
+        on an interval [a, b] is 1/(c*a + d)**2 at both ends, taken in
         Python floats as `MoebiusInverse.norm_on` takes it; other letters
         call `norm_on` one at a time.
         """
@@ -212,9 +213,10 @@ class SystemSpec:
         lo = hi.copy()
         moeb = tab.kept & (tab.family == MOEBIUS) & tab.space_interval[tab.dom]
         idx = np.flatnonzero(moeb)
+        _, _, c, d = tab.matrix[:, idx].tolist()
         lo[idx] = hi[idx] = [
-            1.0 / (d + a) ** 2
-            for d, a in zip(tab.digit[idx].tolist(), tab.space_lo[tab.dom[idx]].tolist())
+            1.0 / (ci * a + di) ** 2
+            for ci, di, a in zip(c, d, tab.space_lo[tab.dom[idx]].tolist())
         ]
         for i in np.flatnonzero(tab.kept & ~sim & ~moeb).tolist():
             n, k = tab.locate(i)
@@ -285,27 +287,29 @@ def _closed_form_clears(system: SystemSpec) -> np.ndarray:
     """Mask over the letter-table positions: the letters whose image, in
     closed form, is a nondegenerate interval inside their codomain.
 
-    Covers similarity (of dim 1) and reciprocal-shift letters between
-    interval spaces, with `Similarity.image`'s and `MoebiusInverse.image`'s
-    arithmetic (the latter's one-ulp widening included) and `Space.contains`'
+    Covers similarity (of dim 1) and Moebius letters between interval
+    spaces, with `Similarity.image`'s and `MoebiusInverse.image`'s arithmetic
+    (the latter's one-ulp widening included) and `Space.contains`'
     CONTAIN_TOL; every other letter is left to the per-letter check.
     """
     tab = system.letter_table
-    a, b = tab.space_lo[tab.dom], tab.space_hi[tab.dom]
+    x0, x1 = tab.space_lo[tab.dom], tab.space_hi[tab.dom]
+    a, b, c, d = tab.matrix
     on_intervals = tab.space_interval[tab.dom] & tab.space_interval[tab.cod]
     sim = on_intervals & (tab.family == SIMILARITY) & (system.dim == 1)
-    moeb = on_intervals & (tab.family == MOEBIUS) & (tab.digit + a > 0)
     # image ends; NaN, which fails every comparison below, where no closed
     # form applies (overflow and NaN ends fall to the per-letter check too)
     lo, hi = np.full((2, tab.family.size), np.nan)
     with np.errstate(all="ignore"):
+        moeb = on_intervals & (tab.family == MOEBIUS) & (c * x0 + d > 0)
         if sim.any():
-            ends = tab.ratio * a + tab.offset[0], tab.ratio * b + tab.offset[0]
+            ends = tab.ratio * x0 + tab.offset[0], tab.ratio * x1 + tab.offset[0]
             np.copyto(lo, np.minimum(*ends), where=sim)
             np.copyto(hi, np.maximum(*ends), where=sim)
         if moeb.any():
-            # decreasing: the domain's right end maps to the image's left end
-            left, right = 1.0 / (tab.digit + b), 1.0 / (tab.digit + a)
+            # monotone: the domain's ends map to the image's, in either order
+            ends = (a * x0 + b) / (c * x0 + d), (a * x1 + b) / (c * x1 + d)
+            left, right = np.minimum(*ends), np.maximum(*ends)
             sub_ulp = ~(left < right)
             np.copyto(lo, np.where(sub_ulp, np.nextafter(left, -np.inf), left), where=moeb)
             np.copyto(hi, np.where(sub_ulp, np.nextafter(right, np.inf), right), where=moeb)

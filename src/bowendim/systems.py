@@ -12,7 +12,7 @@ pinch times), the block subsystem selected by partition-maximizing endpoint
 pairs, and the planar model family whose letter norms follow the
 inverse-branch decay law near poles of a doubly periodic map.  The three
 block constructions share one block builder, `_block_system`, which makes
-each block word one letter with its composed map.
+each block word one letter, its maps folded into one closed-form map.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     InputError,
 )
 from .maps import (
-    ComposedMap,
     ConformalMap,
     MoebiusInverse,
     Similarity,
@@ -330,8 +329,10 @@ def autonomous_closure(spec: AscendingSpec) -> SystemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _compose_letter(maps_seq):
-    """Single map for a block word; similarity blocks stay similarities."""
+def _compose_letter(label, maps_seq):
+    """Single map for the block word `label`: a similarity block folds into
+    one `Similarity`, a reciprocal-shift block into one `MoebiusInverse`;
+    any other block raises BuildError."""
     if all(isinstance(p, Similarity) for p in maps_seq):
         dim = maps_seq[0].dim
         ratio = 1.0
@@ -342,7 +343,13 @@ def _compose_letter(maps_seq):
         for p in reversed(maps_seq[:-1]):
             off = [p.ratio * o + po for o, po in zip(off, p.offset)]
         return Similarity(ratio, tuple(off) if dim > 1 else (off[0],), dim=dim)
-    return ComposedMap(tuple(maps_seq))
+    if all(isinstance(p, MoebiusInverse) for p in maps_seq):
+        return MoebiusInverse.fold(maps_seq)
+    kinds = ", ".join(sorted({type(p).__name__ for p in maps_seq}))
+    raise BuildError(
+        f"block {label!r} holds {kinds}; only a block of similarities or of"
+        " reciprocal shifts folds into one map"
+    )
 
 
 def _block_words(system, start, length):
@@ -356,22 +363,21 @@ def _block_system(system, cuts, rows, vertex_sets, spaces, matrices="full", **fi
     holds them as rows of letter indices over times cuts[n - 1] + 1 ..
     cuts[n].  Each word becomes one letter, labelled by its joined labels,
     from its first letter's source to its last letter's target, with the
-    composition of its letters' maps; `fields` go to `_assemble` beside the
-    system's dim and declared distortion."""
+    composition of its letters' maps folded into one map of the same closed
+    form family (`_compose_letter`): a similarity, or a Moebius letter whose
+    matrix is the product of its digits'; `fields` go to `_assemble` beside
+    the system's dim and declared distortion."""
     alphabets, maps = [], []
     for lo, hi, block in zip(cuts, cuts[1:], rows):
         letters = system.schedule.alphabets[lo + 1 : hi + 1]
         parts = system.maps[lo + 1 : hi + 1]
-        words = np.asarray(block).tolist()
-        alphabets.append([
-            Letter(
-                ".".join(letters[k][a].label for k, a in enumerate(idx)),
-                letters[0][idx[0]].src,
-                letters[-1][idx[-1]].dst,
-            )
-            for idx in words
-        ])
-        maps.append([_compose_letter([parts[k][a] for k, a in enumerate(idx)]) for idx in words])
+        alphabet, row = [], []
+        for idx in np.asarray(block).tolist():
+            label = ".".join(letters[k][a].label for k, a in enumerate(idx))
+            alphabet.append(Letter(label, letters[0][idx[0]].src, letters[-1][idx[-1]].dst))
+            row.append(_compose_letter(label, [parts[k][a] for k, a in enumerate(idx)]))
+        alphabets.append(alphabet)
+        maps.append(row)
     return _assemble(
         vertex_sets, alphabets, maps, spaces, matrices,
         dim=system.dim, declared_distortion=system.declared_distortion, **fields,

@@ -6,9 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bowendim import TabulatedInterval, bundled, interval
-from bowendim.system import SystemSpec
-from oracles import ncifs_schedule
+from bowendim import EdgeSpec, MoebiusInverse, Similarity, build_gdms, bundled, interval
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -21,21 +19,24 @@ def child_env(**extra):
     return {**os.environ, "PYTHONPATH": path, **extra}
 
 
-def tabulated_pair_system(horizon):
-    """Two tabulated letters per time on [0, 1].  Each has sup |D phi| = 1,
-    but maps [0, 1] into [0, 0.45], inside the cell of slopes <= 0.15, so
-    every 2-letter window contracts."""
-
-    def tab(v1):
-        return TabulatedInterval(
-            nodes=(0.0, 0.5, 1.0), values=(0.0, v1, 0.45),
-            deriv_lo=(0.05, 0.7), deriv_hi=(0.15, 1.0), distortion=20.0,
-        )
-
-    return SystemSpec(
-        schedule=ncifs_schedule([["t0", "t1"]] * horizon),
-        spaces=tuple((interval(0.0, 1.0),) for _ in range(horizon + 1)),
-        maps=((),) + ((tab(0.05), tab(0.04)),) * horizon,
+def mixed_pair_system(horizon):
+    """Two similarities at odd times and the reciprocal shifts of digits 1
+    and 2 at even times, one vertex on [0, 1], built through `build_gdms`.
+    Every range longer than one time mixes the two families, so its norms
+    and points are walked word by word; digit 1 alone does not contract, but
+    every 2-letter window does (sup norm 0.45)."""
+    sims = [
+        EdgeSpec("s0", "v", "v", Similarity(0.45, (0.0,))),
+        EdgeSpec("s1", "v", "v", Similarity(0.45, (0.55,))),
+    ]
+    digits = [
+        EdgeSpec("1", "v", "v", MoebiusInverse(1.0)),
+        EdgeSpec("2", "v", "v", MoebiusInverse(2.0)),
+    ]
+    return build_gdms(
+        [["v"]] * (horizon + 1),
+        [sims if n % 2 else digits for n in range(1, horizon + 1)],
+        {"v": interval(0.0, 1.0)},
     )
 
 

@@ -19,8 +19,10 @@ from bowendim import (
     MoebiusInverse,
     build_cf_system,
     build_gdms,
+    bundled,
     interval,
     maps,
+    reblock_pinched,
 )
 from bowendim.cli import main
 from bowendim.config import _PACKAGED, load_config
@@ -91,6 +93,41 @@ def test_workload_configs_match_walk(workload, workloads, tmp_path):
     built = workloads.build(workload, 5, tmp_path)
     for path in built.configs:
         assert_matches_walk(load_config(str(path))[1])
+
+
+@pytest.mark.parametrize(
+    "pinches",
+    [[1, 2, 3, 4], [1, 3, 5, 7], [2, 3, 5, 7, 9, 11]],
+    ids=lambda pinches: "-".join(map(str, pinches)),
+)
+def test_pinched_digit_blocks_match_walk(pinches):
+    # folded blocks of one and two digits; only windows of two single
+    # digits take the closed form
+    sub = reblock_pinched(bundled.cf12(), pinches)
+    assert_matches_walk(sub)
+    assert contraction_eta(sub).block == 2
+
+
+def test_block_windows_are_walked():
+    # times 3 and 4 hold the block 1.1.1, ((1, 2), (2, 3)): the window of two
+    # has continuant 2*2 + 3*3 = 13, not the single-digit form 3*3 + 1
+    one, block = MoebiusInverse(1.0), MoebiusInverse.fold([MoebiusInverse(1.0)] * 3)
+    rows = [[one], [MoebiusInverse.fold([MoebiusInverse(1000.0)] * 2)], [block], [block]]
+    system = build_gdms(
+        [["v"]] * 5,
+        [[EdgeSpec(f"m{n}", "v", "v", p) for p in row] for n, row in enumerate(rows)],
+        {"v": interval(0.0, 1.0)},
+    )
+    assert_matches_walk(system)
+    assert contraction_eta(system).eta_block == 1 / 169
+
+
+def test_non_integral_pairs_are_walked():
+    # the float form fl(fl(d_a * d_b) + 1) of this pair's continuant rounds
+    # twice, and its 1/q^2 differs from the exact one in the last bit
+    system = build_cf_system([[1], [1e4], [1.9560342718892494], [1.9478274870593495]])
+    assert_matches_walk(system)
+    assert contraction_eta(system).eta_block == 0.04322218516529255
 
 
 def pruned_dense_cf(horizon=5):

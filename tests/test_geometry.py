@@ -31,6 +31,7 @@ from bowendim import (
 from bowendim import _frontier, bundled
 from bowendim.geometry import _boxes_at_scale, _center_radius, diameter_diagnostics
 
+from conftest import mixed_pair_system
 from oracles import cf_value, grouped_sweep, schedule_words, traced_words
 
 
@@ -117,14 +118,15 @@ class TestSampling:
             ):
                 sample_limit_set(system, 8, words - 1)
 
-    @pytest.mark.parametrize("name", ["wide", "reblocked-cf12"])
+    @pytest.mark.parametrize("name", ["wide", "mixed"])
     def test_generic_points_are_image_regions(self, name):
-        # families without a point state: one point per admissible word, the
-        # center and radius of its image region
+        # ranges without a point state (continuants past 2^52, or both map
+        # families): one point per admissible word, the center and radius of
+        # its image region
         if name == "wide":
             system, depth = build_cf_system([[1, 2, 100]] * 8), 8
         else:
-            system, depth = reblock_pinched(bundled.cf12(12), [2, 4, 6, 8, 10, 12]), 4
+            system, depth = mixed_pair_system(8), 6
         assert _frontier.vector_state(system, 1, depth, points=True) is None
         cloud = sample_limit_set(system, depth, 10**4)
         got = {
@@ -139,11 +141,16 @@ class TestSampling:
         assert len(cloud) == len(want) and got == want
 
     @pytest.mark.parametrize("strategy", ["exhaustive", "random-admissible"])
-    @pytest.mark.parametrize("name", ["cf12", "gdms2v", "reblocked-gdms2v", "elliptic-q2"])
+    @pytest.mark.parametrize(
+        "name", ["cf12", "gdms2v", "reblocked-gdms2v", "reblocked-cf12", "elliptic-q2"]
+    )
     def test_vectorized_points_enclose_projections(self, name, strategy):
         if name == "reblocked-gdms2v":
             gdms = bundled.gdms2v()
             system, depth = reblock_one_primitive(gdms, find_primitivity(gdms.schedule, 4)), 3
+        elif name == "reblocked-cf12":
+            # two-digit blocks fold into one Moebius letter each
+            system, depth = reblock_pinched(bundled.cf12(12), [2, 4, 6, 8, 10, 12]), 4
         else:
             system = bundled.BUNDLED[name]()
             depth = {"cf12": 10, "gdms2v": 6, "elliptic-q2": 2}[name]
@@ -162,7 +169,7 @@ class TestSampling:
         "name", ["cf12", "gdms2v", "cantor3", "elliptic-q2", "reblocked-cf12"]
     )
     def test_words_equal_traced_labels(self, name, strategy):
-        # reblocked-cf12 is projected word by word; the others by point state
+        # every system here places its points by point state
         if name == "reblocked-cf12":
             system, depth = reblock_pinched(bundled.cf12(12), [2, 4, 6, 8, 10, 12]), 4
         else:
@@ -231,7 +238,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("name", ["cf12", "gdms2v", "elliptic-q2", "pinched-cf12"])
     def test_cover_equals_brute_word_images(self, name):
-        # pinched-cf12 composes its block maps; elliptic-q2 has disk cells
+        # pinched-cf12 folds its digit blocks; elliptic-q2 has disk cells
         if name == "pinched-cf12":
             system, n = reblock_pinched(bundled.cf12(12), [2, 4, 6, 8, 10, 12]), 4
         else:

@@ -5,7 +5,7 @@ the contraction certificate, the evenly-varying check, the image-validation
 verdict and each range's map family) must equal, bit for bit, what asking
 each map object in turn gives (`oracles.per_letter_*`), on the bundled
 systems, re-blocked and block subsystems, drawn similarity,
-continued-fraction and two-vertex systems, and a tabulated and a mixed one.
+continued-fraction and two-vertex systems, and mixed ones.
 """
 
 import json
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import tabulated_pair_system
+from conftest import mixed_pair_system
 from bowendim import (
     BuildError,
     MoebiusInverse,
@@ -34,6 +34,7 @@ from bowendim import (
 from bowendim import _frontier
 from bowendim.config import load_config
 from bowendim.errors import BowendimError
+from bowendim.maps import ConformalMap
 from bowendim.symbolic import FullIncidence, GraphSchedule, Letter
 from bowendim.system import SystemSpec, _closed_form_clears, validate_images
 
@@ -72,7 +73,8 @@ def closed_form_applies(system, n, idx):
     dom = system.domain_space_idx(n, idx)
     on_intervals = dom.kind == system.codomain_space_idx(n, idx).kind == "interval"
     if type(p) is MoebiusInverse:
-        return on_intervals and p.digit + dom.bounds[0] > 0
+        _, (c, d) = p.matrix
+        return on_intervals and c * dom.bounds[0] + d > 0
     return on_intervals and type(p) is Similarity and system.dim == p.dim == 1
 
 
@@ -232,13 +234,16 @@ def test_drawn_two_vertex_systems(w_space, edges):
     assert_table_matches(system)
 
 
-def test_tabulated_and_mixed_families():
-    # similarity, reciprocal-shift, mixed and tabulated times, so ranges of
+class Halving(ConformalMap):
+    """A user map type, outside the two closed-form families."""
+
+
+def test_mixed_and_user_map_families():
+    # similarity, reciprocal-shift, mixed and user-map times, so ranges of
     # every family occur
-    tab = tabulated_pair_system(2).maps[1][0]
-    sim, moeb = Similarity(0.3, (0.0,)), MoebiusInverse(2.0)
-    mixed = one_vertex([[sim, sim], [moeb, moeb], [sim, moeb], [tab, tab], [moeb]])
-    for system in (tabulated_pair_system(4), mixed):
+    sim, moeb, user = Similarity(0.3, (0.0,)), MoebiusInverse(2.0), Halving()
+    mixed = one_vertex([[sim, sim], [moeb, moeb], [sim, moeb], [user, user], [moeb]])
+    for system in (mixed_pair_system(4), mixed):
         assert_family_matches(system)
     got = {_frontier._family(mixed, m, n) for m in range(1, 6) for n in range(m, 6)}
     assert got == {"similarity", "moebius", "generic"}

@@ -14,9 +14,13 @@ from hypothesis.extra.numpy import arrays
 
 from bowendim import (
     BudgetError,
+    EdgeSpec,
+    MoebiusInverse,
     build_cf_system,
+    build_gdms,
     bundled,
     cli,
+    interval,
     partition,
     pressure_estimate,
     reblock_pinched,
@@ -24,7 +28,7 @@ from bowendim import (
 from bowendim import _frontier, maps
 from bowendim._frontier import exact_sum
 from bowendim.maps import compose_norm
-from conftest import tabulated_pair_system
+from conftest import mixed_pair_system
 
 
 def cf_wide(horizon=8):
@@ -165,9 +169,10 @@ TABLE_SYSTEMS = {
     "ascend-cf12": lambda: bundled.ascend_cf12(12),
     "cf-wide": cf_wide,  # lo and hi part past 2^53, at time 8
     "gdms2v": lambda: bundled.gdms2v(10),
-    # walked: composed digit blocks, and tabulated letters
+    # folded digit blocks, swept like single digits
     "pinched-cf12": lambda: reblock_pinched(bundled.cf12(12), [2, 4, 6, 8, 10, 12]),
-    "tabulated-pair": lambda: tabulated_pair_system(8),
+    # walked: similarities and reciprocal shifts at alternate times
+    "mixed-pair": lambda: mixed_pair_system(8),
 }
 
 
@@ -287,13 +292,17 @@ def _swept_brackets(system, n):
 
     def on_level(j, letters, state, src):
         nonlocal pairs
-        digits = [int(system.maps[j][a].digit) for a in letters.tolist()]
+        # each letter's exact matrix ((a, b), (c, d)), integral here
+        mats = [
+            [int(e) for row in system.maps[j][k].matrix for e in row]
+            for k in letters.tolist()
+        ]
         if src is None:
-            pairs = [(1, d) for d in digits]
+            pairs = [(c, d) for _, _, c, d in mats]
         else:
             pairs = [
-                (pairs[s][1], d * pairs[s][1] + pairs[s][0])
-                for s, d in zip(src.tolist(), digits)
+                (x * a + y * c, x * b + y * d)
+                for (x, y), (a, b, c, d) in zip((pairs[s] for s in src.tolist()), mats)
             ]
         lo, hi = impl.norm_bounds(state, j)
         exact = [lo is hi] * lo.size
@@ -326,6 +335,45 @@ def test_swept_brackets_hold_the_exact_norm(digits, horizon, words):
         assert len(bracketed) == 3**8
 
 
+def _digit_and_block(horizon):
+    """Digit 1000 and the folded block 1000.1000 at every time, each word
+    keeping one of them (identity incidence): a time that mixes single digits
+    and blocks, whose single-digit words overflow q_prev at time 104."""
+    one = MoebiusInverse(1000.0)
+    edges = [
+        EdgeSpec("1000", "v", "v", one),
+        EdgeSpec("1000.1000", "v", "v", MoebiusInverse.fold([one, one])),
+    ]
+    return build_gdms(
+        [["v"]] * (horizon + 1), [edges] * horizon, {"v": interval(0.0, 1.0)}, "identity"
+    )
+
+
+@pytest.mark.parametrize(
+    "make, words",
+    [
+        # two-digit blocks: each step rounds the block's exact matrix once
+        (lambda: reblock_pinched(build_cf_system([[1000]] * 110), list(range(2, 111, 2))), 55),
+        (lambda: _digit_and_block(110), 220),
+    ],
+    ids=["pinched", "digit-and-block"],
+)
+def test_swept_block_brackets_hold_the_exact_norm(make, words):
+    system = make()
+    swept = _swept_brackets(system, system.horizon)
+    assert len(swept) == words
+    for q, lo, hi, exact in swept:
+        assert not (math.isnan(lo) or math.isnan(hi))
+        if exact:
+            assert q < 2**53 and lo == hi
+            assert abs(Fraction(lo) * q * q - 1) <= Fraction(1, 2**52)
+        else:
+            assert Fraction(lo) * q * q <= 1 <= Fraction(hi) * q * q
+    # continuants pass the float range, and norms underflow
+    assert any(q > 2**1024 for q, *_ in swept)
+    assert any(0.0 < lo < 2.0**-1022 for _, lo, _, exact in swept if not exact)
+
+
 def _budget_message(fn):
     with pytest.raises(BudgetError) as exc:
         fn()
@@ -338,7 +386,7 @@ def _budget_message(fn):
         (lambda: bundled.cf12(18), 18, 100),
         (cf_wide, 8, 500),
         # walked: the budget counts every composed word of the range
-        (TABLE_SYSTEMS["pinched-cf12"], 6, 100),
+        (TABLE_SYSTEMS["mixed-pair"], 6, 100),
     ],
 )
 def test_cache_hit_keeps_the_budget(make, n, budget):

@@ -1,15 +1,20 @@
 """Map families: certified norms, images, distortion, contraction blocks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bowendim import (
     CertificationError,
     InputError,
     MoebiusInverse,
-    TabulatedInterval,
+    Similarity,
+    SystemSpec,
+    UnsupportedError,
     Word,
     build_cf_system,
     build_similarity_system,
@@ -21,8 +26,9 @@ from bowendim import (
     interval,
 )
 from bowendim import bundled, maps
+from bowendim.maps import ConformalMap
 
-from conftest import tabulated_pair_system
+from conftest import mixed_pair_system
 from oracles import cf_value, dense_grid_norm, dense_grid_norm_fast, ncifs_schedule
 
 
@@ -100,9 +106,86 @@ class TestComposeNorm:
             assert (q_prev, q_cur) == (qp, qc)
             assert abs(p_prev * q_cur - p_cur * q_prev) == 1
 
+    def test_mixed_chain_bracket_contains_truth(self):
+        # a word over both families composes pointwise bounds letter by letter
+        system = mixed_pair_system(8)
+        word = Word(1, ("s1", "2", "s0", "1"))
+        br = compose_norm(word, system)
+        assert br.method == "interval"
+        parts = [system.map_for(1 + k, lbl) for k, lbl in enumerate(word.letters)]
+        grid = dense_grid_norm(parts, (0.0, 1.0), n_grid=2000)
+        assert br.lo - 1e-12 <= grid <= br.hi + 1e-12
+
     def test_inadmissible_word_rejected(self, cf8):
         with pytest.raises(InputError):
             compose_norm(Word(1, ("1", "9")), cf8)
+
+
+# digits 1..1000, and dyadic non-integers n + j/den such as 1.5
+DIGITS = st.one_of(
+    st.integers(1, 1000),
+    st.builds(
+        lambda n, den, j: n + (j % den or 1) / den,
+        st.integers(1, 999), st.sampled_from([2, 4, 8, 16]), st.integers(1, 15),
+    ),
+)
+
+
+def _nested(digits, x):
+    """phi_{d_1} o ... o phi_{d_k}(x), one single-digit map at a time, in
+    Fraction arithmetic."""
+    for d in reversed(digits):
+        x = MoebiusInverse(Fraction(d))(x)
+    return x
+
+
+class TestFold:
+    @settings(max_examples=200, deadline=None)
+    @given(digits=st.lists(DIGITS, min_size=1, max_size=6))
+    @example(digits=[1, 1])
+    @example(digits=[1.5, 2.5, 1000, 3.25])
+    @example(digits=[1000] * 6)
+    def test_folded_block_equals_nested_digits(self, digits):
+        folded = MoebiusInverse.fold([MoebiusInverse(d) for d in digits])
+        (a, b), (c, d) = folded.matrix
+        assert (c, d) == continuants(digits)
+        assert a * d - b * c == (-1) ** len(digits)
+        points = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(1)]
+        for x in points:
+            assert folded(x) == _nested(digits, x)
+        # an even block increases, an odd one decreases
+        assert (folded(Fraction(1)) > folded(Fraction(0))) == (len(digits) % 2 == 0)
+        exact = sorted(_nested(digits, x) for x in (Fraction(0), Fraction(1)))
+        lo, hi = folded.image(interval(0.0, 1.0)).bounds
+        if all(float(v) == v for v in (a, b, c, d, a + b, c + d)):
+            # the ends b/d and (a + b)/(c + d) take one rounding each, and a
+            # sub-ulp image widens by one ulp on each side
+            ends = [float(e) for e in exact]
+            if ends[0] == ends[1]:
+                ends = [math.nextafter(ends[0], -math.inf), math.nextafter(ends[0], math.inf)]
+            assert [lo, hi] == ends
+        else:
+            # entries or sums past float64 round once each: an end is within
+            # gamma_5 of its exact value, plus at most one ulp (2u relative)
+            # of widening, under 8u, u = 2^-53
+            assert lo < hi
+            for got, want in zip((lo, hi), exact):
+                assert abs(Fraction(got) / want - 1) <= Fraction(8, 2**53)
+        br = folded.norm_on(interval(0.0, 1.0))
+        # three roundings of 1/q^2: float(q), the square and the division
+        assert br.lo == br.hi
+        assert abs(Fraction(br.hi) * d * d - 1) <= Fraction(3, 2**52)
+
+    def test_fold_keeps_a_single_digit(self):
+        assert MoebiusInverse.fold([MoebiusInverse(2.0)]) == MoebiusInverse(2.0)
+        assert repr(MoebiusInverse(2.0)) == "MoebiusInverse(digit=2.0)"
+        pair = MoebiusInverse.fold([MoebiusInverse(1.0), MoebiusInverse(2.0)])
+        assert repr(pair) == "MoebiusInverse(matrix=((1, 2), (1, 3)))"
+        assert pair.digit is None
+
+    def test_fold_past_2_512_rejected(self):
+        with pytest.raises(InputError, match="passes 2\\^512"):
+            MoebiusInverse.fold([MoebiusInverse(2.0**52)] * 10)
 
 
 class TestImageRegion:
@@ -142,24 +225,18 @@ class TestDistortion:
             worst = max(worst, ratio)
         assert worst <= 4.0
 
-    def test_tabulated_constant_derivative(self):
-        tab = TabulatedInterval(
-            nodes=(0.0, 1.0), values=(0.0, 0.5), deriv_lo=(0.5,), deriv_hi=(0.5,),
-        )
-        assert tab.distortion is None
-        tab2 = TabulatedInterval(
-            nodes=(0.0, 1.0), values=(0.0, 0.5), deriv_lo=(0.5,),
-            deriv_hi=(0.5,), distortion=1.0,
-        )
-        sys_t = _tabulated_system(tab2)
-        assert distortion_constant(sys_t) == 1.0
+    def test_user_map_type_has_no_distortion_rule(self):
+        class Halving(ConformalMap):
+            def deriv_range_on(self, dom):
+                return (0.5, 0.5)
 
-    def test_tabulated_without_declared_k_fails(self):
-        tab = TabulatedInterval(
-            nodes=(0.0, 1.0), values=(0.0, 0.5), deriv_lo=(0.4,), deriv_hi=(0.6,),
+        system = SystemSpec(
+            schedule=ncifs_schedule([["h"]] * 4),
+            spaces=tuple((interval(0.0, 1.0),) for _ in range(5)),
+            maps=((),) + ((Halving(),),) * 4,
         )
-        with pytest.raises(CertificationError):
-            distortion_constant(_tabulated_system(tab))
+        with pytest.raises(UnsupportedError, match="no distortion rule for Halving"):
+            distortion_constant(system)
 
 
 def _all_words(depth, digits=(1, 2)):
@@ -169,17 +246,6 @@ def _all_words(depth, digits=(1, 2)):
     for rest in _all_words(depth - 1, digits):
         for d in digits:
             yield (d,) + rest
-
-
-def _tabulated_system(tab):
-    from bowendim.system import SystemSpec
-
-    sched = ncifs_schedule([["t0"]] * 4)
-    return SystemSpec(
-        schedule=sched,
-        spaces=tuple((interval(0.0, 1.0),) for _ in range(5)),
-        maps=((),) + ((tab,),) * 4,
-    )
 
 
 class TestContraction:
@@ -194,9 +260,9 @@ class TestContraction:
         assert c.eta_block == pytest.approx(0.25, abs=0)
 
     def test_window_budget_boundary(self):
-        # tabulated windows are walked: block 2 is certified after all 4
-        # windows at each of 7 start times
-        system = tabulated_pair_system(8)
+        # mixed windows are walked: block 2 is certified after all 4 windows
+        # at each of 7 start times
+        system = mixed_pair_system(8)
         assert contraction_eta(system, budget=28).block == 2
         with pytest.raises(
             CertificationError, match="contraction search exceeded 27 windows"
@@ -211,7 +277,7 @@ class TestContraction:
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        system = tabulated_pair_system(8)
+        system = mixed_pair_system(8)
         monkeypatch.setattr(maps, "compose_norm", counted)
         with pytest.raises(CertificationError, match="exceeded 27 windows"):
             contraction_eta(system, budget=27)
@@ -224,48 +290,13 @@ class TestContraction:
         assert contraction_eta(sys_m).eta_block == pytest.approx(0.9)
 
     def test_expanding_system_rejected(self):
-        from bowendim.system import SystemSpec
-    
-        tab = TabulatedInterval(
-            nodes=(0.0, 1.0), values=(0.0, 1.0), deriv_lo=(1.0,), deriv_hi=(1.0,),
-            distortion=1.0,
-        )
-        sched = ncifs_schedule([["t0"]] * 4)
-        sys_t = SystemSpec(
-            schedule=sched,
+        # the identity at odd times and digit 1 at even times: the windows
+        # 1.id and id.1 have sup norm 1, and so has id.1.id
+        identity, one = Similarity(1.0, (0.0,)), MoebiusInverse(1.0)
+        system = SystemSpec(
+            schedule=ncifs_schedule([["id"], ["1"]] * 2),
             spaces=tuple((interval(0.0, 1.0),) for _ in range(5)),
-            maps=((),) + ((tab,),) * 4,
+            maps=((),) + ((identity,), (one,)) * 2,
         )
-        with pytest.raises(CertificationError):
-            contraction_eta(sys_t, m_max=3)
-
-
-class TestTabulated:
-    def test_enclosure_and_norm_sound(self):
-        # sqrt-like increasing map on [0,1] with per-cell certified bounds
-        nodes = (0.0, 0.25, 0.5, 0.75, 1.0)
-        f = lambda x: 0.5 * x + 0.2 * x * x
-        fp = lambda x: 0.5 + 0.4 * x
-        values = tuple(f(x) for x in nodes)
-        d_lo = tuple(fp(nodes[i]) for i in range(4))
-        d_hi = tuple(fp(nodes[i + 1]) for i in range(4))
-        tab = TabulatedInterval(nodes, values, d_lo, d_hi, distortion=fp(1) / fp(0))
-        for x in np.linspace(0, 1, 41):
-            lo, hi = tab.enclosure(float(x))
-            assert lo - 1e-12 <= f(x) <= hi + 1e-12
-        br = tab.norm_on(interval(0.0, 1.0))
-        assert br.lo <= fp(1.0) <= br.hi
-
-    def test_chain_bracket_contains_truth(self):
-        nodes = (0.0, 0.5, 1.0)
-        values = (0.0, 0.2, 0.45)
-        tab = TabulatedInterval(nodes, values, (0.38, 0.48), (0.42, 0.52), distortion=2.0)
-        sys_t = _tabulated_system(tab)
-        br = compose_norm(Word(1, ("t0", "t0")), sys_t)
-        assert br.method == "interval"
-        grid = dense_grid_norm([tab, tab], (0.0, 1.0), n_grid=2000)
-        assert br.lo - 1e-12 <= grid <= br.hi + 1e-12
-
-    def test_monotonicity_validation(self):
-        with pytest.raises(InputError):
-            TabulatedInterval((0.0, 1.0), (0.5, 0.5), (0.1,), (0.2,))
+        with pytest.raises(CertificationError, match="no contracting block length <= 3"):
+            contraction_eta(system, m_max=3)

@@ -12,14 +12,14 @@ import bowendim
 PUBLIC = [
     "ABDimensionBounds", "AscendingSpec", "BalancingReport", "BlockSubsystem",
     "BowendimError", "BoxCountFit", "BracketingError", "BudgetError",
-    "BuildError", "CertificationError", "ComposedMap", "ConfigurationError",
+    "BuildError", "CertificationError", "ConfigurationError",
     "Contraction", "DiameterReport", "DimensionResult", "EdgeSpec",
     "EllipticModelReport", "GraphSchedule", "GrowthStats", "HypothesisReport",
     "InputError", "IntegrityError", "Letter", "LevelCover",
     "MeasureTrendReport", "MoebiusInverse", "NormBracket", "OscReport",
     "PSeriesTail", "PartitionValue", "PointCloud", "PressureEstimate",
     "PrimitivityCertificate", "SchemaError", "Similarity", "Space",
-    "SystemSpec", "TabulatedInterval", "ThetaBounds", "UnsupportedError",
+    "SystemSpec", "ThetaBounds", "UnsupportedError",
     "Word", "ab_dimension_bounds", "autonomous_closure", "balancing_class",
     "bowen_dimension", "box_counting_dim", "build_ascending",
     "build_cf_system", "build_gdms", "build_similarity_system",

@@ -42,6 +42,7 @@ from bowendim import (
 from bowendim import _frontier, bundled, cli, symbolic, systems
 from bowendim.config import _PACKAGED, build_from_spec, load_config
 
+from conftest import mixed_pair_system
 from oracles import all_pairs_connectors, schedule_words
 
 # (ratio, center) of each elliptic-q2 letter, the same at every time: the
@@ -420,6 +421,41 @@ class TestReblockPinched:
     def test_pinch_at_two_vertex_time_rejected(self, pinch):
         with pytest.raises(BuildError):
             reblock_pinched(pinch, [1, 3, 5])
+
+    def test_block_of_both_families_rejected(self):
+        # block 1 is a similarity at time 1 then a reciprocal shift at time 2
+        with pytest.raises(
+            BuildError, match="^block 's0.1' holds MoebiusInverse, Similarity; only"
+        ):
+            reblock_pinched(mixed_pair_system(8), [2, 4, 6, 8])
+
+    def test_pinched_digit_blocks_sweep(self, monkeypatch):
+        # each two-digit block folds into one Moebius letter, so the 1,398,100
+        # words of levels 1..10 take the sweep, not the word-at-a-time walk
+        sub = reblock_pinched(bundled.cf12(20), list(range(2, 21, 2)))
+        calls = []
+        monkeypatch.setattr(_frontier, "generic_norm_walk", lambda *a, **k: calls.append(a))
+        assert sum(_frontier.level_norms(sub, 1, 10).sizes) == 1398100
+        res = bowen_dimension(sub, (0.0, 1.0), sub.horizon)
+        assert calls == []
+        # the bracket and justification of the walked composed blocks
+        assert res.bracket == (0.53125, 0.53131103515625)
+        assert res.hypothesis.justification == "autonomous-system"
+
+
+@pytest.mark.parametrize("name", ["cf12", "ascend-cf12"])
+def test_digit_block_subsystems_are_moebius(name):
+    system = bundled.BUNDLED[name]()
+    subsystems = [
+        reblock_pinched(system, list(range(2, system.horizon + 1, 2))),
+        reblock_one_primitive(system, certify_primitivity(system.schedule, 2)),
+        extract_subsystem_g_bounded(
+            system, find_primitivity(system.schedule, 2), 3, 0.5
+        ).system,
+    ]
+    for sub in subsystems:
+        assert _frontier._family(sub, 1, sub.horizon) == "moebius"
+        assert all(type(p) is MoebiusInverse for row in sub.maps[1:] for p in row)
 
 
 class TestBlockSubsystem:

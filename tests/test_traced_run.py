@@ -1,4 +1,5 @@
-"""A traced run of two commands records every count the benchmark reads.
+"""A traced run of a command and a walked partition records every count the
+benchmark reads.
 
 `tests/test_bench_hooks.py` checks that each name `perfbench/tracing.py`
 patches exists; a refactor that moves a callback argument a counting wrapper
@@ -9,7 +10,9 @@ pass there and only break the traced benchmark run.  This test runs it.
 import importlib.util
 from pathlib import Path
 
-from bowendim import cli
+from bowendim import cli, partition
+
+from conftest import mixed_pair_system
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -23,14 +26,11 @@ def _load_tracing():
 
 def test_traced_commands_record_every_count(tmp_path):
     tracing = _load_tracing()
-    # the pinched subsystem walks its composed maps word by word
-    runs = [
-        ["subsystem", "cf12", "--mode", "pinched", "--pinch-times", "1", "2", "3", "4"],
-        ["report", "cf12", "--n-max", "8", "--depth", "6"],
-    ]
+    report = ["report", "cf12", "--n-max", "8", "--depth", "6", "--out", str(tmp_path)]
     with tracing.installed(tracing.Tracer()) as tracer:
-        for k, args in enumerate(runs):
-            assert cli.main(args + ["--out", str(tmp_path / str(k))]) == 0
+        assert cli.main(report) == 0
+        # a range that mixes the two map families walks its words one by one
+        partition(mixed_pair_system(8), 1, 8, 0.5)
     for name in ("frontier.words", "frontier.generic_words", "thermo.bisection_steps",
                  "cli.csv_bytes"):
         assert tracer.counts[name] > 0, name
