@@ -125,22 +125,23 @@ class SimilarityState:
 
 def _row_times(x, y, src, matrix, letters):
     """Each word's row (x, y), read at its parent `src`, times its new
-    letter's matrix ((a, b), (c, d)): (a*x + c*y, b*x + d*y).  A time of
-    single digits ((0, 1), (1, d)) takes the continuant step (y, d*y + x);
-    elsewhere an inf x times a = 0 gives NaN, read as inf (x <= y)."""
+    letter's matrix ((a, b), (c, d)): (a*x + c*y, b*x + d*y).  For a single
+    digit ((0, 1), (1, d)) these are exactly the continuant step (y, d*y + x),
+    except that an inf x times a = 0 gives NaN, read as inf (x <= y)."""
     x, y = x[src], y[src]
     a, b, c, d = matrix
     with np.errstate(over="ignore", invalid="ignore"):  # inf continuants bound as 0
-        if not a.any():
-            out = d[letters]
-            out *= y
-            out += x
-            return y, out
-        new_x = a[letters] * x
-        new_x += c[letters] * y
+        new_x = a[letters]
+        new_x *= x
+        term = c[letters]
+        term *= y
+        new_x += term
         new_x[np.isnan(new_x)] = np.inf
-        new_y = b[letters] * x
-        new_y += d[letters] * y
+        new_y = b[letters]
+        new_y *= x
+        np.take(d, letters, out=term)
+        term *= y
+        new_y += term
     return new_x, new_y
 
 

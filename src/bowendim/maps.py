@@ -198,7 +198,7 @@ class MoebiusInverse(ConformalMap):
         q = matrix[1][1]
         # the letter table holds each entry as a float64, and 1/q^2 stays normal
         if not q < 2.0**512:
-            raise InputError(f"a block's continuant {q} passes 2^512")
+            raise InputError("a block's continuant passes 2^512")
         folded = object.__new__(cls)
         object.__setattr__(folded, "matrix", matrix)
         return folded
@@ -365,8 +365,8 @@ class Contraction:
 def contraction_eta(system, m_max: int = 8, budget: int = 200_000) -> Contraction:
     """Smallest block length m <= m_max whose admissible m-windows all contract.
 
-    Windows of two single integral digits take their worst norm in closed
-    form (`_moebius_pairs`); every other window is listed by the frontier sweep
+    Windows of two single digits take their worst norm in closed form
+    (`_moebius_pairs`); every other window is listed by the frontier sweep
     and composed, at most `budget` of them (counted exactly before any is
     composed).  Rejects the system (CertificationError) when even
     length-m_max blocks reach norm >= 1.
@@ -402,21 +402,22 @@ def contraction_eta(system, m_max: int = 8, budget: int = 200_000) -> Contractio
 
 def _moebius_pairs(system):
     """(starts, worst): the window starts j whose two times keep only single
-    integral digits, and the largest sup norm over their admissible 2-letter
-    windows (0.0 when there are none).
+    digits, and the largest sup norm over their admissible 2-letter windows
+    (0.0 when there are none).
 
     The window (a, b) composes to continuant q = d_a*d_b + 1, so the worst
     window has the least digit product over kept allowed pairs, and its norm
-    is the one `_compose_bracket` gives.  A float product below 2^53 equals
-    the exact integer one; starts whose least product reaches 2^53, and those
-    with a folded block or a non-integral digit, are left out, for the walk.
+    is the one `_compose_bracket` gives.  Rounding is monotone, so every pair
+    of least exact product has the least float product too: those pairs are
+    multiplied exactly and the least taken.  Starts whose least product
+    reaches 2^53, and those with a folded block, are left out, for the walk.
     """
     tab = system.letter_table
     sched = system.schedule
     a, _, _, digit = tab.matrix
-    single = (tab.family == MOEBIUS) & (a == 0) & (digit == np.floor(digit))
-    # singles[n]: time n keeps only single integral digits; time 0 and the
-    # pad past the horizon have no letters
+    single = (tab.family == MOEBIUS) & (a == 0)
+    # singles[n]: time n keeps only single digits; time 0 and the pad past
+    # the horizon have no letters
     singles = np.ones(sched.horizon + 2, dtype=bool)
     singles[tab.time[tab.kept & ~single]] = False
     singles[[0, -1]] = False
@@ -427,11 +428,14 @@ def _moebius_pairs(system):
         least[tab.span(j)] = sched.incidence[j].follower_min(
             sched.kept[j + 1], digit[tab.span(j + 1)]
         )
-    least_prod = np.full(sched.horizon + 1, np.inf)
-    np.minimum.at(least_prod, tab.time, np.where(tab.kept, digit * least, np.inf))
-    closed = [j for j in starts if least_prod[j] < 2.0**53]
-    worst = _continuant_sup(least_prod[closed].min() + 1.0) if closed else 0.0
-    return set(closed), worst
+    prod = np.where(tab.kept, digit * least, np.inf)
+    closed = {j for j in starts if prod[tab.span(j)].min() < 2.0**53}
+    if not closed:
+        return closed, 0.0
+    # the least product lies at a closed start: the others reach 2^53
+    ties = np.flatnonzero(prod == prod.min()).tolist()
+    q = min(_exact(digit[i]) * _exact(least[i]) for i in ties) + 1
+    return closed, _continuant_sup(q)
 
 
 def _worst_window(system, j, m):

@@ -332,7 +332,8 @@ def autonomous_closure(spec: AscendingSpec) -> SystemSpec:
 def _compose_letter(label, maps_seq):
     """Single map for the block word `label`: a similarity block folds into
     one `Similarity`, a reciprocal-shift block into one `MoebiusInverse`;
-    any other block raises BuildError."""
+    any other block, or a reciprocal-shift block whose continuant passes
+    2^512, raises BuildError."""
     if all(isinstance(p, Similarity) for p in maps_seq):
         dim = maps_seq[0].dim
         ratio = 1.0
@@ -344,7 +345,10 @@ def _compose_letter(label, maps_seq):
             off = [p.ratio * o + po for o, po in zip(off, p.offset)]
         return Similarity(ratio, tuple(off) if dim > 1 else (off[0],), dim=dim)
     if all(isinstance(p, MoebiusInverse) for p in maps_seq):
-        return MoebiusInverse.fold(maps_seq)
+        try:
+            return MoebiusInverse.fold(maps_seq)
+        except InputError as err:  # a continuant past 2^512
+            raise BuildError(f"block {label!r}: {err}") from None
     kinds = ", ".join(sorted({type(p).__name__ for p in maps_seq}))
     raise BuildError(
         f"block {label!r} holds {kinds}; only a block of similarities or of"

@@ -5,6 +5,7 @@ form, equal field by field to the walked reference (`oracles.walked_contraction`
 import dataclasses
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -122,12 +123,25 @@ def test_block_windows_are_walked():
     assert contraction_eta(system).eta_block == 1 / 169
 
 
-def test_non_integral_pairs_are_walked():
+def test_non_integral_pairs_take_the_exact_closed_form(monkeypatch):
     # the float form fl(fl(d_a * d_b) + 1) of this pair's continuant rounds
     # twice, and its 1/q^2 differs from the exact one in the last bit
     system = build_cf_system([[1], [1e4], [1.9560342718892494], [1.9478274870593495]])
     assert_matches_walk(system)
-    assert contraction_eta(system).eta_block == 0.04322218516529255
+    calls = count_compose_norm(monkeypatch)
+    assert contraction_eta(dataclasses.replace(system)).eta_block == 0.04322218516529255
+    assert calls == []
+
+
+def test_least_exact_product_among_float_ties():
+    # a*b and b*c round to one float, but a > c, and a*b + 1 and b*c + 1
+    # round apart: the worst window is b*c's, though a's letter comes first
+    a, b, c = 1.7479061206909252, 1.718943796825286, 1.747906120690925
+    q_ab, q_bc = (Fraction(x) * Fraction(y) + 1 for x, y in [(a, b), (b, c)])
+    assert a * b == b * c and float(q_ab) > float(q_bc)
+    system = build_cf_system([[1], [1e4], [a], [b], [c]])
+    assert_matches_walk(system)
+    assert contraction_eta(system).eta_block == 1 / float(q_bc) ** 2
 
 
 def pruned_dense_cf(horizon=5):
@@ -248,6 +262,17 @@ def test_wide_digit_set_certifies(tmp_path):
     # 16,900 windows a step: the walk's 200,000-window budget ran out
     out = tmp_path / "out"
     assert main(["check", cf_config(tmp_path, list(range(1, 131)), 15), "--out", str(out)]) == 0
+    contraction = json.loads((out / "summary.json").read_text())["contraction"]
+    assert contraction["block"] == 2
+    assert contraction["eta_block"] == 0.25
+
+
+def test_wide_non_integral_digit_set_certifies(tmp_path):
+    # digit 1 and 129 digits 1.5 .. 129.5: 236,600 two-letter windows, over
+    # the walk's budget, so their worst norm takes the closed form
+    out = tmp_path / "out"
+    digits = [1] + [d + 0.5 for d in range(1, 130)]
+    assert main(["check", cf_config(tmp_path, digits, 15), "--out", str(out)]) == 0
     contraction = json.loads((out / "summary.json").read_text())["contraction"]
     assert contraction["block"] == 2
     assert contraction["eta_block"] == 0.25

@@ -429,6 +429,16 @@ class TestReblockPinched:
         ):
             reblock_pinched(mixed_pair_system(8), [2, 4, 6, 8])
 
+    def test_block_past_2_512_rejected(self):
+        # ten digits 2^52 fold to a continuant near 2^520: the builder's
+        # rejection, not the map's InputError
+        with pytest.raises(
+            BuildError,
+            match=r"^block '4503599627370496\.0(\.4503599627370496\.0){9}':"
+            r" a block's continuant passes 2\^512$",
+        ):
+            reblock_pinched(build_cf_system([[2.0**52]] * 10), [10])
+
     def test_pinched_digit_blocks_sweep(self, monkeypatch):
         # each two-digit block folds into one Moebius letter, so the 1,398,100
         # words of levels 1..10 take the sweep, not the word-at-a-time walk
